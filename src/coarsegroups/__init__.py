@@ -6,26 +6,20 @@ from .metrics import (
     Entry12Pseudometric,
     InducedMetric,
     MaxEntryMetric,
-    MaxEntryNorm,
     QuotientWordMetric,
-    ScaledMetric,
     WordMetric,
     WordNorm,
-    bornologicity_probe,
     is_horizon,
     max_entry_distance,
-    properness_probe,
     rho_plus_truncated,
 )
 from .bornology import (
     Explicit,
-    FullBasis,
     GeneratedBasis,
     GeometricSeed,
     MetricBallsBasis,
     MinimalBasis,
     basis_ops,
-    finite_diameter_sets_match,
     member,
     metric_from_basis,
 )
@@ -43,7 +37,6 @@ from .coarse import (
     diagonal,
     invert,
     left_shadow,
-    left_translation_invariance_check,
     right_shadow,
     theta_image,
 )

@@ -8,7 +8,6 @@ proof of non-membership.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .groups import (
@@ -59,10 +58,10 @@ class GeometricSeed:
 # -- basic set algebra ------------------------------------------------
 
 
-def basis_ops(spec: GroupSpec, b1, b2=None, op: str = "union", g=None):
+def basis_ops(spec: GroupSpec, b1, b2=None, op: str = "union"):
     """Exact set operations under the group law.
 
-    op is one of product, union, inverse, left-translate, right-translate.
+    op is one of product, union, inverse.
     """
     cap = set_size_cap()
     if op == "product":
@@ -71,10 +70,6 @@ def basis_ops(spec: GroupSpec, b1, b2=None, op: str = "union", g=None):
         out = set(b1) | set(b2)
     elif op == "inverse":
         out = {spec.inv(x) for x in b1}
-    elif op == "left-translate":
-        out = {spec.mul(g, x) for x in b1}
-    elif op == "right-translate":
-        out = {spec.mul(x, g) for x in b1}
     else:
         raise ValueError(f"unknown op {op!r}")
     if len(out) > cap:
@@ -107,16 +102,6 @@ class MinimalBasis(BornologyBasis):
 
     def sets(self, count: int) -> list[frozenset]:
         return [frozenset([g]) for g in self.spec.elements(count)]
-
-
-class FullBasis(BornologyBasis):
-    """Word balls of doubling radius: every finite set is covered quickly."""
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-
-    def sets(self, count: int) -> list[frozenset]:
-        return [frozenset(self.spec.ball(2**n)) for n in range(1, count + 1)]
 
 
 class MetricBallsBasis(BornologyBasis):
@@ -339,42 +324,3 @@ class ChainMetric(MetricEvaluator):
 
 def metric_from_basis(basis: BornologyBasis, n_cap: int = 16) -> ChainMetric:
     return ChainMetric(basis, n_cap=n_cap)
-
-
-# -- cross-checks -----------------------------------------------------
-
-
-def finite_diameter_sets_match(
-    basis: BornologyBasis,
-    metric: MetricEvaluator,
-    truncation,
-    depth: int,
-    diameter_bound=None,
-    random_samples: int = 32,
-    seed: int = 0,
-):
-    """Check member-at-depth against finite-diameter on sampled subsets.
-
-    The sample family is every basis-prefix set intersected with the
-    truncation, plus seeded random subsets.  Returns (True, None) or
-    (False, first counterexample set).
-    """
-    truncation = sorted(set(truncation), key=element_key)
-    samples: list[frozenset] = []
-    for b in basis.sets(depth):
-        s = frozenset(b) & frozenset(truncation)
-        if s:
-            samples.append(s)
-    rng = random.Random(seed)
-    for _ in range(random_samples):
-        k = rng.randint(1, max(1, len(truncation) // 2))
-        samples.append(frozenset(rng.sample(truncation, k)))
-    for s in samples:
-        verdict = member(basis, s, depth)
-        diam = metric.diameter(s)
-        finite = not is_horizon(diam) and (
-            diameter_bound is None or diam <= diameter_bound
-        )
-        if verdict.is_member != finite:
-            return False, s
-    return True, None

@@ -17,7 +17,6 @@ from .metrics import (
     MaxEntryMetric,
     QuotientWordMetric,
     WordMetric,
-    is_horizon,
 )
 from .reporting import fmt, report_to_json, report_to_tsv
 from .scenarios import SCENARIOS, run_scenario
@@ -64,8 +63,6 @@ def parse_element(spec: GroupSpec, text: str):
             payload = tuple(int(p) for p in parts)
         else:
             payload = (int(text),)
-        if spec.kind == "quotient-by-lattice":
-            payload = spec._reduce(payload)
         spec.check_element(payload)
         return payload
     except (ValueError, TypeError) as exc:
@@ -91,6 +88,8 @@ def parse_metric(spec: GroupSpec, text: str):
             k = int(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad metric {text!r}") from exc
+        if k < 2:
+            raise ConfigError(f"bad metric {text!r}: k must be at least 2")
         return QuotientWordMetric(1, [(k,)])
     raise ConfigError(f"unknown metric {text!r}; use word, maxentry, entry12, quotient:k")
 
@@ -167,7 +166,10 @@ def cmd_run(args) -> int:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
-    report = run_scenario(scenario, **typed)
+    try:
+        report = run_scenario(scenario, **typed)
+    except ValueError as exc:
+        raise ConfigError(f"bad parameters for {scenario}: {exc}") from exc
     text = report_to_json(report) if args.format == "json" else report_to_tsv(report)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -198,6 +200,8 @@ def cmd_distance(args) -> int:
 def cmd_member(args) -> int:
     basis = parse_bornology(args.bornology)
     query = parse_int_set(args.set)
+    if args.depth < 1:
+        raise ConfigError(f"--depth must be at least 1, got {args.depth}")
     verdict = member(basis, query, args.depth)
     if verdict.is_member:
         if verdict.via_singleton_axiom:
@@ -247,10 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -209,15 +209,6 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
     return BoundedSetReport(diam=diam, radii=radii, two_sided_ok=ok)
 
 
-def left_translation_invariance_check(spec: GroupSpec, e: Entourage, shifts):
-    """left_shadow(g * e) must equal left_shadow(e) for every shift g."""
-    base = left_shadow(spec, e)
-    for g in sorted(set(shifts), key=element_key):
-        if left_shadow(spec, translate(spec, g, e)) != base:
-            return False, g
-    return True, None
-
-
 # -- map probes -------------------------------------------------------
 
 

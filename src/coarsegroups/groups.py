@@ -1,17 +1,22 @@
 """Exact arithmetic and canonical forms for the concrete groups in the toolkit.
 
-Supported group kinds: free abelian groups Z^n, finite cyclic groups Z/k,
-the integer Heisenberg group (upper unitriangular 3x3 matrices encoded as
-integer triples), direct products, and quotients of Z^n by an integer
-lattice.  All arithmetic is arbitrary-precision and all encodings are
-canonical: equal group elements have identical payloads.
+`GroupSpec` holds the generating set, word balls and the element stream;
+each group kind is one subclass with its own identity, element check,
+group law and coordinate box: `FreeAbelian` (Z^n, int tuples), `Cyclic`
+(Z/k, residues), `Heisenberg` (upper unitriangular 3x3 matrices encoded
+as (a, b, c) with (1,2)=a, (2,3)=b, (1,3)=c), `DirectProduct` (pairs of
+payloads) and `QuotientByLattice` (Z^n modulo an integer lattice, int
+tuples reduced against its Hermite normal form).  Build them with the
+`GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
+encodings are canonical: equal group elements have identical payloads.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 
@@ -27,38 +32,22 @@ def set_size_cap() -> int:
     return int(os.environ.get("COARSE_SET_CAP", "1000000"))
 
 
-# Element payloads are plain hashable values:
-#   free abelian   -> tuple of ints, length = rank
-#   cyclic         -> int residue in [0, modulus)
-#   heisenberg     -> (a, b, c): matrix with (1,2)=a, (2,3)=b, (1,3)=c
-#   direct product -> (left payload, right payload)
-#   lattice quotient -> tuple of ints, canonically reduced
+def element_key(payload) -> tuple:
+    """Deterministic lexicographic sort key on canonical encodings.
 
-FREE_ABELIAN = "free-abelian"
-CYCLIC = "cyclic"
-HEISENBERG = "heisenberg"
-DIRECT_PRODUCT = "direct-product"
-QUOTIENT_BY_LATTICE = "quotient-by-lattice"
-
-
-def flatten(payload) -> tuple:
-    """Flatten a payload into a tuple of ints, for ordering and hashing."""
+    The payload flattened into a tuple of ints.
+    """
     if isinstance(payload, int):
         return (payload,)
     out = []
     for part in payload:
-        out.extend(flatten(part))
+        out.extend(element_key(part))
     return tuple(out)
-
-
-def element_key(payload) -> tuple:
-    """Deterministic lexicographic sort key on canonical encodings."""
-    return flatten(payload)
 
 
 def shell_key(payload) -> tuple:
     """Ordering used by element streams: small magnitudes, positives first."""
-    return tuple((abs(c), c < 0) for c in flatten(payload))
+    return tuple((abs(c), c < 0) for c in element_key(payload))
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -88,27 +77,44 @@ def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
             pivot_row[:] = [-x for x in pivot_row]
         # Reduce earlier pivot rows above this column.
         for r in result:
-            if pivot_row[col] != 0:
-                q = r[col] // pivot_row[col]
-                for j in range(ncols):
-                    r[j] -= q * pivot_row[j]
+            q = r[col] // pivot_row[col]
+            for j in range(ncols):
+                r[j] -= q * pivot_row[j]
         result.append(pivot_row)
         mat = [r for r in mat if r is not pivot_row and any(r)]
         col += 1
     return result
 
 
+def _is_int_tuple(g, length: int) -> bool:
+    return isinstance(g, tuple) and len(g) == length and all(isinstance(c, int) for c in g)
+
+
+def _units(rank: int) -> tuple:
+    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+
+
+def _cube(radius: int, n: int, cap: int) -> Iterator[tuple]:
+    """Integer points of [-radius, radius]^n in lexicographic order."""
+    if (2 * radius + 1) ** n > cap:
+        raise BudgetExceededError(f"box exceeded size cap {cap}")
+    return itertools.product(range(-radius, radius + 1), repeat=n)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """A concrete finitely generated group with a fixed generating set."""
+    """A concrete finitely generated group with a fixed generating set.
 
-    kind: str
-    rank: int = 0
-    modulus: int = 0
-    factors: tuple["GroupSpec", ...] = ()
-    lattice: tuple[tuple[int, ...], ...] = ()
-    generating_set: tuple = ()
-    _hnf: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    Each kind subclass defines identity(), check_element(g) (TypeError
+    unless g is an element), mul(g, h), inv(g) and box(radius, cap): all
+    elements whose integer coordinates have absolute value <= radius, in
+    lexicographic order; for the Heisenberg triple encoding this is
+    exactly the max-entry ball of that radius.
+    """
+
+    generating_set: tuple
+    # Number of integer coordinates of Z^n and its quotients; 0 otherwise.
+    rank = 0
 
     # -- constructors -------------------------------------------------
 
@@ -116,24 +122,20 @@ class GroupSpec:
     def free_abelian(rank: int, generators: tuple | None = None) -> "GroupSpec":
         if rank < 1:
             raise ValueError("rank must be positive")
-        gens = generators
-        if gens is None:
-            gens = tuple(
-                tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-            )
-        return GroupSpec(kind=FREE_ABELIAN, rank=rank, generating_set=tuple(gens))
+        gens = generators if generators is not None else _units(rank)
+        return FreeAbelian(generating_set=tuple(gens), rank=rank)
 
     @staticmethod
     def cyclic(modulus: int, generators: tuple | None = None) -> "GroupSpec":
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
         gens = generators if generators is not None else (1,)
-        return GroupSpec(kind=CYCLIC, modulus=modulus, generating_set=tuple(gens))
+        return Cyclic(generating_set=tuple(gens), modulus=modulus)
 
     @staticmethod
     def heisenberg(generators: tuple | None = None) -> "GroupSpec":
         gens = generators if generators is not None else ((1, 0, 0), (0, 1, 0))
-        return GroupSpec(kind=HEISENBERG, generating_set=tuple(gens))
+        return Heisenberg(generating_set=tuple(gens))
 
     @staticmethod
     def direct_product(left: "GroupSpec", right: "GroupSpec") -> "GroupSpec":
@@ -141,7 +143,7 @@ class GroupSpec:
         gens = tuple((g, re) for g in left.generating_set) + tuple(
             (le, g) for g in right.generating_set
         )
-        return GroupSpec(kind=DIRECT_PRODUCT, factors=(left, right), generating_set=gens)
+        return DirectProduct(generating_set=gens, factors=(left, right))
 
     @staticmethod
     def quotient_by_lattice(
@@ -151,112 +153,20 @@ class GroupSpec:
     ) -> "GroupSpec":
         if rank < 1:
             raise ValueError("rank must be positive")
-        lattice = tuple(tuple(int(c) for c in v) for v in lattice_generators)
+        lattice = [[int(c) for c in v] for v in lattice_generators]
         for v in lattice:
             if len(v) != rank:
                 raise ValueError("lattice generator has wrong length")
-        hnf = tuple(tuple(r) for r in hermite_rows([list(v) for v in lattice]))
-        spec = GroupSpec(
-            kind=QUOTIENT_BY_LATTICE, rank=rank, lattice=lattice, _hnf=hnf
+        pivot_rows = tuple(
+            (next(j for j, x in enumerate(row) if x != 0), tuple(row))
+            for row in hermite_rows(lattice)
         )
+        spec = QuotientByLattice(generating_set=(), pivot_rows=pivot_rows, rank=rank)
         if generators is None:
-            generators = tuple(
-                spec._reduce(tuple(1 if j == i else 0 for j in range(rank)))
-                for i in range(rank)
-            )
-        object.__setattr__(spec, "generating_set", tuple(generators))
-        return spec
+            generators = tuple(spec._reduce(u) for u in _units(rank))
+        return replace(spec, generating_set=tuple(generators))
 
-    # -- canonical reduction for lattice quotients --------------------
-
-    def _reduce(self, vec: tuple) -> tuple:
-        v = list(vec)
-        for row in self._hnf:
-            col = next(j for j, x in enumerate(row) if x != 0)
-            q = v[col] // row[col]
-            if q:
-                for j in range(len(v)):
-                    v[j] -= q * row[j]
-        return tuple(v)
-
-    # -- group law ----------------------------------------------------
-
-    def identity(self):
-        if self.kind == FREE_ABELIAN:
-            return (0,) * self.rank
-        if self.kind == CYCLIC:
-            return 0
-        if self.kind == HEISENBERG:
-            return (0, 0, 0)
-        if self.kind == DIRECT_PRODUCT:
-            return (self.factors[0].identity(), self.factors[1].identity())
-        if self.kind == QUOTIENT_BY_LATTICE:
-            return self._reduce((0,) * self.rank)
-        raise ValueError(f"unknown kind {self.kind!r}")
-
-    def check_element(self, g) -> None:
-        """Raise TypeError unless the payload matches this group's kind."""
-        ok = False
-        if self.kind == FREE_ABELIAN:
-            ok = (
-                isinstance(g, tuple)
-                and len(g) == self.rank
-                and all(isinstance(c, int) for c in g)
-            )
-        elif self.kind == CYCLIC:
-            ok = isinstance(g, int) and 0 <= g < self.modulus
-        elif self.kind == HEISENBERG:
-            ok = (
-                isinstance(g, tuple)
-                and len(g) == 3
-                and all(isinstance(c, int) for c in g)
-            )
-        elif self.kind == DIRECT_PRODUCT:
-            ok = isinstance(g, tuple) and len(g) == 2
-            if ok:
-                self.factors[0].check_element(g[0])
-                self.factors[1].check_element(g[1])
-        elif self.kind == QUOTIENT_BY_LATTICE:
-            ok = (
-                isinstance(g, tuple)
-                and len(g) == self.rank
-                and all(isinstance(c, int) for c in g)
-                and g == self._reduce(g)
-            )
-        if not ok:
-            raise TypeError(f"{g!r} is not an element of {self.kind} group")
-
-    def mul(self, g, h):
-        if self.kind == FREE_ABELIAN:
-            return tuple(x + y for x, y in zip(g, h))
-        if self.kind == CYCLIC:
-            return (g + h) % self.modulus
-        if self.kind == HEISENBERG:
-            a, b, c = g
-            a2, b2, c2 = h
-            return (a + a2, b + b2, c + c2 + a * b2)
-        if self.kind == DIRECT_PRODUCT:
-            return (
-                self.factors[0].mul(g[0], h[0]),
-                self.factors[1].mul(g[1], h[1]),
-            )
-        if self.kind == QUOTIENT_BY_LATTICE:
-            return self._reduce(tuple(x + y for x, y in zip(g, h)))
-        raise ValueError(f"unknown kind {self.kind!r}")
-
-    def inv(self, g):
-        if self.kind == FREE_ABELIAN:
-            return tuple(-x for x in g)
-        if self.kind == CYCLIC:
-            return (-g) % self.modulus
-        if self.kind == HEISENBERG:
-            a, b, c = g
-            return (-a, -b, a * b - c)
-        if self.kind == DIRECT_PRODUCT:
-            return (self.factors[0].inv(g[0]), self.factors[1].inv(g[1]))
-        if self.kind == QUOTIENT_BY_LATTICE:
-            return self._reduce(tuple(-x for x in g))
-        raise ValueError(f"unknown kind {self.kind!r}")
+    # -- shared enumeration -------------------------------------------
 
     def symmetric_generators(self) -> tuple:
         seen = []
@@ -265,8 +175,6 @@ class GroupSpec:
                 if h not in seen:
                     seen.append(h)
         return tuple(seen)
-
-    # -- ball enumeration ---------------------------------------------
 
     def ball(self, radius: int, cap: int | None = None) -> list:
         """All products of at most `radius` generators-or-inverses.
@@ -296,41 +204,6 @@ class GroupSpec:
             frontier = nxt
         return sorted(seen, key=element_key)
 
-    def box(self, radius: int, cap: int | None = None) -> list:
-        """All elements whose integer coordinates have absolute value <= radius.
-
-        A coordinate-wise search universe, independent of the generating
-        set; for the Heisenberg triple encoding it is exactly the
-        max-entry ball of that radius.
-        """
-        cap = ball_size_cap() if cap is None else cap
-        if self.kind == FREE_ABELIAN or self.kind == HEISENBERG:
-            n = self.rank if self.kind == FREE_ABELIAN else 3
-            if (2 * radius + 1) ** n > cap:
-                raise BudgetExceededError(f"box exceeded size cap {cap}")
-            return sorted(
-                itertools.product(range(-radius, radius + 1), repeat=n)
-            )
-        if self.kind == CYCLIC:
-            return list(range(self.modulus))
-        if self.kind == DIRECT_PRODUCT:
-            left = self.factors[0].box(radius, cap)
-            right = self.factors[1].box(radius, cap)
-            if len(left) * len(right) > cap:
-                raise BudgetExceededError(f"box exceeded size cap {cap}")
-            return sorted(itertools.product(left, right), key=element_key)
-        if self.kind == QUOTIENT_BY_LATTICE:
-            if (2 * radius + 1) ** self.rank > cap:
-                raise BudgetExceededError(f"box exceeded size cap {cap}")
-            out = {
-                self._reduce(v)
-                for v in itertools.product(
-                    range(-radius, radius + 1), repeat=self.rank
-                )
-            }
-            return sorted(out, key=element_key)
-        raise ValueError(f"unknown kind {self.kind!r}")
-
     def sphere_stream(self, cap: int | None = None) -> Iterator:
         """Stream group elements shell by shell in the word metric.
 
@@ -358,3 +231,136 @@ class GroupSpec:
 
     def elements(self, count: int, cap: int | None = None) -> list:
         return list(itertools.islice(self.sphere_stream(cap=cap), count))
+
+
+@dataclass(frozen=True)
+class FreeAbelian(GroupSpec):
+    rank: int
+    kind = "free-abelian"
+
+    def identity(self):
+        return (0,) * self.rank
+
+    def check_element(self, g) -> None:
+        if not _is_int_tuple(g, self.rank):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+
+    def mul(self, g, h):
+        return tuple(map(operator.add, g, h))
+
+    def inv(self, g):
+        return tuple(map(operator.neg, g))
+
+    def box(self, radius: int, cap: int | None = None) -> list:
+        return list(_cube(radius, self.rank, ball_size_cap() if cap is None else cap))
+
+
+@dataclass(frozen=True)
+class Cyclic(GroupSpec):
+    modulus: int
+    kind = "cyclic"
+
+    def identity(self):
+        return 0
+
+    def check_element(self, g) -> None:
+        if not (isinstance(g, int) and 0 <= g < self.modulus):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+
+    def mul(self, g, h):
+        return (g + h) % self.modulus
+
+    def inv(self, g):
+        return (-g) % self.modulus
+
+    def box(self, radius: int, cap: int | None = None) -> list:
+        return list(range(self.modulus))
+
+
+@dataclass(frozen=True)
+class Heisenberg(GroupSpec):
+    kind = "heisenberg"
+
+    def identity(self):
+        return (0, 0, 0)
+
+    def check_element(self, g) -> None:
+        if not _is_int_tuple(g, 3):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+
+    def mul(self, g, h):
+        a, b, c = g
+        a2, b2, c2 = h
+        return (a + a2, b + b2, c + c2 + a * b2)
+
+    def inv(self, g):
+        a, b, c = g
+        return (-a, -b, a * b - c)
+
+    def box(self, radius: int, cap: int | None = None) -> list:
+        return list(_cube(radius, 3, ball_size_cap() if cap is None else cap))
+
+
+@dataclass(frozen=True)
+class DirectProduct(GroupSpec):
+    factors: tuple[GroupSpec, GroupSpec]
+    kind = "direct-product"
+
+    def identity(self):
+        return (self.factors[0].identity(), self.factors[1].identity())
+
+    def check_element(self, g) -> None:
+        if not (isinstance(g, tuple) and len(g) == 2):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+        self.factors[0].check_element(g[0])
+        self.factors[1].check_element(g[1])
+
+    def mul(self, g, h):
+        return (self.factors[0].mul(g[0], h[0]), self.factors[1].mul(g[1], h[1]))
+
+    def inv(self, g):
+        return (self.factors[0].inv(g[0]), self.factors[1].inv(g[1]))
+
+    def box(self, radius: int, cap: int | None = None) -> list:
+        cap = ball_size_cap() if cap is None else cap
+        left = self.factors[0].box(radius, cap)
+        right = self.factors[1].box(radius, cap)
+        if len(left) * len(right) > cap:
+            raise BudgetExceededError(f"box exceeded size cap {cap}")
+        return sorted(itertools.product(left, right), key=element_key)
+
+
+@dataclass(frozen=True)
+class QuotientByLattice(GroupSpec):
+    """Z^rank modulo a lattice, given by the (pivot column, row) pairs of
+    the lattice's Hermite normal form."""
+
+    pivot_rows: tuple[tuple[int, tuple[int, ...]], ...]
+    rank: int
+    kind = "quotient-by-lattice"
+
+    def _reduce(self, vec: tuple) -> tuple:
+        """Canonical representative of the coset of an integer vector."""
+        v = vec
+        for col, row in self.pivot_rows:
+            q = v[col] // row[col]
+            if q:
+                v = [x - q * r for x, r in zip(v, row)]
+        return tuple(v)
+
+    def identity(self):
+        return (0,) * self.rank
+
+    def check_element(self, g) -> None:
+        if not (_is_int_tuple(g, self.rank) and g == self._reduce(g)):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+
+    def mul(self, g, h):
+        return self._reduce(tuple(map(operator.add, g, h)))
+
+    def inv(self, g):
+        return self._reduce(tuple(map(operator.neg, g)))
+
+    def box(self, radius: int, cap: int | None = None) -> list:
+        cube = _cube(radius, self.rank, ball_size_cap() if cap is None else cap)
+        return sorted({self._reduce(v) for v in cube})

@@ -1,15 +1,12 @@
 """Norms, metrics, and pseudometrics on groups, with truncated probes.
 
-Distances are exact (ints or Fractions).  Word-metric evaluation is
+Distances are exact integers.  Word-metric evaluation is
 truncated at a radius cap: past the cap the evaluator returns the HORIZON
 marker instead of a number.  Truncation is the normal operating mode of
 the toolkit, never an exception.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .groups import (
     BudgetExceededError,
@@ -115,16 +112,6 @@ class WordNorm:
         return self._norms[g]
 
 
-class MaxEntryNorm:
-    """Largest absolute matrix entry of a Heisenberg element."""
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-
-    def __call__(self, g):
-        return max(abs(c) for c in g)
-
-
 # -- metric evaluators ------------------------------------------------
 
 
@@ -132,7 +119,9 @@ class MetricEvaluator:
     """Two-argument exact distance; subclasses set `pseudo` as needed."""
 
     pseudo = False
-    spec: GroupSpec
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
 
     def eval(self, g, h):
         raise NotImplementedError
@@ -173,9 +162,6 @@ class WordMetric(InducedMetric):
 class MaxEntryMetric(MetricEvaluator):
     """Entrywise max distance on Heisenberg matrices (not left-invariant)."""
 
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-
     def eval(self, g, h):
         return max(abs(x - y) for x, y in zip(g, h))
 
@@ -184,9 +170,6 @@ class Entry12Pseudometric(MetricEvaluator):
     """|a - a'| on Heisenberg triples (a, b, c): the (1,2) matrix entry."""
 
     pseudo = True
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
 
     def eval(self, g, h):
         return abs(g[0] - h[0])
@@ -213,42 +196,11 @@ class QuotientWordMetric(MetricEvaluator):
         return self._word.eval(self.project(g), self.project(h))
 
 
-class ScaledMetric(MetricEvaluator):
-    """A base metric multiplied by a positive rational factor."""
-
-    def __init__(self, base: MetricEvaluator, factor):
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        self.base = base
-        self.factor = factor
-        self.spec = base.spec
-        self.pseudo = base.pseudo
-
-    def eval(self, g, h):
-        d = self.base.eval(g, h)
-        if is_horizon(d):
-            return HORIZON
-        return self.factor * d
-
-
 # -- derived operations ----------------------------------------------
-
-
-def word_distance(metric: WordMetric, g, h):
-    return metric.eval(g, h)
-
-
-def induced_distance(norm, g, h):
-    return InducedMetric(norm).eval(g, h)
 
 
 def max_entry_distance(g, h):
     return max(abs(x - y) for x, y in zip(g, h))
-
-
-def quotient_distance(metric: QuotientWordMetric, a, b):
-    return metric.eval(a, b)
 
 
 def rho_plus_truncated(base: MetricEvaluator, x, y, truncation):
@@ -271,121 +223,3 @@ def rho_plus_truncated(base: MetricEvaluator, x, y, truncation):
         if d > best:
             best = d
     return best
-
-
-@dataclass
-class BornologicityReport:
-    """Truncated evidence for the uniform left-translation bound S_C."""
-
-    bound_c: Fraction
-    certified_bound: object  # number, or None when the trend marker is set
-    trend: str
-    ladder_values: list = field(default_factory=list)
-    witness_pairs: list = field(default_factory=list)
-    truncation_used: int = 0
-    empty_pair_set: bool = False
-
-
-def bornologicity_probe(
-    base: MetricEvaluator,
-    C,
-    pair_truncation,
-    shift_truncation,
-    ladder_steps: int = 3,
-) -> BornologicityReport:
-    """Probe whether distances under C stay uniformly bounded under shifts.
-
-    Evaluates S_C over a ladder of at least three increasing truncations
-    and classifies the trend as bounded/growing/inconclusive.
-    """
-    C = Fraction(C)
-    if C <= 0:
-        raise ValueError("C must be positive")
-    pair_truncation = list(pair_truncation)
-    shift_truncation = list(shift_truncation)
-    if not pair_truncation or not shift_truncation:
-        raise ValueError("truncations must be nonempty")
-    spec = base.spec
-    ladder_steps = max(ladder_steps, 3)
-    pair_ladder = ladder_prefixes(pair_truncation, ladder_steps)
-    shift_ladder = ladder_prefixes(shift_truncation, ladder_steps)
-
-    values = []
-    witnesses = []
-    any_pairs = False
-    for pairs_t, shifts_t in zip(pair_ladder, shift_ladder):
-        close_pairs = []
-        for x in pairs_t:
-            for y in pairs_t:
-                if x == y:
-                    continue
-                d = base.eval(x, y)
-                if not is_horizon(d) and d < C:
-                    close_pairs.append((x, y))
-        if not close_pairs:
-            values.append(0)
-            continue
-        any_pairs = True
-        step_best = 0
-        step_witnesses = []
-        for g in shifts_t:
-            for x, y in close_pairs:
-                d = base.eval(spec.mul(g, x), spec.mul(g, y))
-                if is_horizon(d):
-                    continue
-                if d > step_best:
-                    step_best = d
-                    step_witnesses = [(g, x, y, d)]
-        values.append(step_best)
-        witnesses = step_witnesses
-    if not any_pairs:
-        return BornologicityReport(
-            bound_c=C,
-            certified_bound=None,
-            trend="bounded",
-            ladder_values=values,
-            truncation_used=len(pair_truncation),
-            empty_pair_set=True,
-        )
-    trend = classify_trend(values)
-    certified = values[-1] if trend == "bounded" else None
-    return BornologicityReport(
-        bound_c=C,
-        certified_bound=certified,
-        trend=trend,
-        ladder_values=values,
-        witness_pairs=witnesses,
-        truncation_used=len(pair_truncation),
-    )
-
-
-@dataclass
-class PropernessReport:
-    count: int
-    saturated: bool
-    ladder_counts: list = field(default_factory=list)
-
-
-def properness_probe(
-    base: MetricEvaluator, R, truncation, ladder_steps: int = 3
-) -> PropernessReport:
-    """Count truncation elements within distance R of the identity.
-
-    `saturated` is finite-scale evidence of properness at R: the count did
-    not change over the last ladder step.
-    """
-    R = Fraction(R)
-    truncation = list(truncation)
-    if not truncation:
-        raise ValueError("truncation must be nonempty")
-    e = base.spec.identity()
-    counts = []
-    for prefix in ladder_prefixes(truncation, max(ladder_steps, 2)):
-        n = 0
-        for g in prefix:
-            d = base.eval(e, g)
-            if not is_horizon(d) and d <= R:
-                n += 1
-        counts.append(n)
-    saturated = len(counts) >= 2 and counts[-1] == counts[-2]
-    return PropernessReport(count=counts[-1], saturated=saturated, ladder_counts=counts)

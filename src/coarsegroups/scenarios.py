@@ -89,7 +89,8 @@ def heisenberg_separation(N: int = 50) -> ScenarioReport:
     b_n^-1 a_n is n + 1, so it is controlled in the bounded structure of
     the max-entry metric but not in the left bornological structure.
     """
-    t0 = time.perf_counter()
+    if N < 1:
+        raise ValueError("N must be at least 1")
     report = ScenarioReport(name="heisenberg_separation", parameters={"N": N})
     spec = GroupSpec.heisenberg()
     maxentry = MaxEntryMetric(spec)
@@ -138,13 +139,11 @@ def heisenberg_separation(N: int = 50) -> ScenarioReport:
         PAPER,
     )
     report.truncations = {"probe_horizon": horizon}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
 def heisenberg_pseudometric(radius: int = 4, samples: int = 1000) -> ScenarioReport:
     """Left invariance of the (1,2)-entry pseudometric, checked exactly."""
-    t0 = time.perf_counter()
     report = ScenarioReport(
         name="heisenberg_pseudometric",
         parameters={"radius": radius, "samples": samples},
@@ -185,7 +184,6 @@ def heisenberg_pseudometric(radius: int = 4, samples: int = 1000) -> ScenarioRep
     report.check("distinct elements at pseudodistance 0", 0, rho.eval(a, b), TRIVIAL)
     report.check("the witnesses differ as group elements", True, a != b, TRIVIAL)
     report.truncations = {"ball_radius": radius}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -198,7 +196,6 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    t0 = time.perf_counter()
     R = truncation_radius
     report = ScenarioReport(
         name="z_quotient_metric", parameters={"k": k, "truncation_radius": R}
@@ -284,7 +281,6 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
         "section-after-projection is close to the identity", "bounded", verdict.trend, PAPER
     )
     report.truncations = {"radius": R, "horizon": horizon}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -292,7 +288,6 @@ def powers_of_ten(depth: int = 3, N: int = 50) -> ScenarioReport:
     """Cover evidence that the powers-of-ten bornology misses the evens."""
     if N < 10:
         raise ValueError("N must be at least 10")
-    t0 = time.perf_counter()
     report = ScenarioReport(name="powers_of_ten", parameters={"depth": depth, "N": N})
     zspec = GroupSpec.free_abelian(1)
     basis = GeneratedBasis(zspec, [GeometricSeed(10, 6)])
@@ -328,7 +323,6 @@ def powers_of_ten(depth: int = 3, N: int = 50) -> ScenarioReport:
         TRIVIAL,
     )
     report.truncations = {"depth": depth, "N": N, "seed_length": 6}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -341,7 +335,6 @@ def aj_family(J: int = 2, depth: int = 3, seed_length: int = 4) -> ScenarioRepor
     """
     if J < 2:
         raise ValueError("J must be at least 2")
-    t0 = time.perf_counter()
     report = ScenarioReport(
         name="aj_family", parameters={"J": J, "depth": depth, "seed_length": seed_length}
     )
@@ -374,7 +367,6 @@ def aj_family(J: int = 2, depth: int = 3, seed_length: int = 4) -> ScenarioRepor
         TRIVIAL,
     )
     report.truncations = {"depth": depth, "seed_length": seed_length}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -382,7 +374,6 @@ def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
     """Two proper word metrics on the integers probe as coarsely equivalent."""
     if R < 4:
         raise ValueError("R must be at least 4")
-    t0 = time.perf_counter()
     report = ScenarioReport(name="smith_uniqueness_probe", parameters={"R": R})
     zspec1 = GroupSpec.free_abelian(1)
     zspec2 = GroupSpec.free_abelian(1, generators=((2,), (3,)))
@@ -441,7 +432,6 @@ def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
         stabilized = stabilized and values[-1] == values[-2]
     report.check("per-C max of the second metric stabilizes", True, stabilized, DERIVED)
     report.truncations = {"radius": R}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -454,7 +444,6 @@ def rho_plus_demo(truncation_radius: int = 6) -> ScenarioReport:
     """
     if truncation_radius < 2:
         raise ValueError("truncation radius must be at least 2")
-    t0 = time.perf_counter()
     report = ScenarioReport(
         name="rho_plus_demo", parameters={"truncation_radius": truncation_radius}
     )
@@ -493,7 +482,6 @@ def rho_plus_demo(truncation_radius: int = 6) -> ScenarioReport:
     )
     report.check("truncated sup vanishes on equal points", 0, rho_plus_truncated(maxentry, a1, a1, core), TRIVIAL)
     report.truncations = {"z_radius": truncation_radius, "heisenberg_core_radius": 2}
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
@@ -531,4 +519,7 @@ def run_scenario(name: str, **params) -> ScenarioReport:
     unknown = set(params) - allowed
     if unknown:
         raise KeyError(f"unknown parameters for {name}: {sorted(unknown)}")
-    return entry.func(**params)
+    t0 = time.perf_counter()
+    report = entry.func(**params)
+    report.wall_time = time.perf_counter() - t0
+    return report

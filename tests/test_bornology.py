@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from coarsegroups.bornology import (
     ChainMetric,
     Explicit,
-    FullBasis,
     GeneratedBasis,
     GeometricSeed,
     MetricBallsBasis,
     MinimalBasis,
     basis_ops,
-    finite_diameter_sets_match,
     member,
     member_depth,
     metric_from_basis,
@@ -70,10 +68,11 @@ class TestBasisOps:
         assert basis_ops(Z, b, op="inverse") == frozenset([(-2,)])
 
     def test_translates(self):
+        # translates are products with singletons
         a = frozenset([(1, 0, 0), (0, 0, 1)])
         g = (0, 1, 0)
-        left = basis_ops(H, a, op="left-translate", g=g)
-        right = basis_ops(H, a, op="right-translate", g=g)
+        left = basis_ops(H, frozenset([g]), a, op="product")
+        right = basis_ops(H, a, frozenset([g]), op="product")
         assert left == frozenset({H.mul(g, x) for x in a})
         assert right == frozenset({H.mul(x, g) for x in a})
         assert left != right
@@ -101,11 +100,6 @@ class TestStreams:
     def test_minimal_prefix_stable(self):
         basis = MinimalBasis(H)
         assert basis.sets(10) == basis.sets(15)[:10]
-
-    def test_full_doubling_balls(self):
-        sets = FullBasis(Z).sets(3)
-        assert sets[0] == frozenset(Z.ball(2))
-        assert sets[2] == frozenset(Z.ball(8))
 
     def test_metric_balls_word_metric(self):
         basis = MetricBallsBasis(WordMetric(Z))
@@ -227,29 +221,3 @@ class TestChainMetric:
     def test_horizon_past_cap(self):
         m = metric_from_basis(MinimalBasis(Z), n_cap=3)
         assert is_horizon(m.eval((0,), (100,)))
-
-    def test_full_basis_short_distances(self):
-        m = metric_from_basis(FullBasis(Z))
-        assert m.eval((0,), (2,)) == 1
-        assert m.eval((0,), (3,)) == 2
-
-
-class TestFiniteDiameterAgreement:
-    def test_minimal_basis_agrees(self):
-        basis = MinimalBasis(Z)
-        m = metric_from_basis(basis, n_cap=16)
-        ok, witness = finite_diameter_sets_match(
-            basis, m, truncation=[(i,) for i in range(-6, 7)], depth=13,
-            random_samples=64, seed=1,
-        )
-        assert ok, witness
-
-    def test_detects_mismatch(self):
-        basis = MinimalBasis(Z)
-        m = metric_from_basis(basis, n_cap=2)  # cap too low: diameters overflow
-        ok, witness = finite_diameter_sets_match(
-            basis, m, truncation=[(i,) for i in range(-6, 7)], depth=13,
-            random_samples=16, seed=1,
-        )
-        assert not ok
-        assert witness

@@ -99,6 +99,35 @@ class TestExitCodes:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    @staticmethod
+    def assert_one_error_line(capsys):
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("k", ["1", "0", "-3"])
+    def test_quotient_modulus_below_two_is_two(self, capsys, k):
+        argv = ["distance", "--group", "Z", "--metric", f"quotient:{k}", "0", "3"]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_member_depth_below_one_is_two(self, capsys, depth):
+        argv = ["member", "--bornology", "minimal", "--set", "{0}", "--depth", depth]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "scenario,param",
+        [
+            ("z_quotient_metric", "k=1"),
+            ("heisenberg_separation", "N=0"),
+            ("rho_plus_demo", "truncation_radius=1"),
+        ],
+    )
+    def test_scenario_parameter_error_is_two(self, capsys, scenario, param):
+        assert main(["run", scenario, "--param", param]) == 2
+        self.assert_one_error_line(capsys)
+
     def test_budget_exceeded_is_three(self, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_BALL_CAP", "10")
         assert main(["run", "heisenberg_pseudometric"]) == 3

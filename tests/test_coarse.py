@@ -19,7 +19,6 @@ from coarsegroups.coarse import (
     diagonal,
     invert,
     left_shadow,
-    left_translation_invariance_check,
     right_shadow,
     theta_image,
     translate,
@@ -101,11 +100,6 @@ class TestShadows:
         e = Entourage.of([((1, 0, 0), (0, 1, 0))])
         g = (0, 1, 0)
         assert right_shadow(H, translate(H, g, e)) != right_shadow(H, e)
-
-    def test_invariance_check_reports_ok(self):
-        e = Entourage.of([((1, 0, 0), (0, 1, 0)), ((0, 0, 1), (0, 0, 0))])
-        ok, witness = left_translation_invariance_check(H, e, H.ball(2))
-        assert ok and witness is None
 
 
 class TestControlledProbe:

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsegroups.groups import (
@@ -26,6 +27,27 @@ H = GroupSpec.heisenberg()
 triples = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)
 )
+
+
+@st.composite
+def lattice_cases(draw):
+    """(rank, lattice generators, vector, lattice coefficients)."""
+    rank = draw(st.sampled_from([2, 3]))
+    coords = st.tuples(*[st.integers(-6, 6)] * rank)
+    lattice = draw(st.lists(coords, min_size=1, max_size=rank))
+    vec = draw(st.tuples(*[st.integers(-30, 30)] * rank))
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(lattice), max_size=len(lattice)))
+    return rank, lattice, vec, coeffs
+
+
+def det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+    )
 
 
 class TestIdentity:
@@ -165,6 +187,29 @@ class TestQuotientByLattice:
         e = q.identity()
         for g in q.ball(12):
             assert q.mul(g, q.inv(g)) == e
+
+    @given(lattice_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((2, [(0, 4)], (7, -9), [3]))
+    @example((2, [(2, 4)], (5, 11), [-2]))
+    @example((3, [(0, 2, 1), (0, 0, 3)], (4, 5, -7), [1, 2]))
+    @example((2, [(2, 1), (3, 5)], (0, 0), [1, 1]))
+    @example((3, [(1, 2, 3), (0, 2, 1), (1, 1, 1)], (9, -4, 2), [2, -1, 3]))
+    def test_canonical_form_properties(self, case):
+        rank, lattice, vec, coeffs = case
+        q = GroupSpec.quotient_by_lattice(rank, lattice)
+        canon = q._reduce(vec)
+        assert q._reduce(canon) == canon
+        shifted = tuple(
+            x + sum(c * v[j] for c, v in zip(coeffs, lattice)) for j, x in enumerate(vec)
+        )
+        assert q._reduce(shifted) == canon
+        d = abs(det([list(v) for v in lattice])) if len(lattice) == rank else 0
+        if 0 < d <= (24 if rank == 2 else 12):
+            # Every coset has its canonical form inside a box of radius |det|.
+            cube = itertools.product(range(-d, d + 1), repeat=rank)
+            assert len({q._reduce(v) for v in cube}) == d
+            assert len(q.box(d)) == d
 
     def test_hermite_rows(self):
         assert hermite_rows([[4], [6]]) == [[2]]

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,21 +11,14 @@ from coarsegroups.metrics import (
     Entry12Pseudometric,
     InducedMetric,
     MaxEntryMetric,
-    MaxEntryNorm,
     QuotientWordMetric,
-    ScaledMetric,
     WordMetric,
     WordNorm,
-    bornologicity_probe,
     classify_trend,
-    induced_distance,
     is_horizon,
     ladder_prefixes,
     max_entry_distance,
-    properness_probe,
-    quotient_distance,
     rho_plus_truncated,
-    word_distance,
 )
 
 from oracles import bfs_distances, cayley_adjacency
@@ -40,10 +32,10 @@ triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
 
 class TestWordDistance:
     def test_integer_line(self):
-        assert word_distance(WordMetric(Z), (0,), (5,)) == 5
+        assert WordMetric(Z).eval((0,), (5,)) == 5
 
     def test_grid(self):
-        assert word_distance(WordMetric(Z2), (0, 0), (2, 3)) == 5
+        assert WordMetric(Z2).eval((0, 0), (2, 3)) == 5
 
     def test_same_point(self):
         wm = WordMetric(H)
@@ -66,14 +58,15 @@ class TestWordDistance:
 
 class TestInducedDistance:
     def test_integer_word_norm(self):
-        assert induced_distance(WordNorm(Z), (3,), (10,)) == 7
+        assert InducedMetric(WordNorm(Z)).eval((3,), (10,)) == 7
 
     def test_heisenberg_max_entry_norm(self):
+        # the max-entry norm of the shadow b1^-1 a1
         a1, b1 = (1, 0, 1), (2, 1, 1)
-        assert induced_distance(MaxEntryNorm(H), b1, a1) == 2
+        assert MaxEntryMetric(H).eval(H.identity(), H.mul(H.inv(b1), a1)) == 2
 
     def test_left_invariance_exact(self):
-        m = InducedMetric(MaxEntryNorm(H))
+        m = InducedMetric(WordNorm(H))
         rng = random.Random(3)
         ball = H.ball(3)
         for _ in range(500):
@@ -108,7 +101,7 @@ class TestQuotientDistance:
         oracle = bfs_distances(adjacency, cyc.identity())
         for a in range(-12, 13):
             assert qm.eval((0,), (a,)) == oracle[cyc._reduce((a,))]
-        assert quotient_distance(qm, (0,), (3,)) == 2
+        assert qm.eval((0,), (3,)) == 2
 
     def test_same_coset(self):
         qm = QuotientWordMetric(1, [(5,)])
@@ -205,56 +198,6 @@ class TestRhoPlus:
     def test_requires_identity(self):
         with pytest.raises(ValueError):
             rho_plus_truncated(WordMetric(Z), (0,), (1,), [(5,)])
-
-
-class TestBornologicityProbe:
-    def test_left_invariant_bounded(self):
-        report = bornologicity_probe(WordMetric(Z), 3, Z.ball(10), Z.ball(10))
-        assert report.trend == "bounded"
-        assert report.certified_bound is not None
-        assert report.certified_bound < 3
-
-    def test_heisenberg_growing(self):
-        m = MaxEntryMetric(H)
-        N = 9
-        pairs = {p for n in range(1, N + 1) for p in ((n, 0, 1), (n + 1, 1, 1))}
-        shifts = {H.inv((n + 1, 1, 1)) for n in range(1, N + 1)}
-        report = bornologicity_probe(m, 2, pairs, shifts)
-        assert report.trend == "growing"
-        assert report.certified_bound is None
-        assert report.witness_pairs
-
-    def test_empty_pair_set(self):
-        m = ScaledMetric(WordMetric(Z), 10)
-        report = bornologicity_probe(m, Fraction(1, 2), Z.ball(4), Z.ball(4))
-        assert report.empty_pair_set
-
-    def test_scaled_base_same_trend(self):
-        m = MaxEntryMetric(H)
-        N = 9
-        pairs = {p for n in range(1, N + 1) for p in ((n, 0, 1), (n + 1, 1, 1))}
-        shifts = {H.inv((n + 1, 1, 1)) for n in range(1, N + 1)}
-        base = bornologicity_probe(m, 2, pairs, shifts)
-        scaled = bornologicity_probe(ScaledMetric(m, Fraction(3, 2)), 3, pairs, shifts)
-        assert base.trend == scaled.trend == "growing"
-
-
-class TestPropernessProbe:
-    def test_word_metric_saturates(self):
-        report = properness_probe(WordMetric(Z), 4, Z.ball(30))
-        assert report.count == 9
-        assert report.saturated
-
-    def test_quotient_pseudometric_never_saturates(self):
-        qm = QuotientWordMetric(1, [(5,)])
-        report = properness_probe(qm, 2, [(i,) for i in range(-40, 41)])
-        assert not report.saturated
-        assert report.ladder_counts == sorted(report.ladder_counts)
-
-    def test_radius_zero(self):
-        report = properness_probe(WordMetric(Z2), 0, Z2.ball(5))
-        assert report.count == 1
-        assert report.saturated
 
 
 class TestTrendRule:

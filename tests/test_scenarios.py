@@ -87,6 +87,8 @@ def test_unknown_parameter_rejected():
 def test_invalid_parameter_value_rejected():
     with pytest.raises(ValueError):
         run_scenario("z_quotient_metric", k=1)
+    with pytest.raises(ValueError):
+        run_scenario("heisenberg_separation", N=0)
 
 
 def test_fmt_values():
