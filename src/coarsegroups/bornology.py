@@ -16,11 +16,7 @@ from .groups import (
     element_key,
     set_size_cap,
 )
-from .metrics import (
-    HORIZON,
-    MetricEvaluator,
-    is_horizon,
-)
+from .metrics import HORIZON, MetricEvaluator
 
 
 # -- seed descriptors -------------------------------------------------
@@ -105,34 +101,19 @@ class MinimalBasis(BornologyBasis):
 
 
 class MetricBallsBasis(BornologyBasis):
-    """B_n = {g : d(e, g) < n + 1} for a metric on the group.
+    """B_n = {g : d(e, g) <= n} for a metric on the group.
 
-    Balls are materialized by scanning coordinate boxes of doubling radius
-    until one doubling adds nothing; a metric with infinite balls (for
-    example a quotient pseudometric) hits the size cap instead.
+    Each ball comes from the metric's `ball(n)`: a closed form where the
+    metric has one, a coordinate box scan otherwise.
     """
 
-    def __init__(self, metric: MetricEvaluator, scan_start: int = 4):
+    def __init__(self, metric: MetricEvaluator):
         self.metric = metric
         self.spec = metric.spec
-        self.scan_start = scan_start
         self._cache: list[frozenset] = []
 
     def _materialize(self, n: int) -> frozenset:
-        e = self.spec.identity()
-        radius = max(self.scan_start, n + 1)
-        prev = None
-        while True:
-            current = set()
-            for g in self.spec.box(radius):
-                d = self.metric.eval(e, g)
-                if not is_horizon(d) and d < n + 1:
-                    current.add(g)
-            current = frozenset(current)
-            if prev is not None and current == prev:
-                return current
-            prev = current
-            radius *= 2
+        return self.metric.ball(n)
 
     def sets(self, count: int) -> list[frozenset]:
         while len(self._cache) < count:

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .bornology import Explicit, GeneratedBasis, GeometricSeed, MinimalBasis, member
-from .groups import BudgetExceededError, GroupSpec
+from .groups import BudgetExceededError, GroupSpec, ball_size_cap, set_size_cap
 from .metrics import (
     Entry12Pseudometric,
     MaxEntryMetric,
@@ -121,6 +121,14 @@ def parse_bornology(text: str):
     raise ConfigError(
         f"unknown bornology {text!r}; use minimal, geom:base,length, or explicit:{{...}}"
     )
+
+
+def check_caps() -> None:
+    """Reject a non-integer COARSE_BALL_CAP or COARSE_SET_CAP up front."""
+    try:
+        ball_size_cap(), set_size_cap()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- subcommands ------------------------------------------------------
@@ -250,6 +258,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_caps()
         return args.func(args)
     except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,12 +24,20 @@ class BudgetExceededError(RuntimeError):
     """A ball or set materialization passed the configured size cap."""
 
 
+def _env_cap(name: str) -> int:
+    raw = os.environ.get(name, "1000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def ball_size_cap() -> int:
-    return int(os.environ.get("COARSE_BALL_CAP", "1000000"))
+    return _env_cap("COARSE_BALL_CAP")
 
 
 def set_size_cap() -> int:
-    return int(os.environ.get("COARSE_SET_CAP", "1000000"))
+    return _env_cap("COARSE_SET_CAP")
 
 
 def element_key(payload) -> tuple:
@@ -108,8 +116,9 @@ class GroupSpec:
     Each kind subclass defines identity(), check_element(g) (TypeError
     unless g is an element), mul(g, h), inv(g) and box(radius, cap): all
     elements whose integer coordinates have absolute value <= radius, in
-    lexicographic order; for the Heisenberg triple encoding this is
-    exactly the max-entry ball of that radius.
+    lexicographic order.  On Z^n and on the Heisenberg triple encoding
+    this is exactly the max-entry ball of that radius; on a lattice
+    quotient it is the reduced cube, which is not.
     """
 
     generating_set: tuple

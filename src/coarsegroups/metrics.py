@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from .groups import (
     BudgetExceededError,
+    FreeAbelian,
     GroupSpec,
+    Heisenberg,
     ball_size_cap,
     element_key,
     shell_key,
@@ -115,6 +117,10 @@ class WordNorm:
 # -- metric evaluators ------------------------------------------------
 
 
+# First box radius of the ball scan in `MetricEvaluator.ball`.
+_SCAN_START = 4
+
+
 class MetricEvaluator:
     """Two-argument exact distance; subclasses set `pseudo` as needed."""
 
@@ -125,6 +131,28 @@ class MetricEvaluator:
 
     def eval(self, g, h):
         raise NotImplementedError
+
+    def ball(self, n: int) -> frozenset:
+        """{g : d(e, g) <= n}, by scanning coordinate boxes.
+
+        The box radius doubles until one doubling adds nothing; a metric
+        with infinite balls (for example a quotient pseudometric) hits the
+        size cap instead.  Subclasses with a closed form override this.
+        """
+        e = self.spec.identity()
+        radius = max(_SCAN_START, n + 1)
+        prev = None
+        while True:
+            current = set()
+            for g in self.spec.box(radius):
+                d = self.eval(e, g)
+                if not is_horizon(d) and d < n + 1:
+                    current.add(g)
+            current = frozenset(current)
+            if prev is not None and current == prev:
+                return current
+            prev = current
+            radius *= 2
 
     def diameter(self, elements):
         """Max pairwise distance over a finite set; HORIZON-propagating."""
@@ -164,6 +192,13 @@ class MaxEntryMetric(MetricEvaluator):
 
     def eval(self, g, h):
         return max(abs(x - y) for x, y in zip(g, h))
+
+    def ball(self, n: int) -> frozenset:
+        # On Z^n and the Heisenberg triples the coordinates are the entries,
+        # so the ball is the box; reduced lattice cosets are not.
+        if isinstance(self.spec, (FreeAbelian, Heisenberg)):
+            return frozenset(self.spec.box(n))
+        return super().ball(n)
 
 
 class Entry12Pseudometric(MetricEvaluator):

@@ -8,6 +8,12 @@ def heis_to_matrix(t):
     return [[1, a, c], [0, 1, b], [0, 0, 1]]
 
 
+def heis_max_entry_norm(t):
+    """Largest |entry| of the matrix of t minus the identity matrix."""
+    m = heis_to_matrix(t)
+    return max(abs(m[i][j] - (i == j)) for i in range(3) for j in range(3))
+
+
 def matmul3(m, n):
     return [
         [sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3)]

@@ -18,11 +18,15 @@ from coarsegroups.bornology import (
     metric_from_basis,
 )
 from coarsegroups.groups import BudgetExceededError, GroupSpec
-from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon
+from coarsegroups.metrics import MaxEntryMetric, MetricEvaluator, WordMetric, is_horizon
+
+from oracles import heis_max_entry_norm
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
 H = GroupSpec.heisenberg()
+# Shared across Hypothesis examples so its balls are built once.
+MAX_ENTRY_BALLS = MetricBallsBasis(MaxEntryMetric(H))
 
 
 def sym_power(spec, base, n):
@@ -112,6 +116,37 @@ class TestStreams:
         basis = MetricBallsBasis(MaxEntryMetric(H))
         b1 = basis.sets(1)[0]
         assert b1 == frozenset(H.box(1))
+
+    def test_metric_balls_max_entry_match_the_scan(self):
+        metric = MaxEntryMetric(H)
+        scanned = [MetricEvaluator.ball(metric, n) for n in range(1, 13)]
+        assert MetricBallsBasis(metric).sets(12) == scanned
+
+    def test_metric_balls_max_entry_make_no_evaluations(self, monkeypatch):
+        calls = []
+        original = MaxEntryMetric.eval
+
+        def counted(self, g, h):
+            calls.append((g, h))
+            return original(self, g, h)
+
+        monkeypatch.setattr(MaxEntryMetric, "eval", counted)
+        sets = MetricBallsBasis(MaxEntryMetric(H)).sets(12)
+        assert len(sets[-1]) == 25**3
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),
+            max_size=6,
+        ),
+        st.integers(1, 10),
+    )
+    def test_max_entry_member_depth_is_the_norm(self, elements, depth_cap):
+        expected = max([1] + [heis_max_entry_norm(g) for g in elements])
+        got = member_depth(MAX_ENTRY_BALLS, elements, depth_cap)
+        assert got == (expected if expected <= depth_cap else None)
 
     def test_generated_seed_first(self):
         basis = GeneratedBasis(Z, [GeometricSeed(10, 3)])

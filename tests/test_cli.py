@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,37 @@ class TestExitCodes:
     def test_scenario_parameter_error_is_two(self, capsys, scenario, param):
         assert main(["run", scenario, "--param", param]) == 2
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("var", ["COARSE_BALL_CAP", "COARSE_SET_CAP"])
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["distance", "--group", "Z", "--metric", "word", "0", "3"],
+            ["run", "powers_of_ten"],
+        ],
+        ids=["distance", "run"],
+    )
+    def test_non_integer_cap_is_two(self, capsys, monkeypatch, var, value, argv):
+        monkeypatch.setenv(var, value)
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and var in err[0], err
+
+    def test_non_integer_cap_exit_code_of_the_process(self):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, COARSE_BALL_CAP="abc", PYTHONPATH=src)
+        argv = ["distance", "--group", "Z", "--metric", "word", "0", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coarsegroups.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: COARSE_BALL_CAP must be an integer, got 'abc'"
+        ]
 
     def test_budget_exceeded_is_three(self, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_BALL_CAP", "10")

@@ -11,6 +11,7 @@ from coarsegroups.metrics import (
     Entry12Pseudometric,
     InducedMetric,
     MaxEntryMetric,
+    MetricEvaluator,
     QuotientWordMetric,
     WordMetric,
     WordNorm,
@@ -21,7 +22,7 @@ from coarsegroups.metrics import (
     rho_plus_truncated,
 )
 
-from oracles import bfs_distances, cayley_adjacency
+from oracles import bfs_distances, cayley_adjacency, heis_max_entry_norm
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -91,6 +92,30 @@ class TestMaxEntryDistance:
         g = H.inv(b1)
         assert m.eval(a1, b1) == 1
         assert m.eval(H.mul(g, a1), H.mul(g, b1)) == 2
+
+
+class TestMetricBall:
+    @pytest.mark.parametrize("n", range(7))
+    def test_heisenberg_max_entry_ball_matches_matrix_oracle(self, n):
+        cube = itertools.product(range(-n - 2, n + 3), repeat=3)
+        expected = {g for g in cube if heis_max_entry_norm(g) <= n}
+        assert MaxEntryMetric(H).ball(n) == expected
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_grid_max_entry_ball_matches_filter(self, n):
+        square = itertools.product(range(-n - 2, n + 3), repeat=2)
+        expected = {g for g in square if max(map(abs, g)) <= n}
+        assert MaxEntryMetric(Z2).ball(n) == expected
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_lattice_quotient_uses_the_scan(self, n):
+        q = GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)])
+        m = MaxEntryMetric(q)
+        # Reduced representatives are (a, b) with 0 <= a < 3, 0 <= b < 5.
+        expected = {(a, b) for a in range(3) for b in range(5) if max(a, b) <= n}
+        assert m.ball(n) == MetricEvaluator.ball(m, n) == expected
+        if n >= 1:  # the reduced box reaches entries past n
+            assert m.ball(n) != frozenset(q.box(n))
 
 
 class TestQuotientDistance:
