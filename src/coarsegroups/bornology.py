@@ -141,12 +141,6 @@ class GeneratedBasis(BornologyBasis):
         self._levels: list[list[frozenset]] = []
         self._known: set[frozenset] = set()
         self._element_stream = spec.sphere_stream()
-        self._stream_pos = 0
-
-    def _next_singleton(self) -> frozenset:
-        g = next(self._element_stream)
-        self._stream_pos += 1
-        return frozenset([g])
 
     def _admit(self, bucket: list, s: frozenset) -> None:
         if len(s) > set_size_cap():
@@ -167,9 +161,9 @@ class GeneratedBasis(BornologyBasis):
             for seed in list(bucket):
                 self._admit(bucket, basis_ops(self.spec, seed, op="inverse"))
         else:
-            for single in (self._next_singleton(),):
-                self._admit(bucket, single)
-                self._admit(bucket, basis_ops(self.spec, single, op="inverse"))
+            single = frozenset([next(self._element_stream)])
+            self._admit(bucket, single)
+            self._admit(bucket, basis_ops(self.spec, single, op="inverse"))
             for s in self._levels[n - 1]:
                 self._admit(bucket, basis_ops(self.spec, s, op="inverse"))
             for i in range(n):

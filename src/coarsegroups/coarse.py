@@ -150,7 +150,6 @@ def controlled_probe(
     family: EntourageFamily,
     structure: Structure,
     horizon: int,
-    depth: int | None = None,
 ) -> ControlledVerdict:
     """Observe the family's per-index quantity up to the horizon.
 
@@ -160,8 +159,6 @@ def controlled_probe(
     """
     if horizon > family.index_cap:
         raise ValueError("horizon exceeds the family's index cap")
-    if depth is not None and isinstance(structure, (LeftBornological, RightBornological)):
-        structure = type(structure)(basis=structure.basis, depth_cap=depth)
     per_index = []
     for n in range(1, horizon + 1):
         per_index.append((n, structure.value_of(family.at(n))))
@@ -243,7 +240,6 @@ def coarse_map_probe(
     bounded_samples,
     domain_truncation,
     horizon: int,
-    depth: int | None = None,
 ) -> CoarseMapReport:
     """Finite-sample probe that a map is bornologous and proper.
 
@@ -258,7 +254,7 @@ def coarse_map_probe(
 
     bornologous_ok = True
     for fam in families:
-        dom_verdict = controlled_probe(fam, dom_structure, horizon, depth)
+        dom_verdict = controlled_probe(fam, dom_structure, horizon)
         if dom_verdict.trend != "bounded":
             continue
         image = EntourageFamily(
@@ -268,7 +264,7 @@ def coarse_map_probe(
             ),
             name=f"{fam.name}-image",
         )
-        cod_verdict = controlled_probe(image, cod_structure, horizon, depth)
+        cod_verdict = controlled_probe(image, cod_structure, horizon)
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
             witnesses.append(("bornologous", fam.name, cod_verdict))

@@ -102,8 +102,9 @@ def _units(rank: int) -> tuple:
     return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
 
 
-def _cube(radius: int, n: int, cap: int) -> Iterator[tuple]:
+def _cube(radius: int, n: int) -> Iterator[tuple]:
     """Integer points of [-radius, radius]^n in lexicographic order."""
+    cap = ball_size_cap()
     if (2 * radius + 1) ** n > cap:
         raise BudgetExceededError(f"box exceeded size cap {cap}")
     return itertools.product(range(-radius, radius + 1), repeat=n)
@@ -114,11 +115,15 @@ class GroupSpec:
     """A concrete finitely generated group with a fixed generating set.
 
     Each kind subclass defines identity(), check_element(g) (TypeError
-    unless g is an element), mul(g, h), inv(g) and box(radius, cap): all
+    unless g is an element), mul(g, h), inv(g) and box(radius): all
     elements whose integer coordinates have absolute value <= radius, in
     lexicographic order.  On Z^n and on the Heisenberg triple encoding
     this is exactly the max-entry ball of that radius; on a lattice
     quotient it is the reduced cube, which is not.
+
+    Word balls, the element stream and word-norm tables all come from the
+    one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
+    size cap of balls, boxes and streams.
     """
 
     generating_set: tuple
@@ -185,61 +190,60 @@ class GroupSpec:
                     seen.append(h)
         return tuple(seen)
 
-    def ball(self, radius: int, cap: int | None = None) -> list:
+    def spheres(self) -> Iterator[list]:
+        """The word spheres S_0 = [e], S_1, S_2, ... as lists.
+
+        S_k holds the elements of word length exactly k, in no fixed
+        order.  The stream ends after the last sphere of a finite group.
+        Raises BudgetExceededError as soon as the ball built so far holds
+        more than `COARSE_BALL_CAP` elements; S_0 alone never does.
+        """
+        cap = ball_size_cap()
+        gens = self.symmetric_generators()
+        # The generators are symmetric, so the neighbours of S_k lie in
+        # S_{k-1}, S_k and S_{k+1}.  Only the last two spheres are kept; the
+        # set that dedups against them is rebuilt per sphere and dropped
+        # before each yield.
+        prev, sphere, size = [], [self.identity()], 1
+        while sphere:
+            yield sphere
+            seen = {*prev, *sphere}
+            nxt = []
+            for g in sphere:
+                for s in gens:
+                    h = self.mul(g, s)
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+                        size += 1
+                        if size > cap:
+                            raise BudgetExceededError(f"word ball exceeded size cap {cap}")
+            prev, sphere, seen = sphere, nxt, None
+
+    def ball(self, radius: int) -> list:
         """All products of at most `radius` generators-or-inverses.
 
         Returned in lexicographic order on canonical encodings.
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        cap = ball_size_cap() if cap is None else cap
-        gens = self.symmetric_generators()
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        for _ in range(radius):
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.mul(g, s)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-                        if len(seen) > cap:
-                            raise BudgetExceededError(
-                                f"ball exceeded size cap {cap}"
-                            )
-            if not nxt:
-                break
-            frontier = nxt
-        return sorted(seen, key=element_key)
+        out = []
+        for sphere in itertools.islice(self.spheres(), radius + 1):
+            out.extend(sphere)
+        return sorted(out, key=element_key)
 
-    def sphere_stream(self, cap: int | None = None) -> Iterator:
+    def sphere_stream(self) -> Iterator:
         """Stream group elements shell by shell in the word metric.
 
         Each shell is ordered small-magnitude-first with positive entries
         before negative ones, giving the fixed enumeration 0, 1, -1, 2, -2,
         ... on the integers.
         """
-        cap = ball_size_cap() if cap is None else cap
-        gens = self.symmetric_generators()
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        yield self.identity()
-        while frontier:
-            nxt = set()
-            for g in frontier:
-                for s in gens:
-                    h = self.mul(g, s)
-                    if h not in seen:
-                        nxt.add(h)
-            seen |= nxt
-            if len(seen) > cap:
-                raise BudgetExceededError(f"enumeration exceeded size cap {cap}")
-            frontier = sorted(nxt, key=shell_key)
-            yield from frontier
+        for sphere in self.spheres():
+            yield from sorted(sphere, key=shell_key)
 
-    def elements(self, count: int, cap: int | None = None) -> list:
-        return list(itertools.islice(self.sphere_stream(cap=cap), count))
+    def elements(self, count: int) -> list:
+        return list(itertools.islice(self.sphere_stream(), count))
 
 
 @dataclass(frozen=True)
@@ -260,8 +264,8 @@ class FreeAbelian(GroupSpec):
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
-    def box(self, radius: int, cap: int | None = None) -> list:
-        return list(_cube(radius, self.rank, ball_size_cap() if cap is None else cap))
+    def box(self, radius: int) -> list:
+        return list(_cube(radius, self.rank))
 
 
 @dataclass(frozen=True)
@@ -282,7 +286,7 @@ class Cyclic(GroupSpec):
     def inv(self, g):
         return (-g) % self.modulus
 
-    def box(self, radius: int, cap: int | None = None) -> list:
+    def box(self, radius: int) -> list:
         return list(range(self.modulus))
 
 
@@ -306,8 +310,8 @@ class Heisenberg(GroupSpec):
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    def box(self, radius: int, cap: int | None = None) -> list:
-        return list(_cube(radius, 3, ball_size_cap() if cap is None else cap))
+    def box(self, radius: int) -> list:
+        return list(_cube(radius, 3))
 
 
 @dataclass(frozen=True)
@@ -330,10 +334,10 @@ class DirectProduct(GroupSpec):
     def inv(self, g):
         return (self.factors[0].inv(g[0]), self.factors[1].inv(g[1]))
 
-    def box(self, radius: int, cap: int | None = None) -> list:
-        cap = ball_size_cap() if cap is None else cap
-        left = self.factors[0].box(radius, cap)
-        right = self.factors[1].box(radius, cap)
+    def box(self, radius: int) -> list:
+        left = self.factors[0].box(radius)
+        right = self.factors[1].box(radius)
+        cap = ball_size_cap()
         if len(left) * len(right) > cap:
             raise BudgetExceededError(f"box exceeded size cap {cap}")
         return sorted(itertools.product(left, right), key=element_key)
@@ -370,6 +374,5 @@ class QuotientByLattice(GroupSpec):
     def inv(self, g):
         return self._reduce(tuple(map(operator.neg, g)))
 
-    def box(self, radius: int, cap: int | None = None) -> list:
-        cube = _cube(radius, self.rank, ball_size_cap() if cap is None else cap)
-        return sorted({self._reduce(v) for v in cube})
+    def box(self, radius: int) -> list:
+        return sorted({self._reduce(v) for v in _cube(radius, self.rank)})

@@ -8,12 +8,13 @@ the toolkit, never an exception.
 
 from __future__ import annotations
 
+import itertools
+
 from .groups import (
     BudgetExceededError,
     FreeAbelian,
     GroupSpec,
     Heisenberg,
-    ball_size_cap,
     element_key,
     shell_key,
 )
@@ -82,30 +83,30 @@ def ladder_prefixes(items: list, steps: int = 3) -> list[list]:
 
 
 class WordNorm:
-    """Minimal word length in the generating set, truncated at radius_cap."""
+    """Minimal word length in the generating set, truncated at radius_cap.
+
+    The table grows one word sphere of `spec.spheres()` per `_extend`.
+    """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
         self.spec = spec
         self.radius_cap = radius_cap
-        self._norms = {spec.identity(): 0}
-        self._frontier = [spec.identity()]
+        self._spheres = spec.spheres()
+        self._norms = dict.fromkeys(next(self._spheres), 0)
         self._level = 0
 
     def _extend(self) -> bool:
-        gens = self.spec.symmetric_generators()
-        cap = ball_size_cap()
-        nxt = []
-        for g in self._frontier:
-            for s in gens:
-                h = self.spec.mul(g, s)
-                if h not in self._norms:
-                    self._norms[h] = self._level + 1
-                    nxt.append(h)
-                    if len(self._norms) > cap:
-                        raise BudgetExceededError("word-norm table exceeded cap")
-        self._frontier = nxt
+        try:
+            sphere = next(self._spheres, ())
+        except BudgetExceededError:
+            # A generator that raised is finished: restart it past the
+            # table so that a retry hits the cap again instead of reading
+            # as the end of a finite group (a silent HORIZON).
+            self._spheres = itertools.islice(self.spec.spheres(), self._level + 1, None)
+            raise
         self._level += 1
-        return bool(nxt)
+        self._norms.update(zip(sphere, itertools.repeat(self._level)))
+        return bool(sphere)
 
     def __call__(self, g):
         while g not in self._norms:
@@ -185,6 +186,10 @@ class WordMetric(InducedMetric):
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
         super().__init__(WordNorm(spec, radius_cap=radius_cap))
         self.radius_cap = radius_cap
+
+    def ball(self, n: int) -> frozenset:
+        # The word ball itself, exact past radius_cap where eval is HORIZON.
+        return frozenset(self.spec.ball(n))
 
 
 class MaxEntryMetric(MetricEvaluator):

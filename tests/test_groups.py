@@ -11,8 +11,11 @@ from coarsegroups.groups import (
     element_key,
     hermite_rows,
 )
+from coarsegroups.metrics import WordNorm
 
 from oracles import (
+    bfs_distances,
+    cayley_adjacency,
     heis_from_matrix,
     heis_to_matrix,
     matinv_unitriangular,
@@ -162,9 +165,10 @@ class TestBall:
                     grown.add(H.mul(g, s))
             assert grown == set(H.ball(r + 1))
 
-    def test_budget_cap(self):
+    def test_budget_cap(self, monkeypatch):
+        monkeypatch.setenv("COARSE_BALL_CAP", "50")
         with pytest.raises(BudgetExceededError):
-            Z2.ball(100, cap=50)
+            Z2.ball(100)
 
     def test_deterministic_order(self):
         b = H.ball(3)
@@ -227,3 +231,77 @@ class TestEnumeration:
         box = H.box(1)
         assert len(box) == 27
         assert all(max(abs(c) for c in g) <= 1 for g in box)
+
+
+def _heisenberg_nodes(c_bound: int) -> list:
+    """Heisenberg triples with |a|, |b| <= 8 and |c| <= c_bound."""
+    side = range(-8, 9)
+    return list(itertools.product(side, side, range(-c_bound, c_bound + 1)))
+
+
+# Each node set holds the word ball of radius 8, built without spheres():
+# a word of length 8 moves a coordinate of Z by at most 8 (by 24 with the
+# generators {2, 3}).  On H only b-letters change c, each by the current a,
+# so |c| <= (a-letters)(b-letters) <= 16; with the extra generator the
+# k-th letter changes c by at most k, so |c| <= 36.
+SPHERE_CASES = {
+    "Z": (Z, Z.box(8)),
+    "Z-2-3": (GroupSpec.free_abelian(1, ((2,), (3,))), Z.box(24)),
+    "Z2": (Z2, Z2.box(8)),
+    "Z/2": (GroupSpec.cyclic(2), GroupSpec.cyclic(2).box(0)),
+    "Z/7": (GroupSpec.cyclic(7), GroupSpec.cyclic(7).box(0)),
+    "H": (H, _heisenberg_nodes(16)),
+    "H-extra": (
+        GroupSpec.heisenberg(((1, 0, 0), (0, 1, 0), (1, 1, 0))),
+        _heisenberg_nodes(36),
+    ),
+    "ZxZ/3": (
+        GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
+        GroupSpec.direct_product(Z, GroupSpec.cyclic(3)).box(8),
+    ),
+    "Z2/(3,5)": (
+        GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)]),
+        GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)]).box(8),
+    ),
+}
+
+
+class TestSpheres:
+    @pytest.mark.parametrize("name", list(SPHERE_CASES))
+    def test_match_bfs_oracle(self, name):
+        spec, nodes = SPHERE_CASES[name]
+        dist = bfs_distances(cayley_adjacency(spec, nodes), spec.identity())
+        expected = [{g for g, d in dist.items() if d == k} for k in range(9)]
+        while not expected[-1]:  # a finite group's stream ends early
+            expected.pop()
+        got = [set(sphere) for sphere in itertools.islice(spec.spheres(), 9)]
+        assert got == expected
+        assert sum(map(len, got)) == len(set().union(*got))
+
+    def test_finite_group_stream_ends(self):
+        spheres = [sorted(s) for s in GroupSpec.cyclic(7).spheres()]
+        assert spheres == [[0], [1, 6], [2, 5], [3, 4]]
+
+
+class TestCapBoundary:
+    """COARSE_BALL_CAP = |ball(r)| admits radius r; one less refuses it."""
+
+    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_cap_fires_at_the_same_radius(self, spec, r, monkeypatch):
+        size = len(spec.ball(r))
+        norm = WordNorm(spec)
+        far = next(g for g in spec.ball(r) if norm(g) == r)
+        monkeypatch.setenv("COARSE_BALL_CAP", str(size))
+        assert len(spec.ball(r)) == size
+        assert len(spec.elements(size)) == size
+        assert WordNorm(spec)(far) == r
+        monkeypatch.setenv("COARSE_BALL_CAP", str(size - 1))
+        with pytest.raises(BudgetExceededError):
+            spec.ball(r)
+        with pytest.raises(BudgetExceededError):
+            spec.elements(size)
+        norm = WordNorm(spec)
+        for _ in range(2):  # a retry raises again instead of ending the table
+            with pytest.raises(BudgetExceededError):
+                norm(far)

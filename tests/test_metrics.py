@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegroups.bornology import MetricBallsBasis
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
@@ -116,6 +117,20 @@ class TestMetricBall:
         assert m.ball(n) == MetricEvaluator.ball(m, n) == expected
         if n >= 1:  # the reduced box reaches entries past n
             assert m.ball(n) != frozenset(q.box(n))
+
+
+class TestWordMetricBall:
+    def test_exact_past_radius_cap(self):
+        # The HORIZON-dropping scan stopped at the cap: 3, 5, 7, 7, 7, 7.
+        basis = MetricBallsBasis(WordMetric(Z, radius_cap=3))
+        assert [len(b) for b in basis.sets(6)] == [3, 5, 7, 9, 11, 13]
+        assert WordMetric(Z, radius_cap=3).ball(5) == frozenset((i,) for i in range(-5, 6))
+
+    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_the_scan(self, spec, n):
+        m = WordMetric(spec)
+        assert m.ball(n) == MetricEvaluator.ball(m, n)
 
 
 class TestQuotientDistance:
