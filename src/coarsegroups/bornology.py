@@ -8,6 +8,7 @@ proof of non-membership.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .groups import (
@@ -187,7 +188,19 @@ class GeneratedBasis(BornologyBasis):
         level = 0
         while len(out) < count:
             while level >= len(self._levels):
-                self._build_level()
+                try:
+                    self._build_level()
+                except BudgetExceededError:
+                    # Undo the failed level so that a retry rebuilds it whole:
+                    # forget the sets it admitted, and restart the element
+                    # stream (finished, or past this level's singleton) after
+                    # the singletons of levels 1.. already built.
+                    self._known = set().union(*self._levels)
+                    built = max(len(self._levels) - 1, 0)
+                    self._element_stream = itertools.islice(
+                        self.spec.sphere_stream(), built, None
+                    )
+                    raise
             if level > self.depth_cap and not self._levels[level]:
                 break
             out.extend(self._levels[level])

@@ -19,7 +19,7 @@ from .metrics import (
     WordMetric,
 )
 from .reporting import fmt, report_to_json, report_to_tsv
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, run_scenario, scenario_params
 
 
 class ConfigError(ValueError):
@@ -136,8 +136,9 @@ def check_caps() -> None:
 
 def cmd_list(_args) -> int:
     for name in sorted(SCENARIOS):
-        entry = SCENARIOS[name]
-        params = ", ".join(f"{p}: {t.__name__} = {d}" for p, t, d in entry.params)
+        params = ", ".join(
+            f"{p}: {type(d).__name__} = {d}" for p, d in scenario_params(name).items()
+        )
         print(f"{name}({params})")
     return 0
 
@@ -164,13 +165,13 @@ def cmd_run(args) -> int:
         params[key] = value
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}")
-    schema = {p: t for p, t, _ in SCENARIOS[scenario].params}
+    schema = scenario_params(scenario)
     typed = {}
     for key, value in params.items():
         if key not in schema:
             raise ConfigError(f"unknown parameter {key!r} for {scenario}")
         try:
-            typed[key] = schema[key](value)
+            typed[key] = type(schema[key])(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 

@@ -146,6 +146,15 @@ class ControlledVerdict:
     trend: str
 
 
+def _ladder_verdict(structure: Structure, entourages) -> ControlledVerdict:
+    """Observe each entourage of a ladder and classify the trend."""
+    per_index = [(n, structure.value_of(e)) for n, e in enumerate(entourages, start=1)]
+    trend = classify_trend([v for _, v in per_index])
+    return ControlledVerdict(
+        structure=type(structure).__name__, per_index=per_index, trend=trend
+    )
+
+
 def controlled_probe(
     family: EntourageFamily,
     structure: Structure,
@@ -159,13 +168,7 @@ def controlled_probe(
     """
     if horizon > family.index_cap:
         raise ValueError("horizon exceeds the family's index cap")
-    per_index = []
-    for n in range(1, horizon + 1):
-        per_index.append((n, structure.value_of(family.at(n))))
-    trend = classify_trend([v for _, v in per_index])
-    return ControlledVerdict(
-        structure=type(structure).__name__, per_index=per_index, trend=trend
-    )
+    return _ladder_verdict(structure, (family.at(n) for n in range(1, horizon + 1)))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -209,22 +212,6 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
 # -- map probes -------------------------------------------------------
 
 
-def _set_boundedness_ladder(structure: Structure, subset, steps: int = 3):
-    """Observed boundedness values of a set over a prefix ladder.
-
-    Uses the equivalence of B x B controlled with B x {x} controlled:
-    each prefix is measured through the entourage prefix x {anchor}.
-    The final ladder value is for the full set; a None there (cover-depth
-    or horizon overflow) is the finite-scale sign of unboundedness.
-    """
-    subset = sorted(set(subset), key=element_key)
-    anchor = subset[0]
-    values = []
-    for prefix in ladder_prefixes(subset, steps):
-        values.append(structure.value_of(Entourage.of((x, anchor) for x in prefix)))
-    return values
-
-
 @dataclass
 class CoarseMapReport:
     bornologous_ok: bool
@@ -234,8 +221,8 @@ class CoarseMapReport:
 
 def coarse_map_probe(
     f: Callable,
-    domain: tuple[GroupSpec, Structure],
-    codomain: tuple[GroupSpec, Structure],
+    domain: Structure,
+    codomain: Structure,
     families,
     bounded_samples,
     domain_truncation,
@@ -245,16 +232,16 @@ def coarse_map_probe(
 
     Bornologous: every supplied family controlled in the domain structure
     must map, pairwise, to a family with bounded trend in the codomain.
-    Proper: the preimage within the sampled domain truncation of every
-    bounded sample must have bounded trend under the domain structure.
+    Proper: for every bounded sample, its preimage B within the sampled
+    domain truncation, measured as the entourage B x {anchor} (B x B is
+    controlled exactly when B x {x} is), must not overflow (None) under
+    the domain structure.
     """
-    _, dom_structure = domain
-    _, cod_structure = codomain
     witnesses = []
 
     bornologous_ok = True
     for fam in families:
-        dom_verdict = controlled_probe(fam, dom_structure, horizon)
+        dom_verdict = controlled_probe(fam, domain, horizon)
         if dom_verdict.trend != "bounded":
             continue
         image = EntourageFamily(
@@ -264,7 +251,7 @@ def coarse_map_probe(
             ),
             name=f"{fam.name}-image",
         )
-        cod_verdict = controlled_probe(image, cod_structure, horizon)
+        cod_verdict = controlled_probe(image, codomain, horizon)
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
             witnesses.append(("bornologous", fam.name, cod_verdict))
@@ -276,10 +263,10 @@ def coarse_map_probe(
         preimage = [x for x in domain_truncation if f(x) in sample]
         if not preimage:
             continue
-        values = _set_boundedness_ladder(dom_structure, preimage)
-        if values[-1] is None:
+        anchor = preimage[0]
+        if domain.value_of(Entourage.of((x, anchor) for x in preimage)) is None:
             proper_ok = False
-            witnesses.append(("proper", sorted(sample, key=element_key), values))
+            witnesses.append(("proper", sorted(sample, key=element_key), preimage))
 
     return CoarseMapReport(
         bornologous_ok=bornologous_ok, proper_ok=proper_ok, witnesses=witnesses
@@ -291,15 +278,12 @@ def closeness_probe(
     f2: Callable,
     domain_truncation,
     structure: Structure,
-    steps: int = 3,
 ) -> ControlledVerdict:
     """Probe the pairing {(f(m), f2(m))} for controlledness on a ladder."""
-    domain_truncation = sorted(set(domain_truncation), key=element_key)
-    per_index = []
-    for i, prefix in enumerate(ladder_prefixes(domain_truncation, steps), start=1):
-        e = Entourage.of((f(m), f2(m)) for m in prefix)
-        per_index.append((i, structure.value_of(e)))
-    trend = classify_trend([v for _, v in per_index])
-    return ControlledVerdict(
-        structure=type(structure).__name__, per_index=per_index, trend=trend
+    return _ladder_verdict(
+        structure,
+        (
+            Entourage.of((f(m), f2(m)) for m in prefix)
+            for prefix in ladder_prefixes(set(domain_truncation))
+        ),
     )

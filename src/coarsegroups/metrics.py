@@ -126,6 +126,9 @@ class MetricEvaluator:
     """Two-argument exact distance; subclasses set `pseudo` as needed."""
 
     pseudo = False
+    # Distances above radius_cap evaluate to HORIZON; None if none do or
+    # the cap is unknown.
+    radius_cap = None
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
@@ -138,7 +141,10 @@ class MetricEvaluator:
 
         The box radius doubles until one doubling adds nothing; a metric
         with infinite balls (for example a quotient pseudometric) hits the
-        size cap instead.  Subclasses with a closed form override this.
+        size cap instead.  A HORIZON distance is past `radius_cap`, so
+        outside the ball when n <= radius_cap; otherwise (or with no known
+        cap) its membership is unknown and the scan raises
+        `BudgetExceededError`.  Subclasses with a closed form override this.
         """
         e = self.spec.identity()
         radius = max(_SCAN_START, n + 1)
@@ -147,8 +153,14 @@ class MetricEvaluator:
             current = set()
             for g in self.spec.box(radius):
                 d = self.eval(e, g)
-                if not is_horizon(d) and d < n + 1:
-                    current.add(g)
+                if not is_horizon(d):
+                    if d < n + 1:
+                        current.add(g)
+                elif self.radius_cap is None or n > self.radius_cap:
+                    raise BudgetExceededError(
+                        f"ball({n}) of {type(self).__name__} needs distances past"
+                        f" its radius cap {self.radius_cap} (at {g})"
+                    )
             current = frozenset(current)
             if prev is not None and current == prev:
                 return current
@@ -175,6 +187,7 @@ class InducedMetric(MetricEvaluator):
     def __init__(self, norm):
         self.norm = norm
         self.spec = norm.spec
+        self.radius_cap = norm.radius_cap
 
     def eval(self, g, h):
         return self.norm(self.spec.mul(self.spec.inv(g), h))
@@ -185,7 +198,6 @@ class WordMetric(InducedMetric):
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
         super().__init__(WordNorm(spec, radius_cap=radius_cap))
-        self.radius_cap = radius_cap
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.
@@ -228,6 +240,7 @@ class QuotientWordMetric(MetricEvaluator):
         self.spec = GroupSpec.free_abelian(rank)
         self.quotient = GroupSpec.quotient_by_lattice(rank, lattice_generators)
         self._word = WordMetric(self.quotient, radius_cap=radius_cap)
+        self.radius_cap = radius_cap
 
     def project(self, g):
         return self.quotient._reduce(g)

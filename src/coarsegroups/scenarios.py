@@ -7,6 +7,7 @@ the underlying statement quantifies over the whole group.
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -82,7 +83,7 @@ def heisenberg_pair(n: int) -> tuple:
 # -- scenarios --------------------------------------------------------
 
 
-def heisenberg_separation(N: int = 50) -> ScenarioReport:
+def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
     """Close pairs in the max-entry metric whose left shadows grow.
 
     The indexed family (b_n, a_n) stays at distance 1 while the norm of
@@ -91,7 +92,6 @@ def heisenberg_separation(N: int = 50) -> ScenarioReport:
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    report = ScenarioReport(name="heisenberg_separation", parameters={"N": N})
     spec = GroupSpec.heisenberg()
     maxentry = MaxEntryMetric(spec)
 
@@ -139,15 +139,10 @@ def heisenberg_separation(N: int = 50) -> ScenarioReport:
         PAPER,
     )
     report.truncations = {"probe_horizon": horizon}
-    return report
 
 
-def heisenberg_pseudometric(radius: int = 4, samples: int = 1000) -> ScenarioReport:
+def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: int = 1000) -> None:
     """Left invariance of the (1,2)-entry pseudometric, checked exactly."""
-    report = ScenarioReport(
-        name="heisenberg_pseudometric",
-        parameters={"radius": radius, "samples": samples},
-    )
     spec = GroupSpec.heisenberg()
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
@@ -184,10 +179,9 @@ def heisenberg_pseudometric(radius: int = 4, samples: int = 1000) -> ScenarioRep
     report.check("distinct elements at pseudodistance 0", 0, rho.eval(a, b), TRIVIAL)
     report.check("the witnesses differ as group elements", True, a != b, TRIVIAL)
     report.truncations = {"ball_radius": radius}
-    return report
 
 
-def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport:
+def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int = 50) -> None:
     """The quotient pseudometric on the integers via multiples of k.
 
     Truncation diameters stay at floor(k/2) while word diameters grow;
@@ -197,9 +191,6 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
     if k < 2:
         raise ValueError("k must be at least 2")
     R = truncation_radius
-    report = ScenarioReport(
-        name="z_quotient_metric", parameters={"k": k, "truncation_radius": R}
-    )
     zspec = GroupSpec.free_abelian(1)
     qm = QuotientWordMetric(1, [(k,)])
     word = WordMetric(zspec, radius_cap=4 * R)
@@ -242,8 +233,8 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
     )
     probe_pi = coarse_map_probe(
         project,
-        domain=(zspec, LeftBornological(domain_basis)),
-        codomain=(cyclic, LeftBornological(codomain_basis, depth_cap=k + 2)),
+        domain=LeftBornological(domain_basis),
+        codomain=LeftBornological(codomain_basis, depth_cap=k + 2),
         families=[fam_multiples],
         bounded_samples=[frozenset([cyclic._reduce((r,))]) for r in range(k)],
         domain_truncation=truncation,
@@ -261,8 +252,8 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
     )
     probe_section = coarse_map_probe(
         section,
-        domain=(cyclic, LeftBornological(codomain_basis, depth_cap=k + 2)),
-        codomain=(zspec, LeftBornological(domain_basis)),
+        domain=LeftBornological(codomain_basis, depth_cap=k + 2),
+        codomain=LeftBornological(domain_basis),
         families=[fam_const],
         bounded_samples=[frozenset([(i,) for i in range(-k, k + 1)])],
         domain_truncation=list(cyclic.box(k)),
@@ -281,14 +272,12 @@ def z_quotient_metric(k: int = 5, truncation_radius: int = 50) -> ScenarioReport
         "section-after-projection is close to the identity", "bounded", verdict.trend, PAPER
     )
     report.truncations = {"radius": R, "horizon": horizon}
-    return report
 
 
-def powers_of_ten(depth: int = 3, N: int = 50) -> ScenarioReport:
+def powers_of_ten(report: ScenarioReport, depth: int = 3, N: int = 50) -> None:
     """Cover evidence that the powers-of-ten bornology misses the evens."""
     if N < 10:
         raise ValueError("N must be at least 10")
-    report = ScenarioReport(name="powers_of_ten", parameters={"depth": depth, "N": N})
     zspec = GroupSpec.free_abelian(1)
     basis = GeneratedBasis(zspec, [GeometricSeed(10, 6)])
 
@@ -323,10 +312,9 @@ def powers_of_ten(depth: int = 3, N: int = 50) -> ScenarioReport:
         TRIVIAL,
     )
     report.truncations = {"depth": depth, "N": N, "seed_length": 6}
-    return report
 
 
-def aj_family(J: int = 2, depth: int = 3, seed_length: int = 4) -> ScenarioReport:
+def aj_family(report: ScenarioReport, J: int = 2, depth: int = 3, seed_length: int = 4) -> None:
     """Pairwise non-coverage evidence across the geometric seed family.
 
     Each seed's truncation is not covered by the bornology generated from
@@ -335,9 +323,6 @@ def aj_family(J: int = 2, depth: int = 3, seed_length: int = 4) -> ScenarioRepor
     """
     if J < 2:
         raise ValueError("J must be at least 2")
-    report = ScenarioReport(
-        name="aj_family", parameters={"J": J, "depth": depth, "seed_length": seed_length}
-    )
     zspec = GroupSpec.free_abelian(1)
     seeds = [GeometricSeed(10 + 10 * j, seed_length) for j in range(J + 1)]
 
@@ -367,14 +352,12 @@ def aj_family(J: int = 2, depth: int = 3, seed_length: int = 4) -> ScenarioRepor
         TRIVIAL,
     )
     report.truncations = {"depth": depth, "seed_length": seed_length}
-    return report
 
 
-def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
+def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
     """Two proper word metrics on the integers probe as coarsely equivalent."""
     if R < 4:
         raise ValueError("R must be at least 4")
-    report = ScenarioReport(name="smith_uniqueness_probe", parameters={"R": R})
     zspec1 = GroupSpec.free_abelian(1)
     zspec2 = GroupSpec.free_abelian(1, generators=((2,), (3,)))
     d1 = WordMetric(zspec1, radius_cap=4 * R)
@@ -395,8 +378,8 @@ def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
     samples = [frozenset((i,) for i in range(-4, 5))]
     forward = coarse_map_probe(
         identity_map,
-        domain=(zspec1, BoundedByMetric(d1)),
-        codomain=(zspec2, BoundedByMetric(d2)),
+        domain=BoundedByMetric(d1),
+        codomain=BoundedByMetric(d2),
         families=families,
         bounded_samples=samples,
         domain_truncation=truncation,
@@ -404,8 +387,8 @@ def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
     )
     backward = coarse_map_probe(
         identity_map,
-        domain=(zspec2, BoundedByMetric(d2)),
-        codomain=(zspec1, BoundedByMetric(d1)),
+        domain=BoundedByMetric(d2),
+        codomain=BoundedByMetric(d1),
         families=families,
         bounded_samples=samples,
         domain_truncation=truncation,
@@ -432,10 +415,9 @@ def smith_uniqueness_probe(R: int = 24) -> ScenarioReport:
         stabilized = stabilized and values[-1] == values[-2]
     report.check("per-C max of the second metric stabilizes", True, stabilized, DERIVED)
     report.truncations = {"radius": R}
-    return report
 
 
-def rho_plus_demo(truncation_radius: int = 6) -> ScenarioReport:
+def rho_plus_demo(report: ScenarioReport, truncation_radius: int = 6) -> None:
     """Left-invariantization by truncated sup over shifts.
 
     For a left-invariant base the truncated sup never moves; for the
@@ -444,9 +426,6 @@ def rho_plus_demo(truncation_radius: int = 6) -> ScenarioReport:
     """
     if truncation_radius < 2:
         raise ValueError("truncation radius must be at least 2")
-    report = ScenarioReport(
-        name="rho_plus_demo", parameters={"truncation_radius": truncation_radius}
-    )
     zspec = GroupSpec.free_abelian(1)
     word = WordMetric(zspec, radius_cap=64)
     invariant_ok = True
@@ -482,44 +461,46 @@ def rho_plus_demo(truncation_radius: int = 6) -> ScenarioReport:
     )
     report.check("truncated sup vanishes on equal points", 0, rho_plus_truncated(maxentry, a1, a1, core), TRIVIAL)
     report.truncations = {"z_radius": truncation_radius, "heisenberg_core_radius": 2}
-    return report
 
 
 # -- registry ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScenarioEntry:
-    func: object
-    params: tuple  # of (name, type, default)
-
-
 SCENARIOS = {
-    "heisenberg_separation": ScenarioEntry(heisenberg_separation, (("N", int, 50),)),
-    "heisenberg_pseudometric": ScenarioEntry(
-        heisenberg_pseudometric, (("radius", int, 4), ("samples", int, 1000))
-    ),
-    "z_quotient_metric": ScenarioEntry(
-        z_quotient_metric, (("k", int, 5), ("truncation_radius", int, 50))
-    ),
-    "powers_of_ten": ScenarioEntry(powers_of_ten, (("depth", int, 3), ("N", int, 50))),
-    "aj_family": ScenarioEntry(
-        aj_family, (("J", int, 2), ("depth", int, 3), ("seed_length", int, 4))
-    ),
-    "smith_uniqueness_probe": ScenarioEntry(smith_uniqueness_probe, (("R", int, 24),)),
-    "rho_plus_demo": ScenarioEntry(rho_plus_demo, (("truncation_radius", int, 6),)),
+    f.__name__: f
+    for f in (
+        heisenberg_separation,
+        heisenberg_pseudometric,
+        z_quotient_metric,
+        powers_of_ten,
+        aj_family,
+        smith_uniqueness_probe,
+        rho_plus_demo,
+    )
 }
+
+
+def scenario_params(name: str) -> dict:
+    """Parameter names and defaults of a registered scenario, in order.
+
+    A scenario is a function `(report, **params)` whose parameters after
+    the report all have defaults; its signature is the only schema, and
+    each value has the type of its default.
+    """
+    params = list(inspect.signature(SCENARIOS[name]).parameters.values())[1:]
+    return {p.name: p.default for p in params}
 
 
 def run_scenario(name: str, **params) -> ScenarioReport:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}")
-    entry = SCENARIOS[name]
-    allowed = {p[0] for p in entry.params}
-    unknown = set(params) - allowed
+    parameters = scenario_params(name)
+    unknown = set(params) - set(parameters)
     if unknown:
         raise KeyError(f"unknown parameters for {name}: {sorted(unknown)}")
+    parameters.update(params)
+    report = ScenarioReport(name=name, parameters=parameters)
     t0 = time.perf_counter()
-    report = entry.func(**params)
+    SCENARIOS[name](report, **parameters)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -166,6 +166,30 @@ class TestStreams:
         assert basis.sets(30) == again.sets(30)
         assert basis.sets(30)[:12] == basis.sets(12)
 
+    def test_generated_retry_after_ball_cap(self, monkeypatch):
+        # The element stream raised on the first call; the finished generator
+        # used to leak a bare StopIteration on the second.  The seed is far
+        # from 0, so each level's singleton is new there, and a retry that
+        # took the wrong element would change the sets.
+        monkeypatch.setenv("COARSE_BALL_CAP", "3")
+        basis = GeneratedBasis(Z, [Explicit(((100,),))])
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                basis.sets(10**6)
+        monkeypatch.delenv("COARSE_BALL_CAP")
+        assert basis.sets(200) == GeneratedBasis(Z, [Explicit(((100,),))]).sets(200)
+
+    def test_generated_retry_after_set_cap(self, monkeypatch):
+        # Level 1 fails at the product seed * seed, after taking its singleton
+        # and admitting sets: a retry under a larger cap rebuilds it whole.
+        seeds = [Explicit(((1,), (2,), (3,)))]
+        monkeypatch.setenv("COARSE_SET_CAP", "4")
+        basis = GeneratedBasis(Z, seeds, depth_cap=3)
+        with pytest.raises(BudgetExceededError):
+            basis.sets(40)
+        monkeypatch.delenv("COARSE_SET_CAP")
+        assert basis.sets(40) == GeneratedBasis(Z, seeds, depth_cap=3).sets(40)
+
 
 class TestMember:
     def test_seed_prefix_member_at_depth_one(self):

@@ -15,7 +15,7 @@ from coarsegroups.cli import (
     parse_int_set,
     parse_metric,
 )
-from coarsegroups.scenarios import SCENARIOS, ScenarioEntry, ScenarioReport
+from coarsegroups.scenarios import SCENARIOS
 
 
 class TestParsers:
@@ -75,12 +75,10 @@ class TestExitCodes:
         assert payload["all_pass"] is True
 
     def test_failing_assertions_are_one(self, capsys, monkeypatch):
-        def broken():
-            report = ScenarioReport(name="broken", parameters={})
+        def broken(report):
             report.check("always fails", 0, 1, "TRIVIAL")
-            return report
 
-        monkeypatch.setitem(SCENARIOS, "broken", ScenarioEntry(broken, ()))
+        monkeypatch.setitem(SCENARIOS, "broken", broken)
         assert main(["run", "broken"]) == 1
         err = capsys.readouterr().err
         assert "FAIL: always fails" in err
@@ -214,6 +212,19 @@ class TestList:
         lines = capsys.readouterr().out.splitlines()
         names = [line.split("(")[0] for line in lines]
         assert names == sorted(SCENARIOS)
+
+    def test_exact_output(self, capsys):
+        # Derived from the scenario signatures; a change here changes the CLI.
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == (
+            "aj_family(J: int = 2, depth: int = 3, seed_length: int = 4)\n"
+            "heisenberg_pseudometric(radius: int = 4, samples: int = 1000)\n"
+            "heisenberg_separation(N: int = 50)\n"
+            "powers_of_ten(depth: int = 3, N: int = 50)\n"
+            "rho_plus_demo(truncation_radius: int = 6)\n"
+            "smith_uniqueness_probe(R: int = 24)\n"
+            "z_quotient_metric(k: int = 5, truncation_radius: int = 50)\n"
+        )
 
 
 class TestDistance:

@@ -201,8 +201,8 @@ class TestMapProbes:
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
             lambda g: g,
-            domain=(Z, structure),
-            codomain=(Z, structure),
+            domain=structure,
+            codomain=structure,
             families=[fam],
             bounded_samples=[frozenset(Z.ball(2))],
             domain_truncation=Z.ball(20),
@@ -218,8 +218,8 @@ class TestMapProbes:
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
             lambda g: (2 * g[0],),
-            domain=(Z, structure),
-            codomain=(Z, structure),
+            domain=structure,
+            codomain=structure,
             families=[fam],
             bounded_samples=[frozenset(Z.ball(3))],
             domain_truncation=Z.ball(20),
@@ -235,8 +235,8 @@ class TestMapProbes:
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
         report = coarse_map_probe(
             lambda g: (0,),
-            domain=(Z, capped),
-            codomain=(Z, capped),
+            domain=capped,
+            codomain=capped,
             families=[fam],
             bounded_samples=[frozenset([(0,)])],
             domain_truncation=Z.ball(30),

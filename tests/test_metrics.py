@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegroups.bornology import MetricBallsBasis
-from coarsegroups.groups import GroupSpec
+from coarsegroups.groups import BudgetExceededError, GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -131,6 +131,24 @@ class TestWordMetricBall:
     def test_matches_the_scan(self, spec, n):
         m = WordMetric(spec)
         assert m.ball(n) == MetricEvaluator.ball(m, n)
+
+
+class TestScanHorizon:
+    def test_horizon_raises(self):
+        # Past the radius cap the scan used to drop HORIZON points: {-3..3}.
+        with pytest.raises(BudgetExceededError, match="radius cap 3"):
+            QuotientWordMetric(1, [], radius_cap=3).ball(5)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_horizon_within_the_cap_is_outside(self, n):
+        # The scan meets HORIZON at |g| > 3 >= n: those points are outside.
+        ball = QuotientWordMetric(1, [], radius_cap=3).ball(n)
+        assert ball == frozenset((i,) for i in range(-n, n + 1))
+
+    def test_induced_metric_reads_the_norm_cap(self):
+        with pytest.raises(BudgetExceededError, match="radius cap 5"):
+            InducedMetric(WordNorm(Z, radius_cap=5)).ball(6)
+        assert len(InducedMetric(WordNorm(Z2, radius_cap=5)).ball(5)) == 61
 
 
 class TestQuotientDistance:
