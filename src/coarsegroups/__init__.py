@@ -19,7 +19,6 @@ from .bornology import (
     GeometricSeed,
     MetricBallsBasis,
     MinimalBasis,
-    basis_ops,
     member,
     metric_from_basis,
 )
@@ -28,14 +27,10 @@ from .coarse import (
     Entourage,
     EntourageFamily,
     LeftBornological,
-    RightBornological,
     bounded_set_check,
     closeness_probe,
     coarse_map_probe,
-    compose,
     controlled_probe,
-    diagonal,
-    invert,
     left_shadow,
     right_shadow,
     theta_image,

@@ -3,13 +3,15 @@
 A bornology is handled through a deterministic stream of finite basis sets
 B_1, B_2, ...  Membership of a finite query set is semi-decided: "member"
 verdicts come with a verified cover, "not covered at this depth" is never a
-proof of non-membership.
+proof of non-membership.  Streams are lazy: a set is built the first time it
+is drawn, and membership draws only until it has an answer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .groups import (
     BudgetExceededError,
@@ -52,25 +54,14 @@ class GeometricSeed:
         return frozenset([(0,)] + [(self.base**k,) for k in range(1, self.length_cap + 1)])
 
 
-# -- basic set algebra ------------------------------------------------
+# -- basis streams ----------------------------------------------------
 
 
-def basis_ops(spec: GroupSpec, b1, b2=None, op: str = "union"):
-    """Exact set operations under the group law.
-
-    op is one of product, union, inverse.
-    """
+def _capped(out) -> frozenset:
+    """`out` as a frozenset; raises once it passes `COARSE_SET_CAP`."""
     cap = set_size_cap()
-    if op == "product":
-        out = {spec.mul(x, y) for x in b1 for y in b2}
-    elif op == "union":
-        out = set(b1) | set(b2)
-    elif op == "inverse":
-        out = {spec.inv(x) for x in b1}
-    else:
-        raise ValueError(f"unknown op {op!r}")
     if len(out) > cap:
-        raise BudgetExceededError(f"set operation exceeded size cap {cap}")
+        raise BudgetExceededError(f"set of {len(out)} elements exceeded size cap {cap}")
     return frozenset(out)
 
 
@@ -78,17 +69,18 @@ def _set_key(s: frozenset) -> tuple:
     return (len(s), tuple(sorted(element_key(x) for x in s)))
 
 
-# -- basis streams ----------------------------------------------------
-
-
 class BornologyBasis:
     """Deterministic stream of finite basis sets B_1, B_2, ..."""
 
     spec: GroupSpec
 
-    def sets(self, count: int) -> list[frozenset]:
-        """First `count` basis sets; idempotent, identical prefix per call."""
+    def iter_sets(self) -> Iterator[frozenset]:
+        """B_1, B_2, ..., built on demand; every call yields the same stream."""
         raise NotImplementedError
+
+    def sets(self, count: int) -> list[frozenset]:
+        """The first `count` basis sets (fewer if the stream ends)."""
+        return list(itertools.islice(self.iter_sets(), count))
 
 
 class MinimalBasis(BornologyBasis):
@@ -97,8 +89,9 @@ class MinimalBasis(BornologyBasis):
     def __init__(self, spec: GroupSpec):
         self.spec = spec
 
-    def sets(self, count: int) -> list[frozenset]:
-        return [frozenset([g]) for g in self.spec.elements(count)]
+    def iter_sets(self) -> Iterator[frozenset]:
+        for g in self.spec.sphere_stream():
+            yield frozenset([g])
 
 
 class MetricBallsBasis(BornologyBasis):
@@ -116,21 +109,24 @@ class MetricBallsBasis(BornologyBasis):
     def _materialize(self, n: int) -> frozenset:
         return self.metric.ball(n)
 
-    def sets(self, count: int) -> list[frozenset]:
-        while len(self._cache) < count:
-            self._cache.append(self._materialize(len(self._cache) + 1))
-        return list(self._cache[:count])
+    def iter_sets(self) -> Iterator[frozenset]:
+        for n in itertools.count(1):
+            if len(self._cache) < n:
+                self._cache.append(self._materialize(n))
+            yield self._cache[n - 1]
 
 
 class GeneratedBasis(BornologyBasis):
     """The minimal bornology containing the seed sets, streamed by levels.
 
     Level 0 holds the materialized seeds and their inverses.  Level n adds
-    the n-th singleton of the group enumeration, inverses of the previous
-    level, and unions and products of earlier sets whose level indices sum
-    to n - 1.  Within a level, sets are ordered by (size, sorted encoding);
-    duplicates never reappear.  Translates arise as products with
-    singletons.
+    the n-th singleton of the group enumeration (none past the end of a
+    finite group), inverses of the previous level, and unions and products
+    of earlier sets whose level indices sum to n - 1; as (i, n - 1 - i) runs
+    over ordered pairs of levels, products come in both orders.  Within a
+    level, sets are ordered by (size, sorted encoding); duplicates never
+    reappear.  Translates arise as products with singletons.  The stream
+    ends after level `depth_cap`.
     """
 
     def __init__(self, spec: GroupSpec, seeds, depth_cap: int = 8):
@@ -141,71 +137,43 @@ class GeneratedBasis(BornologyBasis):
         self.depth_cap = depth_cap
         self._levels: list[list[frozenset]] = []
         self._known: set[frozenset] = set()
-        self._element_stream = spec.sphere_stream()
 
-    def _admit(self, bucket: list, s: frozenset) -> None:
-        if len(s) > set_size_cap():
-            raise BudgetExceededError("generated basis set exceeded size cap")
-        if s and s not in self._known:
-            self._known.add(s)
-            bucket.append(s)
+    def _admit(self, bucket: dict, s) -> None:
+        s = _capped(s)
+        if s and s not in self._known and s not in bucket:
+            bucket[s] = None
 
     def _build_level(self) -> None:
+        """Build the next level whole, then commit it; a cap error commits nothing."""
         n = len(self._levels)
-        if n > self.depth_cap:
-            self._levels.append([])
-            return
-        bucket: list[frozenset] = []
+        inv = self.spec.inv
+        bucket: dict[frozenset, None] = {}
         if n == 0:
             for seed in self.seeds:
                 self._admit(bucket, seed.materialize(self.spec))
             for seed in list(bucket):
-                self._admit(bucket, basis_ops(self.spec, seed, op="inverse"))
+                self._admit(bucket, {inv(x) for x in seed})
         else:
-            single = frozenset([next(self._element_stream)])
-            self._admit(bucket, single)
-            self._admit(bucket, basis_ops(self.spec, single, op="inverse"))
+            for g in itertools.islice(self.spec.sphere_stream(), n - 1, n):
+                self._admit(bucket, {g})
+                self._admit(bucket, {inv(g)})
             for s in self._levels[n - 1]:
-                self._admit(bucket, basis_ops(self.spec, s, op="inverse"))
+                self._admit(bucket, {inv(x) for x in s})
+            mul = self.spec.mul
             for i in range(n):
-                j = n - 1 - i
-                if j >= len(self._levels):
-                    continue
                 for a in self._levels[i]:
-                    for b in self._levels[j]:
-                        self._admit(bucket, basis_ops(self.spec, a, b, op="union"))
-                        self._admit(bucket, basis_ops(self.spec, a, b, op="product"))
-                        if i != j:
-                            self._admit(
-                                bucket, basis_ops(self.spec, b, a, op="product")
-                            )
-        if n > 0:
-            bucket.sort(key=_set_key)
-        self._levels.append(bucket)
+                    for b in self._levels[n - 1 - i]:
+                        self._admit(bucket, a | b)
+                        self._admit(bucket, {mul(x, y) for x in a for y in b})
+        level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
+        self._known.update(level)
+        self._levels.append(level)
 
-    def sets(self, count: int) -> list[frozenset]:
-        out: list[frozenset] = []
-        level = 0
-        while len(out) < count:
-            while level >= len(self._levels):
-                try:
-                    self._build_level()
-                except BudgetExceededError:
-                    # Undo the failed level so that a retry rebuilds it whole:
-                    # forget the sets it admitted, and restart the element
-                    # stream (finished, or past this level's singleton) after
-                    # the singletons of levels 1.. already built.
-                    self._known = set().union(*self._levels)
-                    built = max(len(self._levels) - 1, 0)
-                    self._element_stream = itertools.islice(
-                        self.spec.sphere_stream(), built, None
-                    )
-                    raise
-            if level > self.depth_cap and not self._levels[level]:
-                break
-            out.extend(self._levels[level])
-            level += 1
-        return out[:count]
+    def iter_sets(self) -> Iterator[frozenset]:
+        for n in range(self.depth_cap + 1):
+            if n == len(self._levels):
+                self._build_level()
+            yield from self._levels[n]
 
 
 # -- membership -------------------------------------------------------
@@ -235,10 +203,9 @@ def member(basis: BornologyBasis, query, depth: int) -> MembershipVerdict:
     query = frozenset(query)
     if not query:
         return MembershipVerdict(status="member", depth_examined=depth)
-    prefix = basis.sets(depth)
     remaining = set(query)
     cover = []
-    for idx, b in enumerate(prefix, start=1):
+    for idx, b in enumerate(itertools.islice(basis.iter_sets(), depth), start=1):
         gained = remaining & b
         if gained:
             cover.append(idx)
@@ -261,9 +228,8 @@ def member_depth(basis: BornologyBasis, query, depth_cap: int):
     depth used as the observed quantity in controlledness probes.
     """
     query = frozenset(query)
-    prefix = basis.sets(depth_cap)
     covered: set = set()
-    for idx, b in enumerate(prefix, start=1):
+    for idx, b in enumerate(itertools.islice(basis.iter_sets(), depth_cap), start=1):
         covered |= b
         if query <= covered:
             return idx
@@ -291,14 +257,15 @@ class ChainMetric(MetricEvaluator):
     def _level(self, n: int) -> frozenset:
         while len(self._chain) <= n:
             k = len(self._chain)
+            mul, inv = self.spec.mul, self.spec.inv
             sym = {self.spec.identity()}
             for b in self.basis.sets(k):
                 sym |= b
-                sym |= basis_ops(self.spec, b, op="inverse")
+                sym |= _capped({inv(x) for x in b})
             sym = frozenset(sym)
             power = sym
             for _ in range(k - 1):
-                power = basis_ops(self.spec, power, sym, op="product")
+                power = _capped({mul(x, y) for x in power for y in sym})
             self._chain.append(power)
         return self._chain[n]
 

@@ -1,4 +1,4 @@
-"""Entourage algebra on finite relations and controlledness probes.
+"""Entourages as finite relations, their shadows, and controlledness probes.
 
 An entourage is a finite set of ordered element pairs.  Infinite unions
 from the source constructions are replaced by indexed entourage families
@@ -35,26 +35,6 @@ class Entourage:
 
     def __len__(self):
         return len(self.pairs)
-
-
-def diagonal(elements) -> Entourage:
-    return Entourage.of((x, x) for x in elements)
-
-
-def compose(e1: Entourage, e2: Entourage) -> Entourage:
-    """Relational composition: (x, z) with (x, y) in e1 and (y, z) in e2."""
-    by_left = {}
-    for y, z in e2.pairs:
-        by_left.setdefault(y, []).append(z)
-    out = set()
-    for x, y in e1.pairs:
-        for z in by_left.get(y, ()):
-            out.add((x, z))
-    return Entourage(frozenset(out))
-
-
-def invert(e: Entourage) -> Entourage:
-    return Entourage(frozenset((y, x) for x, y in e.pairs))
 
 
 def left_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
@@ -126,16 +106,6 @@ class LeftBornological(Structure):
 
     def value_of(self, e: Entourage):
         shadow = left_shadow(self.basis.spec, e)
-        return member_depth(self.basis, shadow, self.depth_cap)
-
-
-@dataclass
-class RightBornological(Structure):
-    basis: BornologyBasis
-    depth_cap: int = 16
-
-    def value_of(self, e: Entourage):
-        shadow = right_shadow(self.basis.spec, e)
         return member_depth(self.basis, shadow, self.depth_cap)
 
 

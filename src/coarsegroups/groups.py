@@ -242,9 +242,6 @@ class GroupSpec:
         for sphere in self.spheres():
             yield from sorted(sphere, key=shell_key)
 
-    def elements(self, count: int) -> list:
-        return list(itertools.islice(self.sphere_stream(), count))
-
 
 @dataclass(frozen=True)
 class FreeAbelian(GroupSpec):

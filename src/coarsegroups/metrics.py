@@ -208,7 +208,7 @@ class MaxEntryMetric(MetricEvaluator):
     """Entrywise max distance on Heisenberg matrices (not left-invariant)."""
 
     def eval(self, g, h):
-        return max(abs(x - y) for x, y in zip(g, h))
+        return max_entry_distance(g, h)
 
     def ball(self, n: int) -> frozenset:
         # On Z^n and the Heisenberg triples the coordinates are the entries,

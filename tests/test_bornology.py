@@ -12,7 +12,6 @@ from coarsegroups.bornology import (
     GeometricSeed,
     MetricBallsBasis,
     MinimalBasis,
-    basis_ops,
     member,
     member_depth,
     metric_from_basis,
@@ -53,45 +52,6 @@ class TestSeeds:
             GeometricSeed(10, 0)
 
 
-class TestBasisOps:
-    def test_product(self):
-        a = frozenset([(1,), (2,)])
-        b = frozenset([(10,)])
-        assert basis_ops(Z, a, b, op="product") == frozenset([(11,), (12,)])
-
-    def test_product_noncommutative(self):
-        a = frozenset([(1, 0, 0)])
-        b = frozenset([(0, 1, 0)])
-        assert basis_ops(H, a, b, op="product") == frozenset([(1, 1, 1)])
-        assert basis_ops(H, b, a, op="product") == frozenset([(1, 1, 0)])
-
-    def test_union_inverse(self):
-        a = frozenset([(1,)])
-        b = frozenset([(2,)])
-        assert basis_ops(Z, a, b, op="union") == frozenset([(1,), (2,)])
-        assert basis_ops(Z, b, op="inverse") == frozenset([(-2,)])
-
-    def test_translates(self):
-        # translates are products with singletons
-        a = frozenset([(1, 0, 0), (0, 0, 1)])
-        g = (0, 1, 0)
-        left = basis_ops(H, frozenset([g]), a, op="product")
-        right = basis_ops(H, a, frozenset([g]), op="product")
-        assert left == frozenset({H.mul(g, x) for x in a})
-        assert right == frozenset({H.mul(x, g) for x in a})
-        assert left != right
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            basis_ops(Z, frozenset(), op="intersection")
-
-    def test_size_cap(self, monkeypatch):
-        monkeypatch.setenv("COARSE_SET_CAP", "10")
-        a = frozenset((i,) for i in range(8))
-        with pytest.raises(BudgetExceededError):
-            basis_ops(Z, a, a, op="product")
-
-
 class TestStreams:
     def test_minimal_is_singletons_in_enumeration_order(self):
         assert MinimalBasis(Z).sets(4) == [
@@ -104,6 +64,7 @@ class TestStreams:
     def test_minimal_prefix_stable(self):
         basis = MinimalBasis(H)
         assert basis.sets(10) == basis.sets(15)[:10]
+        assert list(itertools.islice(basis.iter_sets(), 10)) == basis.sets(10)
 
     def test_metric_balls_word_metric(self):
         basis = MetricBallsBasis(WordMetric(Z))
@@ -160,11 +121,52 @@ class TestStreams:
         assert frozenset([(-3,)]) in sets
         assert frozenset([(6,)]) in sets  # product of the seed with itself
 
+    def test_generated_level_one_holds_both_product_orders(self):
+        # Heisenberg: a * b = (1, 1, 1) and b * a = (1, 1, 0) differ.
+        a, b = (1, 0, 0), (0, 1, 0)
+        basis = GeneratedBasis(H, [Explicit((a,)), Explicit((b,))], depth_cap=1)
+        level0 = basis.sets(4)
+        sets = basis.sets(100)
+        assert level0 == [frozenset([x]) for x in (a, b, H.inv(a), H.inv(b))]
+        for expected in ([(1, 1, 1)], [(1, 1, 0)], [a, b], [H.inv(a), b]):
+            assert frozenset(expected) in sets[4:]
+
+    def test_generated_translates_are_products_with_singletons(self):
+        # Level 2's singleton is g = (0, 1, 0); seed * g and g * seed are at
+        # level 3, and they differ because g does not commute with the seed.
+        seed = frozenset([(1, 0, 0), (0, 0, 1)])
+        g = (0, 1, 0)
+        basis = GeneratedBasis(H, [Explicit(tuple(seed))], depth_cap=3)
+        sets = basis.sets(10**6)
+        assert frozenset([g]) in sets
+        left = frozenset(H.mul(g, x) for x in seed)
+        right = frozenset(H.mul(x, g) for x in seed)
+        assert left != right
+        assert left in sets and right in sets
+
+    def test_generated_level_n_adds_the_nth_singleton(self):
+        # Far from the seed (100,), the small singletons of level n are the
+        # n-th element of the enumeration 0, 1, -1, 2, -2 and its inverse.
+        basis = GeneratedBasis(Z, [Explicit(((100,),))], depth_cap=4)
+        basis.sets(10**6)
+        first_level = {}
+        for n, level in enumerate(basis._levels):
+            for s in level:
+                first_level.setdefault(s, n)
+        got = [first_level.get(frozenset([(v,)])) for v in (0, 1, -1, 2, -2)]
+        assert got == [1, 2, 2, 4, 4]
+
+    def test_generated_stream_ends_after_depth_cap(self):
+        basis = GeneratedBasis(Z, [Explicit(((1,), (5,)))], depth_cap=2)
+        assert len(basis.sets(10**6)) == sum(len(level) for level in basis._levels)
+        assert len(basis._levels) == 3
+
     def test_generated_prefix_stable(self):
         basis = GeneratedBasis(Z, [Explicit(((1,), (5,)))], depth_cap=4)
         again = GeneratedBasis(Z, [Explicit(((1,), (5,)))], depth_cap=4)
         assert basis.sets(30) == again.sets(30)
         assert basis.sets(30)[:12] == basis.sets(12)
+        assert list(itertools.islice(basis.iter_sets(), 30)) == basis.sets(30)
 
     def test_generated_retry_after_ball_cap(self, monkeypatch):
         # The element stream raised on the first call; the finished generator
@@ -226,6 +228,25 @@ class TestMember:
         assert member_depth(basis, [(2,)], depth_cap=10) == 4
         assert member_depth(basis, [(9,)], depth_cap=5) is None
 
+    def test_member_answers_before_a_capped_level(self, monkeypatch):
+        # Level 1 holds seed * seed, past a set cap of 7.  A query that level 0
+        # covers is answered without building it; one that needs it raises,
+        # again on a retry.
+        monkeypatch.setenv("COARSE_SET_CAP", "7")
+        basis = GeneratedBasis(Z, [GeometricSeed(10, 6)])
+        verdict = member(basis, [(0,), (10,), (100,)], depth=40)
+        assert verdict.is_member
+        assert verdict.cover == [1]
+        assert len(basis._levels) == 1
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                member(basis, [(1,), (3,)], depth=40)
+
+    def test_member_depth_builds_only_what_it_reads(self):
+        basis = GeneratedBasis(Z, [GeometricSeed(10, 6)])
+        assert member_depth(basis, [(0,), (10,)], depth_cap=16) == 1
+        assert len(basis._levels) == 1
+
     @given(st.sets(st.integers(-6, 6), min_size=1, max_size=5))
     @settings(max_examples=100)
     def test_member_consistent_with_depth(self, values):
@@ -276,6 +297,14 @@ class TestChainMetric:
                 assert m.eval(x, y) > 0
         for x, y, z in itertools.product(window[::2], repeat=3):
             assert m.eval(x, z) <= m.eval(x, y) + m.eval(y, z)
+
+    def test_set_cap(self, monkeypatch):
+        # C_2 = {-2..2} fits a set cap of 10; C_4 = {-1, 0, 1, ±2}^4 does not.
+        monkeypatch.setenv("COARSE_SET_CAP", "10")
+        m = metric_from_basis(MinimalBasis(Z))
+        assert m.eval((0,), (2,)) == 2
+        with pytest.raises(BudgetExceededError):
+            m.eval((0,), (100,))
 
     def test_horizon_past_cap(self):
         m = metric_from_basis(MinimalBasis(Z), n_cap=3)

@@ -279,6 +279,15 @@ class TestMember:
         ) == 0
         assert "singleton axiom" in capsys.readouterr().out
 
+    def test_answers_before_a_capped_level(self, capsys, monkeypatch):
+        # geom:10,6 has 7 elements; its level 1 (seed + seed) passes the cap.
+        monkeypatch.setenv("COARSE_SET_CAP", "7")
+        argv = ["member", "--bornology", "geom:10,6", "--depth", "40", "--set"]
+        assert main([*argv, "{0,10,100}"]) == 0
+        assert "member (cover indices: 1)" in capsys.readouterr().out
+        assert main([*argv, "{1,3}"]) == 3
+        assert "budget" in capsys.readouterr().err
+
     def test_explicit_bornology(self, capsys):
         assert main(
             [

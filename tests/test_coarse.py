@@ -10,14 +10,10 @@ from coarsegroups.coarse import (
     Entourage,
     EntourageFamily,
     LeftBornological,
-    RightBornological,
     bounded_set_check,
     closeness_probe,
     coarse_map_probe,
-    compose,
     controlled_probe,
-    diagonal,
-    invert,
     left_shadow,
     right_shadow,
     theta_image,
@@ -38,35 +34,6 @@ heis_entourages = st.builds(
 
 
 class TestAlgebra:
-    def test_diagonal(self):
-        d = diagonal(Z.ball(1))
-        assert set(d.pairs) == {((-1,), (-1,)), ((0,), (0,)), ((1,), (1,))}
-
-    def test_compose(self):
-        e1 = Entourage.of([((0,), (1,)), ((0,), (2,))])
-        e2 = Entourage.of([((1,), (5,)), ((3,), (7,))])
-        assert set(compose(e1, e2).pairs) == {((0,), (5,))}
-
-    def test_compose_with_diagonal_is_identity(self):
-        e = Entourage.of([((1,), (2,)), ((0,), (-3,))])
-        d = diagonal([(i,) for i in range(-5, 6)])
-        assert compose(e, d).pairs == e.pairs
-        assert compose(d, e).pairs == e.pairs
-
-    def test_invert_involution(self):
-        e = Entourage.of([((1,), (2,)), ((0,), (-3,))])
-        assert invert(invert(e)).pairs == e.pairs
-
-    @given(heis_entourages, heis_entourages, heis_entourages)
-    @settings(max_examples=100)
-    def test_compose_associative(self, a, b, c):
-        assert compose(compose(a, b), c).pairs == compose(a, compose(b, c)).pairs
-
-    @given(heis_entourages, heis_entourages)
-    @settings(max_examples=100)
-    def test_invert_antihomomorphism(self, a, b):
-        assert invert(compose(a, b)).pairs == compose(invert(b), invert(a)).pairs
-
     def test_deterministic_iteration(self):
         e = Entourage.of([((2,), (0,)), ((-1,), (5,)), ((0,), (0,))])
         assert list(e) == sorted(e.pairs, key=lambda p: (p[0], p[1]))
@@ -140,28 +107,11 @@ class TestControlledProbe:
         assert shadow_verdict.trend == "growing"
 
     def test_index_cap_enforced(self):
-        fam = EntourageFamily(index_cap=3, generator=lambda n: diagonal([(n,)]))
+        fam = EntourageFamily(index_cap=3, generator=lambda n: Entourage.of([((n,), (n,))]))
         with pytest.raises(ValueError):
             controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
         with pytest.raises(IndexError):
             fam.at(4)
-
-    def test_right_structure_on_theta(self):
-        fam = EntourageFamily(
-            index_cap=8,
-            generator=lambda n: Entourage.of(
-                ((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)
-            ),
-        )
-        theta_fam = EntourageFamily(
-            index_cap=8, generator=lambda n: theta_image(H, fam.at(n))
-        )
-        basis = MetricBallsBasis(MaxEntryMetric(H))
-        left = controlled_probe(fam, LeftBornological(basis, depth_cap=10), horizon=5)
-        right = controlled_probe(
-            theta_fam, RightBornological(basis, depth_cap=10), horizon=5
-        )
-        assert [v for _, v in left.per_index] == [v for _, v in right.per_index]
 
 
 class TestBoundedSetCheck:
