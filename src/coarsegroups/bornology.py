@@ -122,11 +122,12 @@ class GeneratedBasis(BornologyBasis):
     Level 0 holds the materialized seeds and their inverses.  Level n adds
     the n-th singleton of the group enumeration (none past the end of a
     finite group), inverses of the previous level, and unions and products
-    of earlier sets whose level indices sum to n - 1; as (i, n - 1 - i) runs
-    over ordered pairs of levels, products come in both orders.  Within a
-    level, sets are ordered by (size, sorted encoding); duplicates never
-    reappear.  Translates arise as products with singletons.  The stream
-    ends after level `depth_cap`.
+    of earlier sets whose level indices sum to n - 1.  Products come in
+    both orders; a union is tried once per unordered pair of distinct sets,
+    since a | b is b | a and a | a is a.  Within a level, sets are ordered
+    by (size, sorted encoding); duplicates never reappear.  Translates
+    arise as products with singletons.  The stream ends after level
+    `depth_cap`.
     """
 
     def __init__(self, spec: GroupSpec, seeds, depth_cap: int = 8):
@@ -161,9 +162,11 @@ class GeneratedBasis(BornologyBasis):
                 self._admit(bucket, {inv(x) for x in s})
             mul = self.spec.mul
             for i in range(n):
-                for a in self._levels[i]:
-                    for b in self._levels[n - 1 - i]:
-                        self._admit(bucket, a | b)
+                j = n - 1 - i
+                for ia, a in enumerate(self._levels[i]):
+                    for ib, b in enumerate(self._levels[j]):
+                        if i < j or (i == j and ia < ib):
+                            self._admit(bucket, a | b)
                         self._admit(bucket, {mul(x, y) for x in a for y in b})
         level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
         self._known.update(level)

@@ -248,6 +248,11 @@ class QuotientWordMetric(MetricEvaluator):
     def eval(self, g, h):
         return self._word.eval(self.project(g), self.project(h))
 
+    def diameter(self, elements):
+        # Same-coset points are at distance 0, so one point per coset gives
+        # the same maximum (and the same HORIZON) as all pairs.
+        return self._word.diameter({self.project(g) for g in elements})
+
 
 # -- derived operations ----------------------------------------------
 

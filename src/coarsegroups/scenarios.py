@@ -8,6 +8,7 @@ the underlying statement quantifies over the whole group.
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -147,11 +148,12 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
 
+    e, mul, dist = spec.identity(), spec.mul, rho.eval
     invariance_ok = True
     for g in ball:
+        g_inv = spec.inv(g)
         for h in ball:
-            shifted = rho.eval(spec.identity(), spec.mul(spec.inv(g), h))
-            if shifted != rho.eval(g, h):
+            if dist(e, mul(g_inv, h)) != dist(g, h):
                 invariance_ok = False
                 break
         if not invariance_ok:
@@ -398,19 +400,23 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
         report.check(f"identity is bornologous ({direction})", True, probe.bornologous_ok, DERIVED)
         report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
 
+    # One pass per prefix: the largest d2 seen at each d1 value 0..C_MAX,
+    # from which each C row is a running maximum.
+    C_MAX = 4
+    ladder = []
+    for prefix in ladder_prefixes(truncation, 3):
+        best_at = [0] * (C_MAX + 1)
+        for x in prefix:
+            for y in prefix:
+                a = d1.eval(x, y)
+                if not is_horizon(a) and a <= C_MAX:
+                    b = d2.eval(x, y)
+                    if not is_horizon(b) and b > best_at[a]:
+                        best_at[a] = b
+        ladder.append(list(itertools.accumulate(best_at, max)))
     stabilized = True
-    for C in range(1, 5):
-        values = []
-        for prefix in ladder_prefixes(truncation, 3):
-            best = 0
-            for x in prefix:
-                for y in prefix:
-                    a = d1.eval(x, y)
-                    if not is_horizon(a) and a <= C:
-                        b = d2.eval(x, y)
-                        if not is_horizon(b):
-                            best = max(best, b)
-            values.append(best)
+    for C in range(1, C_MAX + 1):
+        values = [row[C] for row in ladder]
         report.rows.append({"C": C, "ladder_max_d2": values})
         stabilized = stabilized and values[-1] == values[-2]
     report.check("per-C max of the second metric stabilizes", True, stabilized, DERIVED)

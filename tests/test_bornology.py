@@ -156,6 +156,18 @@ class TestStreams:
         got = [first_level.get(frozenset([(v,)])) for v in (0, 1, -1, 2, -2)]
         assert got == [1, 2, 2, 4, 4]
 
+    @pytest.mark.parametrize("seed", [GeometricSeed(10, 6), GeometricSeed(2, 8)])
+    def test_generated_unions_in_both_orders_are_in_the_level(self, seed):
+        # Unions are tried once per unordered pair; none may go missing.
+        basis = GeneratedBasis(Z, [seed], depth_cap=3)
+        basis.sets(10**6)
+        levels = basis._levels
+        for n in range(1, len(levels)):
+            upto = set().union(*levels[: n + 1])
+            for i in range(n):
+                for a, b in itertools.product(levels[i], levels[n - 1 - i]):
+                    assert a | b in upto
+
     def test_generated_stream_ends_after_depth_cap(self):
         basis = GeneratedBasis(Z, [Explicit(((1,), (5,)))], depth_cap=2)
         assert len(basis.sets(10**6)) == sum(len(level) for level in basis._levels)

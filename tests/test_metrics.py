@@ -175,6 +175,50 @@ class TestQuotientDistance:
         assert not WordMetric(Z).pseudo
 
 
+class TestQuotientDiameter:
+    """The one-point-per-coset diameter against the all-pairs scan.
+
+    `MetricEvaluator.diameter(qm, pts)` is called unbound, so it skips the
+    override and evaluates every pair through `qm.eval`.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.integers(0, 5),
+        st.lists(st.integers(-30, 30), max_size=12),
+    )
+    def test_rank_one_matches_all_pairs(self, k, radius_cap, xs):
+        qm = QuotientWordMetric(1, [(k,)], radius_cap=radius_cap)
+        pts = [(x,) for x in xs]
+        assert qm.diameter(pts) == MetricEvaluator.diameter(qm, pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=10),
+    )
+    def test_rank_two_lattice_matches_all_pairs(self, radius_cap, pts):
+        qm = QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=radius_cap)
+        assert qm.diameter(pts) == MetricEvaluator.diameter(qm, pts)
+
+    @pytest.mark.parametrize("pts", [[], [(7,)]])
+    def test_empty_and_one_point(self, pts):
+        qm = QuotientWordMetric(1, [(5,)])
+        assert qm.diameter(pts) == 0 == MetricEvaluator.diameter(qm, pts)
+
+    def test_horizon_propagates(self):
+        # Residues 0 and 4 of Z/9 are at quotient distance 4 > radius_cap.
+        qm = QuotientWordMetric(1, [(9,)], radius_cap=2)
+        pts = [(0,), (9,), (4,), (1,)]
+        assert qm.diameter(pts) is HORIZON
+        assert MetricEvaluator.diameter(qm, pts) is HORIZON
+
+    def test_same_coset_points_count_once(self):
+        qm = QuotientWordMetric(1, [(5,)])
+        assert qm.diameter([(i,) for i in range(-200, 201)]) == 2
+
+
 class TestMetricAxioms:
     @pytest.mark.parametrize(
         "metric,ball",

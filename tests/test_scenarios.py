@@ -2,6 +2,9 @@ import json
 
 import pytest
 
+from coarsegroups import scenarios
+from coarsegroups.groups import GroupSpec
+from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon, ladder_prefixes
 from coarsegroups.reporting import fmt, report_to_json, report_to_tsv
 from coarsegroups.scenarios import (
     SCENARIOS,
@@ -72,6 +75,54 @@ def test_quotient_parameterized(k):
         a for a in report.assertions if a.description.startswith("quotient diameter of")
     )
     assert diam.observed == k // 2
+
+
+def _invariance_observed(report):
+    return next(
+        a.observed for a in report.assertions if a.description.startswith("|entry12 of g^-1 h|")
+    )
+
+
+def test_invariance_check_passes_for_rho():
+    report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
+    assert _invariance_observed(report) is True
+
+
+def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
+    # Max-entry is not left-invariant, but every pair in the radius-1 ball
+    # passes the check; radius 2 holds a failing pair.
+    monkeypatch.setattr(scenarios, "Entry12Pseudometric", MaxEntryMetric)
+    report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
+    assert _invariance_observed(report) is False
+
+
+def _smith_rows_per_c(R):
+    """The per-C rows of `smith_uniqueness_probe`, one pass per C and prefix."""
+    Z1 = GroupSpec.free_abelian(1)
+    Z23 = GroupSpec.free_abelian(1, generators=((2,), (3,)))
+    d1 = WordMetric(Z1, radius_cap=4 * R)
+    d2 = WordMetric(Z23, radius_cap=4 * R)
+    truncation = [(i,) for i in range(-R, R + 1)]
+    rows = []
+    for C in range(1, 5):
+        values = []
+        for prefix in ladder_prefixes(truncation, 3):
+            best = 0
+            for x in prefix:
+                for y in prefix:
+                    a = d1.eval(x, y)
+                    if not is_horizon(a) and a <= C:
+                        b = d2.eval(x, y)
+                        if not is_horizon(b):
+                            best = max(best, b)
+            values.append(best)
+        rows.append({"C": C, "ladder_max_d2": values})
+    return rows
+
+
+@pytest.mark.parametrize("R", range(4, 13))
+def test_smith_rows_match_the_per_c_loop(R):
+    assert run_scenario("smith_uniqueness_probe", R=R).rows == _smith_rows_per_c(R)
 
 
 def test_unknown_scenario_rejected():
