@@ -96,12 +96,15 @@ def parse_metric(spec: GroupSpec, text: str):
 
 def parse_int_set(text: str) -> frozenset:
     text = text.strip()
-    if text.startswith("evens:"):
-        lo, hi = text[len("evens:"):].split("..")
-        return frozenset((i,) for i in range(int(lo), int(hi) + 1) if i % 2 == 0)
-    if text.startswith("{") and text.endswith("}"):
-        parts = [p for p in text[1:-1].split(",") if p.strip()]
-        return frozenset((int(p),) for p in parts)
+    try:
+        if text.startswith("evens:"):
+            lo, hi = text[len("evens:"):].split("..")
+            return frozenset((i,) for i in range(int(lo), int(hi) + 1) if i % 2 == 0)
+        if text.startswith("{") and text.endswith("}"):
+            parts = [p for p in text[1:-1].split(",") if p.strip()]
+            return frozenset((int(p),) for p in parts)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse set {text!r}: {exc}") from exc
     raise ConfigError(f"cannot parse set {text!r}; use {{a,b,c}} or evens:lo..hi")
 
 
@@ -113,9 +116,10 @@ def parse_bornology(text: str):
     if text.startswith("geom:"):
         try:
             base, length = (int(p) for p in text[len("geom:"):].split(","))
+            seed = GeometricSeed(base, length)
         except ValueError as exc:
-            raise ConfigError(f"bad bornology {text!r}") from exc
-        return GeneratedBasis(zspec, [GeometricSeed(base, length)])
+            raise ConfigError(f"bad bornology {text!r}: {exc}") from exc
+        return GeneratedBasis(zspec, [seed])
     if text.startswith("explicit:"):
         return GeneratedBasis(zspec, [Explicit(tuple(sorted(parse_int_set(text[len("explicit:"):]))))])
     raise ConfigError(

@@ -194,10 +194,18 @@ class InducedMetric(MetricEvaluator):
 
 
 class WordMetric(InducedMetric):
-    """Cayley-graph distance for a fixed generating set."""
+    """Cayley-graph distance for a fixed generating set.
+
+    Where the group kind has a closed form for its generating set
+    (`GroupSpec.word_distance`), `eval` is that function, bound once;
+    otherwise it reads the breadth-first `WordNorm` table.
+    """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
         super().__init__(WordNorm(spec, radius_cap=radius_cap))
+        closed = spec.word_distance(radius_cap, HORIZON)
+        if closed is not None:
+            self.eval = closed
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.

@@ -119,6 +119,22 @@ class TestExitCodes:
         self.assert_one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "bornology,query",
+        [
+            ("minimal", "evens:abc"),
+            ("minimal", "evens:1..x"),
+            ("minimal", "{a}"),
+            ("explicit:{x}", "{0}"),
+            ("geom:1,3", "{0}"),
+            ("geom:10,0", "{0}"),
+        ],
+    )
+    def test_malformed_member_input_is_two(self, capsys, bornology, query):
+        argv = ["member", "--bornology", bornology, "--set", query, "--depth", "3"]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
         "scenario,param",
         [
             ("z_quotient_metric", "k=1"),
@@ -237,6 +253,20 @@ class TestDistance:
             ["distance", "--group", "Z", "--metric", "quotient:5", "0", "3"]
         ) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    def test_closed_form_word_distance_builds_no_ball(self, capsys, monkeypatch):
+        # Read off the breadth-first table, this distance needs a ball of
+        # radius 10 (221 elements), past the cap: exit 3.
+        monkeypatch.setenv("COARSE_BALL_CAP", "10")
+        argv = ["distance", "--group", "Z^2", "--metric", "word", "(0,0)", "(5,5)"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "10\n"
+
+    def test_heisenberg_word_distance_still_reads_the_ball_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("COARSE_BALL_CAP", "10")
+        argv = ["distance", "--group", "H", "--metric", "word", "(0,0,0)", "(2,2,0)"]
+        assert main(argv) == 3
+        assert "budget" in capsys.readouterr().err
 
     def test_maxentry(self, capsys):
         assert main(

@@ -219,6 +219,102 @@ class TestQuotientDiameter:
         assert qm.diameter([(i,) for i in range(-200, 201)]) == 2
 
 
+def _pairwise_bfs_oracle(spec, r=6):
+    """d(g, h) for every g, h in spec.ball(r), by BFS over spec.ball(2 * r).
+
+    A geodesic between two points of the r-ball stays in the 2r-ball, so
+    these are the distances of the whole Cayley graph.
+    """
+    adjacency = cayley_adjacency(spec, spec.ball(2 * r))
+    return {g: bfs_distances(adjacency, g) for g in spec.ball(r)}
+
+
+STANDARD = {f"Z^{n}": GroupSpec.free_abelian(n) for n in (1, 2, 3)}
+STANDARD.update({f"Z/{k}": GroupSpec.cyclic(k) for k in range(2, 10)})
+STANDARD.update(
+    {f"Z/<{k}>": QuotientWordMetric(1, [(k,)]).quotient for k in (*range(2, 10), *range(-9, -1))}
+)
+
+FALLBACK = {
+    "Z{2,3}": GroupSpec.free_abelian(1, generators=((2,), (3,))),
+    "Z/7{2}": GroupSpec.cyclic(7, generators=(2,)),
+    "Z^2{e2,e1}": GroupSpec.free_abelian(2, generators=((0, 1), (1, 0))),
+    "Z/<7>{2}": GroupSpec.quotient_by_lattice(1, [(7,)], generators=((2,),)),
+    "Z^2/<(3,1),(0,4)>": GroupSpec.quotient_by_lattice(2, [(3, 1), (0, 4)]),
+    "H": H,
+    "ZxZ/3": GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
+}
+
+
+def _element(spec, coords):
+    """An element of `spec` made from a list of at least three ints."""
+    if spec.kind == "cyclic":
+        return coords[0] % spec.modulus
+    g = tuple(coords[: spec.rank])
+    return spec._reduce(g) if spec.kind == "quotient-by-lattice" else g
+
+
+class TestClosedFormWordDistance:
+    """Closed-form word distances against BFS, and the BFS fallback."""
+
+    @pytest.mark.parametrize("spec", STANDARD.values(), ids=STANDARD.keys())
+    def test_matches_bfs_on_the_six_ball(self, spec):
+        assert spec.word_distance(64, HORIZON) is not None
+        oracle = _pairwise_bfs_oracle(spec)
+        wm = WordMetric(spec)
+        for g, row in oracle.items():
+            for h in oracle:
+                assert wm.eval(g, h) == row[h], (g, h)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_quotient_word_metric_matches_bfs(self, k, sign):
+        qm = QuotientWordMetric(1, [(sign * k,)])
+        oracle = _pairwise_bfs_oracle(qm.quotient)
+        for x, y in itertools.product(range(-12, 13), repeat=2):
+            expected = oracle[qm.project((x,))][qm.project((y,))]
+            assert qm.eval((x,), (y,)) == expected, (x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(STANDARD.values())),
+        st.integers(0, 6),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+    )
+    def test_matches_the_capped_table(self, spec, cap, xs, ys):
+        g, h = _element(spec, xs), _element(spec, ys)
+        table = InducedMetric(WordNorm(spec, radius_cap=cap))
+        assert WordMetric(spec, radius_cap=cap).eval(g, h) == table.eval(g, h)
+
+    @pytest.mark.parametrize("cap", range(5))
+    @pytest.mark.parametrize(
+        "spec,at",
+        [
+            (Z, lambda n: (n,)),
+            (GroupSpec.free_abelian(3), lambda n: (n - n // 2, 0, -(n // 2))),
+            (GroupSpec.cyclic(13), lambda n: 13 - n),
+            (QuotientWordMetric(1, [(13,)]).quotient, lambda n: (n,)),
+        ],
+        ids=["Z", "Z3", "Z/13", "Z/<13>"],
+    )
+    def test_horizon_exactly_past_the_cap(self, spec, at, cap):
+        wm = WordMetric(spec, radius_cap=cap)
+        e = spec.identity()
+        assert wm.eval(e, at(cap)) == cap
+        assert wm.eval(at(cap), e) == cap
+        assert wm.eval(e, at(cap + 1)) is HORIZON
+
+    @pytest.mark.parametrize("spec", FALLBACK.values(), ids=FALLBACK.keys())
+    def test_other_generating_sets_fall_back_to_bfs(self, spec):
+        assert spec.word_distance(64, HORIZON) is None
+        oracle = _pairwise_bfs_oracle(spec, r=3)
+        wm = WordMetric(spec)
+        for g, row in oracle.items():
+            for h in oracle:
+                assert wm.eval(g, h) == row[h], (g, h)
+
+
 class TestMetricAxioms:
     @pytest.mark.parametrize(
         "metric,ball",
