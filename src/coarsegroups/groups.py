@@ -110,43 +110,30 @@ def _cube(radius: int, n: int) -> Iterator[tuple]:
     return itertools.product(range(-radius, radius + 1), repeat=n)
 
 
-# Closed-form word distances, (g, h) -> d(g, h) when d <= cap and `over`
-# otherwise; `GroupSpec.word_distance` picks one per kind.
+class _Horizon:
+    """Marker returned when a truncated evaluation passes its radius cap."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "HORIZON"
 
 
-def _l1_distance(rank: int, cap: int, over):
-    """The word distance of the unit vectors on Z^rank: the L1 norm of h - g."""
-    if rank == 1:
-
-        def dist(g, h):
-            d = abs(h[0] - g[0])
-            return d if d <= cap else over
-
-    else:
-
-        def dist(g, h):
-            d = sum(map(abs, map(operator.sub, h, g)))
-            return d if d <= cap else over
-
-    return dist
+HORIZON = _Horizon()
 
 
-def _cycle_distance(k: int, cap: int, over, tupled: bool):
-    """The word distance of the generator 1 on Z/k: min(r, k - r) with
-    r = h - g mod k, on int residues or on 1-tuples when `tupled`."""
-    if tupled:
+def _l1_distance(cap: int):
+    """The word distance of the unit vectors on Z^n: the L1 norm of h - g,
+    HORIZON past `cap`."""
 
-        def dist(g, h):
-            r = (h[0] - g[0]) % k
-            d = min(r, k - r)
-            return d if d <= cap else over
-
-    else:
-
-        def dist(g, h):
-            r = (h - g) % k
-            d = min(r, k - r)
-            return d if d <= cap else over
+    def dist(g, h):
+        d = sum(map(abs, map(operator.sub, h, g)))
+        return d if d <= cap else HORIZON
 
     return dist
 
@@ -221,10 +208,10 @@ class GroupSpec:
             generators = tuple(spec._reduce(u) for u in _units(rank))
         return replace(spec, generating_set=tuple(generators))
 
-    def word_distance(self, cap: int, over):
+    def word_distance(self, cap: int):
         """The word distance as one closed-form function of (g, h), or None.
 
-        The function returns `over` for distances past `cap`.  Only the
+        The function returns HORIZON for distances past `cap`.  Only the
         standard generators of Z^n, Z/k and Z^n modulo the empty or a
         rank-1 lattice have one; every other kind and generating set reads
         word distances off `spheres()`.
@@ -315,9 +302,9 @@ class FreeAbelian(GroupSpec):
     def box(self, radius: int) -> list:
         return list(_cube(radius, self.rank))
 
-    def word_distance(self, cap: int, over):
+    def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
-            return _l1_distance(self.rank, cap, over)
+            return _l1_distance(cap)
         return None
 
 
@@ -342,10 +329,17 @@ class Cyclic(GroupSpec):
     def box(self, radius: int) -> list:
         return list(range(self.modulus))
 
-    def word_distance(self, cap: int, over):
-        if self.generating_set == (1,):
-            return _cycle_distance(self.modulus, cap, over, tupled=False)
-        return None
+    def word_distance(self, cap: int):
+        if self.generating_set != (1,):
+            return None
+        k = self.modulus
+
+        def dist(g, h):
+            r = (h - g) % k
+            d = min(r, k - r)
+            return d if d <= cap else HORIZON
+
+        return dist
 
 
 @dataclass(frozen=True)
@@ -435,13 +429,20 @@ class QuotientByLattice(GroupSpec):
     def box(self, radius: int) -> list:
         return sorted({self._reduce(v) for v in _cube(radius, self.rank)})
 
-    def word_distance(self, cap: int, over):
+    def word_distance(self, cap: int):
         if self.generating_set != _units(self.rank):
             return None
         if not self.pivot_rows:
-            return _l1_distance(self.rank, cap, over)
-        if self.rank == 1:
-            # Z / <k>: the one pivot row is (k,) with k >= 2, since the
-            # generator (1,) is reduced.
-            return _cycle_distance(self.pivot_rows[0][1][0], cap, over, tupled=True)
-        return None
+            return _l1_distance(cap)
+        if self.rank != 1:
+            return None
+        # Z / <k>: the one pivot row is (k,) with k >= 2, since the
+        # generator (1,) is reduced.
+        k = self.pivot_rows[0][1][0]
+
+        def dist(g, h):
+            r = (h[0] - g[0]) % k
+            d = min(r, k - r)
+            return d if d <= cap else HORIZON
+
+        return dist

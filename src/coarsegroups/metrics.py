@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .groups import (
+    HORIZON,
     BudgetExceededError,
     FreeAbelian,
     GroupSpec,
@@ -18,23 +19,6 @@ from .groups import (
     element_key,
     shell_key,
 )
-
-
-class _Horizon:
-    """Marker returned when a truncated evaluation passes its radius cap."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "HORIZON"
-
-
-HORIZON = _Horizon()
 
 
 def is_horizon(value) -> bool:
@@ -203,7 +187,7 @@ class WordMetric(InducedMetric):
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
         super().__init__(WordNorm(spec, radius_cap=radius_cap))
-        closed = spec.word_distance(radius_cap, HORIZON)
+        closed = spec.word_distance(radius_cap)
         if closed is not None:
             self.eval = closed
 

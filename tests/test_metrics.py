@@ -229,6 +229,15 @@ def _pairwise_bfs_oracle(spec, r=6):
     return {g: bfs_distances(adjacency, g) for g in spec.ball(r)}
 
 
+def _assert_word_metric_matches_bfs(spec, r):
+    """WordMetric(spec) equals `_pairwise_bfs_oracle` on every pair of the r-ball."""
+    oracle = _pairwise_bfs_oracle(spec, r)
+    wm = WordMetric(spec)
+    for g, row in oracle.items():
+        for h in oracle:
+            assert wm.eval(g, h) == row[h], (g, h)
+
+
 STANDARD = {f"Z^{n}": GroupSpec.free_abelian(n) for n in (1, 2, 3)}
 STANDARD.update({f"Z/{k}": GroupSpec.cyclic(k) for k in range(2, 10)})
 STANDARD.update(
@@ -259,12 +268,8 @@ class TestClosedFormWordDistance:
 
     @pytest.mark.parametrize("spec", STANDARD.values(), ids=STANDARD.keys())
     def test_matches_bfs_on_the_six_ball(self, spec):
-        assert spec.word_distance(64, HORIZON) is not None
-        oracle = _pairwise_bfs_oracle(spec)
-        wm = WordMetric(spec)
-        for g, row in oracle.items():
-            for h in oracle:
-                assert wm.eval(g, h) == row[h], (g, h)
+        assert spec.word_distance(64) is not None
+        _assert_word_metric_matches_bfs(spec, r=6)
 
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("sign", [1, -1])
@@ -307,12 +312,8 @@ class TestClosedFormWordDistance:
 
     @pytest.mark.parametrize("spec", FALLBACK.values(), ids=FALLBACK.keys())
     def test_other_generating_sets_fall_back_to_bfs(self, spec):
-        assert spec.word_distance(64, HORIZON) is None
-        oracle = _pairwise_bfs_oracle(spec, r=3)
-        wm = WordMetric(spec)
-        for g, row in oracle.items():
-            for h in oracle:
-                assert wm.eval(g, h) == row[h], (g, h)
+        assert spec.word_distance(64) is None
+        _assert_word_metric_matches_bfs(spec, r=3)
 
 
 class TestMetricAxioms:
