@@ -230,11 +230,10 @@ def member_depth(basis: BornologyBasis, query, depth_cap: int):
     Unlike `member`, no singleton axiom applies: this is the raw cover
     depth used as the observed quantity in controlledness probes.
     """
-    query = frozenset(query)
-    covered: set = set()
+    remaining = set(query)
     for idx, b in enumerate(itertools.islice(basis.iter_sets(), depth_cap), start=1):
-        covered |= b
-        if query <= covered:
+        remaining -= remaining & b
+        if not remaining:
             return idx
     return None
 

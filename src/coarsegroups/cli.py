@@ -7,6 +7,7 @@ parse errors, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,6 +25,15 @@ from .scenarios import SCENARIOS, run_scenario, scenario_params
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise `ConfigError` instead of
+    printing usage and exiting, so `main` reports them like any other bad
+    input; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 # -- parsing ----------------------------------------------------------
@@ -216,19 +226,23 @@ def cmd_member(args) -> int:
     if args.depth < 1:
         raise ConfigError(f"--depth must be at least 1, got {args.depth}")
     verdict = member(basis, query, args.depth)
-    if verdict.is_member:
-        if verdict.via_singleton_axiom:
-            print("member (singleton axiom)")
-        else:
-            cover = ", ".join(str(i) for i in verdict.cover)
-            print(f"member (cover indices: {cover})")
-    else:
+    if not verdict.is_member:
         print(f"not covered at depth {verdict.depth_examined}")
+    elif verdict.via_singleton_axiom:
+        print("member (singleton axiom)")
+    elif not query:
+        print("member (empty set)")
+    else:
+        cover = ", ".join(str(i) for i in verdict.cover)
+        print(f"member (cover indices: {cover})")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's parser, built on first use and then shared by every `main`
+    call in the process; parsing keeps no state on it."""
+    parser = _Parser(
         prog="coarsegroups",
         description="Exact desk-scale computations in coarse geometry on groups.",
     )
@@ -260,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         check_caps()
         return args.func(args)
     except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -259,6 +259,45 @@ class TestMember:
         assert member_depth(basis, [(0,), (10,)], depth_cap=16) == 1
         assert len(basis._levels) == 1
 
+    @pytest.mark.parametrize(
+        "basis,queries",
+        [
+            (
+                MAX_ENTRY_BALLS,
+                [[(1, 0, 0), (0, 2, -1)], [(0, 0, 0)], [(3, -1, 2), (20, 0, 0)]],
+            ),
+            (
+                GeneratedBasis(Z, [GeometricSeed(10, 6)]),
+                [
+                    [(0,), (10,), (100,)],
+                    [(-10,), (10,)],
+                    [(1,), (3,)],
+                    [(2 * i,) for i in range(26)],
+                ],
+            ),
+            (MinimalBasis(Z), [[(0,)], [(2,), (-1,)], [(1,), (50,)]]),
+        ],
+        ids=["max_entry_balls", "geom:10,6", "minimal"],
+    )
+    @pytest.mark.parametrize("depth_cap", [0, 1, 5, 12])
+    def test_member_depth_matches_the_union_form(self, basis, queries, depth_cap):
+        def by_union(query):
+            # The reference: union every drawn set, then test containment.
+            covered = set()
+            for idx, b in enumerate(basis.sets(depth_cap), start=1):
+                covered |= b
+                if frozenset(query) <= covered:
+                    return idx
+            return None
+
+        answers = []
+        for query in [[], *queries]:
+            answers.append(member_depth(basis, query, depth_cap))
+            assert answers[-1] == by_union(query), query
+        assert answers[0] == (None if depth_cap == 0 else 1)
+        if depth_cap >= 5:
+            assert None in answers and any(a and a > 1 for a in answers), answers
+
     @given(st.sets(st.integers(-6, 6), min_size=1, max_size=5))
     @settings(max_examples=100)
     def test_member_consistent_with_depth(self, values):

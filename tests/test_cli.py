@@ -17,6 +17,18 @@ from coarsegroups.cli import (
 )
 from coarsegroups.scenarios import SCENARIOS
 
+SRC = str(Path(cli.__file__).parents[1])
+
+
+def run_cli_process(argv, **env):
+    """`python -m coarsegroups.cli argv` in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-m", "coarsegroups.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True,
+        text=True,
+    )
+
 
 class TestParsers:
     def test_groups(self):
@@ -163,19 +175,39 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error:") and var in err[0], err
 
     def test_non_integer_cap_exit_code_of_the_process(self):
-        src = str(Path(cli.__file__).parents[1])
-        env = dict(os.environ, COARSE_BALL_CAP="abc", PYTHONPATH=src)
         argv = ["distance", "--group", "Z", "--metric", "word", "0", "3"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "coarsegroups.cli", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli_process(argv, COARSE_BALL_CAP="abc")
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "error: COARSE_BALL_CAP must be an integer, got 'abc'"
         ]
+
+    PARSE_ERRORS = {
+        "no_arguments": [],
+        "missing_positional": ["distance", "--group", "Z", "--metric", "word", "0"],
+        "non_integer_depth": ["member", "--bornology", "minimal", "--set", "{0}", "--depth", "x"],
+        "unknown_subcommand": ["frobnicate"],
+        "unknown_flag": ["list", "--bogus"],
+    }
+
+    @pytest.mark.parametrize("argv", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+    def test_parse_error_is_two(self, capsys, argv):
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", PARSE_ERRORS.values(), ids=PARSE_ERRORS.keys())
+    def test_parse_error_exit_code_of_the_process(self, argv):
+        proc = run_cli_process(argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["member", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: coarsegroups member")
 
     def test_budget_exceeded_is_three(self, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_BALL_CAP", "10")
@@ -318,6 +350,11 @@ class TestMember:
         assert main([*argv, "{1,3}"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_empty_set(self, capsys):
+        argv = ["member", "--bornology", "geom:10,6", "--set", "{}", "--depth", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "member (empty set)\n"
+
     def test_explicit_bornology(self, capsys):
         assert main(
             [
@@ -328,3 +365,74 @@ class TestMember:
             ]
         ) == 0
         assert "member" in capsys.readouterr().out
+
+
+class TestReusedParser:
+    """`main` shares one parser across calls: no call may see another's input."""
+
+    def test_param_list_does_not_leak(self, capsys):
+        assert main(["run", "smith_uniqueness_probe", "--param", "R=8"]) == 0
+        assert "param\tR\t\t8\t" in capsys.readouterr().out
+        assert main(["run", "smith_uniqueness_probe"]) == 0
+        assert "param\tR\t\t24\t" in capsys.readouterr().out
+
+    def test_bad_argv_between_good_calls(self, capsys):
+        good = ["distance", "--group", "Z^2", "--metric", "word", "(0,0)", "(5,-3)"]
+        assert main(good) == 0
+        first = capsys.readouterr()
+        assert main(["distance", "--group", "Z", "--metric", "word", "--bogus", "1"]) == 2
+        capsys.readouterr()
+        assert main(good) == 0
+        assert capsys.readouterr() == first == ("8\n", "")
+
+    def test_set_cap_read_on_every_call(self, capsys, monkeypatch):
+        # geom:10,6 has 7 elements; 20 = 10 + 10 is first covered in level 1,
+        # whose set seed + seed passes a set cap of 7.
+        argv = ["member", "--bornology", "geom:10,6", "--set", "{0,20}", "--depth", "40"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "member (cover indices: 1, 6)\n"
+        monkeypatch.setenv("COARSE_SET_CAP", "7")
+        assert main(argv) == 3
+        assert "budget" in capsys.readouterr().err
+        monkeypatch.delenv("COARSE_SET_CAP")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "member (cover indices: 1, 6)\n"
+
+    # The README's distance and member examples, interleaved with more of the
+    # same kinds: every group and metric, every bornology, HORIZON, the
+    # singleton axiom, the empty set and one rejected input.
+    COMMANDS = [
+        ["distance", "--group", "H", "--metric", "maxentry", "(7,0,1)", "(8,1,1)"],
+        ["member", "--bornology", "geom:10,6", "--set", "{0,10,100}", "--depth", "1"],
+        ["distance", "--group", "Z", "--metric", "quotient:5", "0", "3"],
+        ["member", "--bornology", "geom:10,6", "--set", "evens:0..50", "--depth", "3"],
+        ["distance", "--group", "Z", "--metric", "word", "0", "5"],
+        ["member", "--bornology", "minimal", "--set", "{0,1}", "--depth", "3"],
+        ["distance", "--group", "Z^2", "--metric", "word", "(0,0)", "(5,-3)"],
+        ["member", "--bornology", "geom:2,8", "--set", "{1,2,3}", "--depth", "10"],
+        ["distance", "--group", "Z^3", "--metric", "word", "(1,2,3)", "(-1,0,4)"],
+        ["member", "--bornology", "geom:10,6", "--set", "{}", "--depth", "3"],
+        ["distance", "--group", "Z/7", "--metric", "word", "0", "3 mod 7"],
+        ["member", "--bornology", "explicit:{2,4}", "--set", "{2,4}", "--depth", "1"],
+        ["distance", "--group", "H", "--metric", "word", "(0,0,0)", "(1,1,0)"],
+        ["member", "--bornology", "geom:10,2", "--set", "{77}", "--depth", "1"],
+        ["distance", "--group", "H", "--metric", "entry12", "(1,2,3)", "(4,5,6)"],
+        ["member", "--bornology", "minimal", "--set", "evens:-4..4", "--depth", "20"],
+        ["distance", "--group", "Z^2", "--metric", "word", "(0,0)", "(70,0)"],
+        ["member", "--bornology", "geom:3,5", "--set", "{-3,7}", "--depth", "17"],
+        ["distance", "--group", "Z", "--metric", "quotient:3", "-4", "10"],
+        ["member", "--bornology", "minimal", "--set", "{0}", "--depth", "0"],
+    ]
+
+    def test_in_process_matches_fresh_processes(self, capsys):
+        in_process = []
+        for argv in self.COMMANDS:
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            in_process.append((rc, out, err))
+        fresh = [
+            (proc.returncode, proc.stdout, proc.stderr)
+            for proc in map(run_cli_process, self.COMMANDS)
+        ]
+        assert in_process == fresh
+        assert {rc for rc, _, _ in fresh} == {0, 2}
