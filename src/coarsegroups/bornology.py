@@ -13,12 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .groups import (
-    BudgetExceededError,
-    GroupSpec,
-    element_key,
-    set_size_cap,
-)
+from .groups import GroupSpec, check_set_size, element_key
 from .metrics import HORIZON, MetricEvaluator
 
 
@@ -32,6 +27,8 @@ class Explicit:
     elements: tuple
 
     def materialize(self, spec: GroupSpec) -> frozenset:
+        for g in self.elements:
+            spec.check_element(g)
         return frozenset(self.elements)
 
 
@@ -49,8 +46,8 @@ class GeometricSeed:
             raise ValueError("length cap must be positive")
 
     def materialize(self, spec: GroupSpec) -> frozenset:
-        if spec.rank != 1:
-            raise ValueError("geometric seeds live in the rank-1 group")
+        if spec.kind != "free-abelian" or spec.rank != 1:
+            raise ValueError("geometric seeds live in the integers Z")
         return frozenset([(0,)] + [(self.base**k,) for k in range(1, self.length_cap + 1)])
 
 
@@ -59,9 +56,7 @@ class GeometricSeed:
 
 def _capped(out) -> frozenset:
     """`out` as a frozenset; raises once it passes `COARSE_SET_CAP`."""
-    cap = set_size_cap()
-    if len(out) > cap:
-        raise BudgetExceededError(f"set of {len(out)} elements exceeded size cap {cap}")
+    check_set_size(len(out))
     return frozenset(out)
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bornology import Explicit, GeneratedBasis, GeometricSeed, MinimalBasis, member
-from .groups import BudgetExceededError, GroupSpec, ball_size_cap, set_size_cap
+from .groups import BudgetExceededError, GroupSpec, ball_size_cap, check_set_size, set_size_cap
 from .metrics import (
     Entry12Pseudometric,
     MaxEntryMetric,
@@ -61,13 +61,15 @@ def parse_group(text: str) -> GroupSpec:
 def parse_element(spec: GroupSpec, text: str):
     text = text.strip()
     try:
-        if spec.kind == "cyclic":
+        if spec.kind == "quotient-by-lattice":
+            # Z/k, the one quotient `parse_group` builds: one pivot row (k,).
+            k = spec.pivot_rows[0][1][0]
             if "mod" in text:
                 residue, modulus = (p.strip() for p in text.split("mod"))
-                if int(modulus) != spec.modulus:
+                if int(modulus) != k:
                     raise ConfigError(f"modulus mismatch in {text!r}")
                 text = residue
-            return int(text) % spec.modulus
+            return spec._reduce((int(text),))
         if text.startswith("(") and text.endswith(")"):
             parts = [p for p in text[1:-1].split(",") if p.strip()]
             payload = tuple(int(p) for p in parts)
@@ -108,11 +110,15 @@ def parse_int_set(text: str) -> frozenset:
     text = text.strip()
     try:
         if text.startswith("evens:"):
-            lo, hi = text[len("evens:"):].split("..")
-            return frozenset((i,) for i in range(int(lo), int(hi) + 1) if i % 2 == 0)
+            lo, hi = (int(p) for p in text[len("evens:"):].split(".."))
+            # Counted before any is built: hi may be astronomically large.
+            check_set_size(max(0, hi // 2 - (lo + 1) // 2 + 1))
+            return frozenset((i,) for i in range(lo + lo % 2, hi + 1, 2))
         if text.startswith("{") and text.endswith("}"):
             parts = [p for p in text[1:-1].split(",") if p.strip()]
-            return frozenset((int(p),) for p in parts)
+            query = frozenset((int(p),) for p in parts)
+            check_set_size(len(query))
+            return query
     except ValueError as exc:
         raise ConfigError(f"cannot parse set {text!r}: {exc}") from exc
     raise ConfigError(f"cannot parse set {text!r}; use {{a,b,c}} or evens:lo..hi")
@@ -159,17 +165,24 @@ def cmd_list(_args) -> int:
 
 def cmd_run(args) -> int:
     params = {}
+    scenario = args.scenario
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        params.update(loaded.pop("parameters", {}))
-        scenario = loaded.pop("scenario", args.scenario)
+        from_file = loaded.pop("parameters", {})
+        if not isinstance(from_file, dict):
+            raise ConfigError("config parameters must be a JSON object")
+        params.update(from_file)
+        scenario = loaded.pop("scenario", scenario)
+        if scenario is not None and not isinstance(scenario, str):
+            raise ConfigError("config scenario must be a string")
         if loaded:
             raise ConfigError(f"unknown config keys: {sorted(loaded)}")
-    else:
-        scenario = args.scenario
     if scenario is None:
         raise ConfigError("no scenario given (positional argument or config file)")
     for item in args.param:
@@ -184,6 +197,10 @@ def cmd_run(args) -> int:
     for key, value in params.items():
         if key not in schema:
             raise ConfigError(f"unknown parameter {key!r} for {scenario}")
+        # A config value is an int or is converted like a --param string;
+        # true and 2.9 would convert silently.
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ConfigError(f"bad value for {key!r}: {value!r}")
         try:
             typed[key] = type(schema[key])(value)
         except (TypeError, ValueError) as exc:

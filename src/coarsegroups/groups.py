@@ -2,12 +2,13 @@
 
 `GroupSpec` holds the generating set, word balls and the element stream;
 each group kind is one subclass with its own identity, element check,
-group law and coordinate box: `FreeAbelian` (Z^n, int tuples), `Cyclic`
-(Z/k, residues), `Heisenberg` (upper unitriangular 3x3 matrices encoded
-as (a, b, c) with (1,2)=a, (2,3)=b, (1,3)=c), `DirectProduct` (pairs of
-payloads) and `QuotientByLattice` (Z^n modulo an integer lattice, int
-tuples reduced against its Hermite normal form).  Build them with the
-`GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
+group law and coordinate box: `FreeAbelian` (Z^n, int tuples),
+`Heisenberg` (upper unitriangular 3x3 matrices encoded as (a, b, c) with
+(1,2)=a, (2,3)=b, (1,3)=c), `DirectProduct` (pairs of payloads) and
+`QuotientByLattice` (Z^n modulo an integer lattice, int tuples reduced
+against its Hermite normal form).  The cyclic group Z/k is the lattice
+quotient Z/<k>, with 1-tuple elements (0,), ..., (k-1,).  Build them with
+the `GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
 encodings are canonical: equal group elements have identical payloads.
 """
 
@@ -38,6 +39,13 @@ def ball_size_cap() -> int:
 
 def set_size_cap() -> int:
     return _env_cap("COARSE_SET_CAP")
+
+
+def check_set_size(size: int) -> None:
+    """Raise BudgetExceededError when a set of `size` elements passes `COARSE_SET_CAP`."""
+    cap = set_size_cap()
+    if size > cap:
+        raise BudgetExceededError(f"set of {size} elements exceeded size cap {cap}")
 
 
 def element_key(payload) -> tuple:
@@ -169,10 +177,10 @@ class GroupSpec:
 
     @staticmethod
     def cyclic(modulus: int, generators: tuple | None = None) -> "GroupSpec":
+        """Z/k as the lattice quotient Z/<k>; generators are 1-tuples."""
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        gens = generators if generators is not None else (1,)
-        return Cyclic(generating_set=tuple(gens), modulus=modulus)
+        return GroupSpec.quotient_by_lattice(1, [(modulus,)], generators)
 
     @staticmethod
     def heisenberg(generators: tuple | None = None) -> "GroupSpec":
@@ -212,9 +220,10 @@ class GroupSpec:
         """The word distance as one closed-form function of (g, h), or None.
 
         The function returns HORIZON for distances past `cap`.  Only the
-        standard generators of Z^n, Z/k and Z^n modulo the empty or a
-        rank-1 lattice have one; every other kind and generating set reads
-        word distances off `spheres()`.
+        standard generators of Z^n and of Z^n modulo the empty or a rank-1
+        lattice have one; the latter is Z/k, whose elements are 1-tuples.
+        Every other kind and generating set reads word distances off
+        `spheres()`.
         """
         return None
 
@@ -306,40 +315,6 @@ class FreeAbelian(GroupSpec):
         if self.generating_set == _units(self.rank):
             return _l1_distance(cap)
         return None
-
-
-@dataclass(frozen=True)
-class Cyclic(GroupSpec):
-    modulus: int
-    kind = "cyclic"
-
-    def identity(self):
-        return 0
-
-    def check_element(self, g) -> None:
-        if not (isinstance(g, int) and 0 <= g < self.modulus):
-            raise TypeError(f"{g!r} is not an element of {self.kind} group")
-
-    def mul(self, g, h):
-        return (g + h) % self.modulus
-
-    def inv(self, g):
-        return (-g) % self.modulus
-
-    def box(self, radius: int) -> list:
-        return list(range(self.modulus))
-
-    def word_distance(self, cap: int):
-        if self.generating_set != (1,):
-            return None
-        k = self.modulus
-
-        def dist(g, h):
-            r = (h - g) % k
-            d = min(r, k - r)
-            return d if d <= cap else HORIZON
-
-        return dist
 
 
 @dataclass(frozen=True)
@@ -436,7 +411,7 @@ class QuotientByLattice(GroupSpec):
             return _l1_distance(cap)
         if self.rank != 1:
             return None
-        # Z / <k>: the one pivot row is (k,) with k >= 2, since the
+        # Z/k = Z/<k>: the one pivot row is (k,) with k >= 2, since the
         # generator (1,) is reduced.
         k = self.pivot_rows[0][1][0]
 

@@ -51,6 +51,50 @@ class TestSeeds:
         with pytest.raises(ValueError):
             GeometricSeed(10, 0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GroupSpec.quotient_by_lattice(1, [(7,)]),
+            GroupSpec.cyclic(7),
+            GroupSpec.quotient_by_lattice(1, [(2000,)]),
+            Z2,
+            H,
+        ],
+        ids=["Z/<7>", "Z/7", "Z/<2000>", "Z2", "H"],
+    )
+    def test_geometric_needs_the_integers(self, spec):
+        # The powers of 10 are integers, not residues: on Z/<7>, B_1 would
+        # hold unreduced payloads and B_2 would reduce their inverses.
+        with pytest.raises(ValueError):
+            GeometricSeed(10, 3).materialize(spec)
+        with pytest.raises(ValueError):
+            GeneratedBasis(spec, [GeometricSeed(10, 3)]).sets(1)
+
+    def test_geometric_ignores_the_generating_set(self):
+        z23 = GroupSpec.free_abelian(1, ((2,), (3,)))
+        assert GeometricSeed(10, 3).materialize(z23) == GeometricSeed(10, 3).materialize(Z)
+
+    @pytest.mark.parametrize(
+        "spec,elements",
+        [
+            (GroupSpec.cyclic(7), ((1,), (7,))),
+            (GroupSpec.cyclic(7), ((-1,),)),
+            (GroupSpec.cyclic(7), (3,)),
+            (Z, ((1, 2),)),
+            (H, ((1, 0),)),
+        ],
+        ids=["Z/7-unreduced", "Z/7-negative", "Z/7-int", "Z-pair", "H-pair"],
+    )
+    def test_explicit_checks_elements(self, spec, elements):
+        with pytest.raises(TypeError):
+            Explicit(elements).materialize(spec)
+        with pytest.raises(TypeError):
+            GeneratedBasis(spec, [Explicit(elements)]).sets(1)
+
+    def test_explicit_residues(self):
+        c7 = GroupSpec.cyclic(7)
+        assert Explicit(((0,), (6,))).materialize(c7) == frozenset([(0,), (6,)])
+
 
 class TestStreams:
     def test_minimal_is_singletons_in_enumeration_order(self):

@@ -15,7 +15,10 @@ from coarsegroups.cli import (
     parse_int_set,
     parse_metric,
 )
+from coarsegroups.groups import GroupSpec
 from coarsegroups.scenarios import SCENARIOS
+
+from oracles import bfs_distances, cayley_adjacency
 
 SRC = str(Path(cli.__file__).parents[1])
 
@@ -34,7 +37,7 @@ class TestParsers:
     def test_groups(self):
         assert parse_group("Z").rank == 1
         assert parse_group("Z^3").rank == 3
-        assert parse_group("Z/7").modulus == 7
+        assert parse_group("Z/7") == GroupSpec.quotient_by_lattice(1, [(7,)])
         assert parse_group("heisenberg").kind == "heisenberg"
         assert parse_group("H").kind == "heisenberg"
 
@@ -50,8 +53,8 @@ class TestParsers:
         Z = parse_group("Z")
         assert parse_element(Z, "5") == (5,)
         C7 = parse_group("Z/7")
-        assert parse_element(C7, "9") == 2
-        assert parse_element(C7, "3 mod 7") == 3
+        assert parse_element(C7, "9") == (2,)
+        assert parse_element(C7, "3 mod 7") == (3,)
 
     def test_bad_element(self):
         with pytest.raises(ConfigError):
@@ -112,6 +115,33 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
+
+    BAD_CONFIGS = {
+        "parameters_list": b'{"scenario": "rho_plus_demo", "parameters": [1, 2]}',
+        "parameters_string": b'{"scenario": "rho_plus_demo", "parameters": "ab"}',
+        "scenario_list": b'{"scenario": ["x"]}',
+        "not_utf8": b'{"scenario": "rho_plus_demo"}\xff',
+        "float_value": b'{"scenario": "rho_plus_demo", "parameters": {"truncation_radius": 2.9}}',
+        "bool_value": b'{"scenario": "heisenberg_separation", "parameters": {"N": true}}',
+    }
+
+    @pytest.mark.parametrize("content", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+    def test_config_shape_error_is_two(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        proc = run_cli_process(["run", "--config", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_config_string_value_converts_like_a_param(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            json.dumps({"scenario": "heisenberg_separation", "parameters": {"N": "7"}})
+        )
+        assert main(["run", "--config", str(path)]) == 0
+        assert "param\tN\t\t7" in capsys.readouterr().out
 
     @staticmethod
     def assert_one_error_line(capsys):
@@ -306,6 +336,28 @@ class TestDistance:
         ) == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_cyclic_word_sweep(self, capsys, k):
+        # h runs over unreduced integers; every answer is min(r, k - r) for
+        # r = h - g mod k and equals a BFS over the explicit Cayley graph.
+        spec = parse_group(f"Z/{k}")
+        adjacency = cayley_adjacency(spec, spec.box(k))
+        argv = ["distance", "--group", f"Z/{k}", "--metric", "word"]
+        for g in range(k):
+            from_g = bfs_distances(adjacency, (g,))
+            for h in range(-30, 31):
+                assert main([*argv, str(g), str(h)]) == 0
+                r = (h - g) % k
+                assert capsys.readouterr().out == f"{min(r, k - r)}\n"
+                assert min(r, k - r) == from_g[(h % k,)]
+            assert main([*argv, f"{g} mod {k}", "0"]) == 0
+            assert capsys.readouterr().out == f"{min(g, k - g)}\n"
+
+    @pytest.mark.parametrize("text", ["3 mod 5", "3 mod 7 mod 7", "(3)", "x"])
+    def test_cyclic_bad_element_is_two(self, capsys, text):
+        assert main(["distance", "--group", "Z/7", "--metric", "word", "0", text]) == 2
+        TestExitCodes.assert_one_error_line(capsys)
+
 
 class TestMember:
     def test_member_with_cover(self, capsys):
@@ -365,6 +417,31 @@ class TestMember:
             ]
         ) == 0
         assert "member" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "query,code",
+        [
+            ("evens:0..18", 0),
+            ("evens:1..20", 0),
+            ("evens:-19..0", 0),
+            ("{0,1,2,3,4,5,6,7,8,9}", 0),
+            ("evens:0..20", 3),
+            ("evens:-2..19", 3),
+            ("evens:0..10000000000", 3),
+            ("{0,1,2,3,4,5,6,7,8,9,10}", 3),
+        ],
+    )
+    def test_query_set_respects_the_set_cap(self, capsys, monkeypatch, query, code):
+        # Each passing query holds exactly 10 elements, each refused one 11 or more.
+        monkeypatch.setenv("COARSE_SET_CAP", "10")
+        argv = ["member", "--bornology", "minimal", "--set", query, "--depth", "3"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            assert captured.out == "not covered at depth 3\n"
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("resource budget exceeded: set of ")
 
 
 class TestReusedParser:

@@ -61,7 +61,7 @@ class TestIdentity:
         assert H.identity() == (0, 0, 0)
 
     def test_cyclic(self):
-        assert C5.identity() == 0
+        assert C5.identity() == (0,)
 
     def test_left_identity(self):
         for g in H.ball(2):
@@ -81,7 +81,7 @@ class TestMul:
         assert Z.mul((3,), (4,)) == (7,)
 
     def test_cyclic(self):
-        assert C5.mul(3, 4) == 2
+        assert C5.mul((3,), (4,)) == (2,)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(TypeError):
@@ -145,7 +145,7 @@ class TestBall:
         assert Z.ball(2) == [(-2,), (-1,), (0,), (1,), (2,)]
 
     def test_cyclic_saturates(self):
-        assert C5.ball(10) == [0, 1, 2, 3, 4]
+        assert C5.ball(10) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_radius_zero(self):
         for spec in (Z, Z2, C5, H):
@@ -245,12 +245,13 @@ def _heisenberg_nodes(c_bound: int) -> list:
 # generators {2, 3}).  On H only b-letters change c, each by the current a,
 # so |c| <= (a-letters)(b-letters) <= 16; with the extra generator the
 # k-th letter changes c by at most k, so |c| <= 36.
+# On Z/k, box(k) is the reduced cube [-k, k]: every residue.
 SPHERE_CASES = {
     "Z": (Z, Z.box(8)),
     "Z-2-3": (GroupSpec.free_abelian(1, ((2,), (3,))), Z.box(24)),
     "Z2": (Z2, Z2.box(8)),
-    "Z/2": (GroupSpec.cyclic(2), GroupSpec.cyclic(2).box(0)),
-    "Z/7": (GroupSpec.cyclic(7), GroupSpec.cyclic(7).box(0)),
+    "Z/2": (GroupSpec.cyclic(2), GroupSpec.cyclic(2).box(2)),
+    "Z/7": (GroupSpec.cyclic(7), GroupSpec.cyclic(7).box(7)),
     "H": (H, _heisenberg_nodes(16)),
     "H-extra": (
         GroupSpec.heisenberg(((1, 0, 0), (0, 1, 0), (1, 1, 0))),
@@ -281,7 +282,7 @@ class TestSpheres:
 
     def test_finite_group_stream_ends(self):
         spheres = [sorted(s) for s in GroupSpec.cyclic(7).spheres()]
-        assert spheres == [[0], [1, 6], [2, 5], [3, 4]]
+        assert spheres == [[(0,)], [(1,), (6,)], [(2,), (5,)], [(3,), (4,)]]
 
 
 class TestCapBoundary:

@@ -246,7 +246,7 @@ STANDARD.update(
 
 FALLBACK = {
     "Z{2,3}": GroupSpec.free_abelian(1, generators=((2,), (3,))),
-    "Z/7{2}": GroupSpec.cyclic(7, generators=(2,)),
+    "Z/7{2}": GroupSpec.cyclic(7, generators=((2,),)),
     "Z^2{e2,e1}": GroupSpec.free_abelian(2, generators=((0, 1), (1, 0))),
     "Z/<7>{2}": GroupSpec.quotient_by_lattice(1, [(7,)], generators=((2,),)),
     "Z^2/<(3,1),(0,4)>": GroupSpec.quotient_by_lattice(2, [(3, 1), (0, 4)]),
@@ -257,14 +257,23 @@ FALLBACK = {
 
 def _element(spec, coords):
     """An element of `spec` made from a list of at least three ints."""
-    if spec.kind == "cyclic":
-        return coords[0] % spec.modulus
     g = tuple(coords[: spec.rank])
     return spec._reduce(g) if spec.kind == "quotient-by-lattice" else g
 
 
 class TestClosedFormWordDistance:
     """Closed-form word distances against BFS, and the BFS fallback."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_cyclic_is_the_lattice_quotient(self, k):
+        quotient = QuotientWordMetric(1, [(k,)]).quotient
+        assert GroupSpec.cyclic(k) == quotient
+        assert hash(GroupSpec.cyclic(k)) == hash(quotient)
+
+    @pytest.mark.parametrize("k", [1, 0, -7])
+    def test_cyclic_modulus_below_two_rejected(self, k):
+        with pytest.raises(ValueError):
+            GroupSpec.cyclic(k)
 
     @pytest.mark.parametrize("spec", STANDARD.values(), ids=STANDARD.keys())
     def test_matches_bfs_on_the_six_ball(self, spec):
@@ -298,7 +307,7 @@ class TestClosedFormWordDistance:
         [
             (Z, lambda n: (n,)),
             (GroupSpec.free_abelian(3), lambda n: (n - n // 2, 0, -(n // 2))),
-            (GroupSpec.cyclic(13), lambda n: 13 - n),
+            (GroupSpec.cyclic(13), lambda n: (-n % 13,)),
             (QuotientWordMetric(1, [(13,)]).quotient, lambda n: (n,)),
         ],
         ids=["Z", "Z3", "Z/13", "Z/<13>"],
