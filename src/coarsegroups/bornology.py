@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .groups import GroupSpec, check_set_size, element_key
+from .groups import GroupSpec, check_set_size
 from .metrics import HORIZON, MetricEvaluator
 
 
@@ -61,7 +61,7 @@ def _capped(out) -> frozenset:
 
 
 def _set_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(element_key(x) for x in s)))
+    return (len(s), tuple(sorted(s)))
 
 
 class BornologyBasis:

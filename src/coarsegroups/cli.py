@@ -178,9 +178,12 @@ def cmd_run(args) -> int:
         if not isinstance(from_file, dict):
             raise ConfigError("config parameters must be a JSON object")
         params.update(from_file)
-        scenario = loaded.pop("scenario", scenario)
-        if scenario is not None and not isinstance(scenario, str):
+        file_scenario = loaded.pop("scenario", scenario)
+        if file_scenario is not None and not isinstance(file_scenario, str):
             raise ConfigError("config scenario must be a string")
+        if scenario is not None and file_scenario != scenario:
+            raise ConfigError(f"scenario {scenario!r} differs from the config's {file_scenario!r}")
+        scenario = file_scenario
         if loaded:
             raise ConfigError(f"unknown config keys: {sorted(loaded)}")
     if scenario is None:
@@ -270,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario and emit its report")
     run.add_argument("scenario", nargs="?", help="registered scenario name")
     run.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    run.add_argument("--config", help="JSON config file; flags override it")
+    run.add_argument("--config", help="JSON config file; --param flags override it")
     run.add_argument("--format", choices=("tsv", "json"), default="tsv")
     run.add_argument("--output", help="write the report to this path")
     run.set_defaults(func=cmd_run)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bornology import BornologyBasis, member_depth
-from .groups import GroupSpec, element_key
+from .groups import GroupSpec
 from .metrics import (
     HORIZON,
     MetricEvaluator,
@@ -31,7 +31,7 @@ class Entourage:
         return Entourage(pairs=frozenset(tuple(p) for p in pairs))
 
     def __iter__(self):
-        return iter(sorted(self.pairs, key=lambda p: (element_key(p[0]), element_key(p[1]))))
+        return iter(sorted(self.pairs))
 
     def __len__(self):
         return len(self.pairs)
@@ -158,7 +158,7 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
     For every x in B: diam(B) <= 2 * max_b d(b, x) and max_b d(b, x)
     <= diam(B).
     """
-    B = sorted(set(B), key=element_key)
+    B = sorted(set(B))
     if not B:
         raise ValueError("B must be nonempty")
     diam = m.diameter(B)
@@ -227,7 +227,7 @@ def coarse_map_probe(
             witnesses.append(("bornologous", fam.name, cod_verdict))
 
     proper_ok = True
-    domain_truncation = sorted(set(domain_truncation), key=element_key)
+    domain_truncation = sorted(set(domain_truncation))
     for sample in bounded_samples:
         sample = frozenset(sample)
         preimage = [x for x in domain_truncation if f(x) in sample]
@@ -236,7 +236,7 @@ def coarse_map_probe(
         anchor = preimage[0]
         if domain.value_of(Entourage.of((x, anchor) for x in preimage)) is None:
             proper_ok = False
-            witnesses.append(("proper", sorted(sample, key=element_key), preimage))
+            witnesses.append(("proper", sorted(sample), preimage))
 
     return CoarseMapReport(
         bornologous_ok=bornologous_ok, proper_ok=proper_ok, witnesses=witnesses

@@ -1,15 +1,17 @@
 """Exact arithmetic and canonical forms for the concrete groups in the toolkit.
 
-`GroupSpec` holds the generating set, word balls and the element stream;
-each group kind is one subclass with its own identity, element check,
-group law and coordinate box: `FreeAbelian` (Z^n, int tuples),
-`Heisenberg` (upper unitriangular 3x3 matrices encoded as (a, b, c) with
-(1,2)=a, (2,3)=b, (1,3)=c), `DirectProduct` (pairs of payloads) and
-`QuotientByLattice` (Z^n modulo an integer lattice, int tuples reduced
-against its Hermite normal form).  The cyclic group Z/k is the lattice
-quotient Z/<k>, with 1-tuple elements (0,), ..., (k-1,).  Build them with
+Every element of every kind is a flat tuple of `rank` ints.  `GroupSpec`
+holds the generating set, word balls, the element stream, and the identity,
+element check and coordinate box shared by all kinds; each kind is one
+subclass with its own group law: `FreeAbelian` (Z^n), `Heisenberg` (upper
+unitriangular 3x3 matrices encoded as (a, b, c) with (1,2)=a, (2,3)=b,
+(1,3)=c), `DirectProduct` (the left factor's coordinates followed by the
+right factor's) and `QuotientByLattice` (Z^n modulo an integer lattice,
+reduced against its Hermite normal form).  The cyclic group Z/k is the
+lattice quotient Z/<k>, with elements (0,), ..., (k-1,).  Build them with
 the `GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
-encodings are canonical: equal group elements have identical payloads.
+encodings are canonical: equal group elements have identical payloads, so
+natural tuple order is the one element order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 
 class BudgetExceededError(RuntimeError):
@@ -48,22 +50,9 @@ def check_set_size(size: int) -> None:
         raise BudgetExceededError(f"set of {size} elements exceeded size cap {cap}")
 
 
-def element_key(payload) -> tuple:
-    """Deterministic lexicographic sort key on canonical encodings.
-
-    The payload flattened into a tuple of ints.
-    """
-    if isinstance(payload, int):
-        return (payload,)
-    out = []
-    for part in payload:
-        out.extend(element_key(part))
-    return tuple(out)
-
-
-def shell_key(payload) -> tuple:
+def shell_key(g) -> tuple:
     """Ordering used by element streams: small magnitudes, positives first."""
-    return tuple((abs(c), c < 0) for c in element_key(payload))
+    return tuple((abs(c), c < 0) for c in g)
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -100,10 +89,6 @@ def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
         mat = [r for r in mat if r is not pivot_row and any(r)]
         col += 1
     return result
-
-
-def _is_int_tuple(g, length: int) -> bool:
-    return isinstance(g, tuple) and len(g) == length and all(isinstance(c, int) for c in g)
 
 
 def _units(rank: int) -> tuple:
@@ -150,12 +135,13 @@ def _l1_distance(cap: int):
 class GroupSpec:
     """A concrete finitely generated group with a fixed generating set.
 
-    Each kind subclass defines identity(), check_element(g) (TypeError
-    unless g is an element), mul(g, h), inv(g) and box(radius): all
-    elements whose integer coordinates have absolute value <= radius, in
-    lexicographic order.  On Z^n and on the Heisenberg triple encoding
-    this is exactly the max-entry ball of that radius; on a lattice
-    quotient it is the reduced cube, which is not.
+    Every element is a tuple of `rank` ints, on every kind.  The base class
+    defines identity(), check_element(g) (TypeError unless g is an
+    element) and box(radius): all elements whose coordinates have absolute
+    value <= radius, in lexicographic order.  On Z^n and on the Heisenberg
+    triple encoding this is exactly the max-entry ball of that radius.
+    Each kind subclass defines mul(g, h) and inv(g); a lattice quotient
+    and a direct product also narrow check_element and box.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -163,8 +149,8 @@ class GroupSpec:
     """
 
     generating_set: tuple
-    # Number of integer coordinates of Z^n and its quotients; 0 otherwise.
-    rank = 0
+    # The number of integer coordinates of an element; each kind sets it.
+    rank: ClassVar[int]
 
     # -- constructors -------------------------------------------------
 
@@ -190,10 +176,12 @@ class GroupSpec:
     @staticmethod
     def direct_product(left: "GroupSpec", right: "GroupSpec") -> "GroupSpec":
         le, re = left.identity(), right.identity()
-        gens = tuple((g, re) for g in left.generating_set) + tuple(
-            (le, g) for g in right.generating_set
+        gens = tuple(g + re for g in left.generating_set) + tuple(
+            le + g for g in right.generating_set
         )
-        return DirectProduct(generating_set=gens, factors=(left, right))
+        return DirectProduct(
+            generating_set=gens, factors=(left, right), rank=left.rank + right.rank
+        )
 
     @staticmethod
     def quotient_by_lattice(
@@ -227,15 +215,25 @@ class GroupSpec:
         """
         return None
 
-    # -- shared enumeration -------------------------------------------
+    # -- elements and enumeration, shared by every kind ---------------
+
+    def identity(self) -> tuple:
+        return (0,) * self.rank
+
+    def check_element(self, g) -> None:
+        if not (
+            isinstance(g, tuple)
+            and len(g) == self.rank
+            and all(isinstance(c, int) for c in g)
+        ):
+            raise TypeError(f"{g!r} is not an element of {self.kind} group")
+
+    def box(self, radius: int) -> list:
+        return list(_cube(radius, self.rank))
 
     def symmetric_generators(self) -> tuple:
-        seen = []
-        for g in self.generating_set:
-            for h in (g, self.inv(g)):
-                if h not in seen:
-                    seen.append(h)
-        return tuple(seen)
+        """Each generator followed by its inverse, first occurrences only."""
+        return tuple(dict.fromkeys(h for g in self.generating_set for h in (g, self.inv(g))))
 
     def spheres(self) -> Iterator[list]:
         """The word spheres S_0 = [e], S_1, S_2, ... as lists.
@@ -277,7 +275,7 @@ class GroupSpec:
         out = []
         for sphere in itertools.islice(self.spheres(), radius + 1):
             out.extend(sphere)
-        return sorted(out, key=element_key)
+        return sorted(out)
 
     def sphere_stream(self) -> Iterator:
         """Stream group elements shell by shell in the word metric.
@@ -295,21 +293,11 @@ class FreeAbelian(GroupSpec):
     rank: int
     kind = "free-abelian"
 
-    def identity(self):
-        return (0,) * self.rank
-
-    def check_element(self, g) -> None:
-        if not _is_int_tuple(g, self.rank):
-            raise TypeError(f"{g!r} is not an element of {self.kind} group")
-
     def mul(self, g, h):
         return tuple(map(operator.add, g, h))
 
     def inv(self, g):
         return tuple(map(operator.neg, g))
-
-    def box(self, radius: int) -> list:
-        return list(_cube(radius, self.rank))
 
     def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
@@ -319,14 +307,8 @@ class FreeAbelian(GroupSpec):
 
 @dataclass(frozen=True)
 class Heisenberg(GroupSpec):
+    rank = 3
     kind = "heisenberg"
-
-    def identity(self):
-        return (0, 0, 0)
-
-    def check_element(self, g) -> None:
-        if not _is_int_tuple(g, 3):
-            raise TypeError(f"{g!r} is not an element of {self.kind} group")
 
     def mul(self, g, h):
         a, b, c = g
@@ -337,29 +319,30 @@ class Heisenberg(GroupSpec):
         a, b, c = g
         return (-a, -b, a * b - c)
 
-    def box(self, radius: int) -> list:
-        return list(_cube(radius, 3))
-
 
 @dataclass(frozen=True)
 class DirectProduct(GroupSpec):
+    """The left factor's coordinates followed by the right factor's."""
+
     factors: tuple[GroupSpec, GroupSpec]
+    rank: int
     kind = "direct-product"
 
-    def identity(self):
-        return (self.factors[0].identity(), self.factors[1].identity())
-
     def check_element(self, g) -> None:
-        if not (isinstance(g, tuple) and len(g) == 2):
-            raise TypeError(f"{g!r} is not an element of {self.kind} group")
-        self.factors[0].check_element(g[0])
-        self.factors[1].check_element(g[1])
+        super().check_element(g)
+        left, right = self.factors
+        left.check_element(g[: left.rank])
+        right.check_element(g[left.rank :])
 
     def mul(self, g, h):
-        return (self.factors[0].mul(g[0], h[0]), self.factors[1].mul(g[1], h[1]))
+        left, right = self.factors
+        w = left.rank
+        return left.mul(g[:w], h[:w]) + right.mul(g[w:], h[w:])
 
     def inv(self, g):
-        return (self.factors[0].inv(g[0]), self.factors[1].inv(g[1]))
+        left, right = self.factors
+        w = left.rank
+        return left.inv(g[:w]) + right.inv(g[w:])
 
     def box(self, radius: int) -> list:
         left = self.factors[0].box(radius)
@@ -367,7 +350,8 @@ class DirectProduct(GroupSpec):
         cap = ball_size_cap()
         if len(left) * len(right) > cap:
             raise BudgetExceededError(f"box exceeded size cap {cap}")
-        return sorted(itertools.product(left, right), key=element_key)
+        # Both factor boxes are sorted, so their concatenations are too.
+        return [a + b for a in left for b in right]
 
 
 @dataclass(frozen=True)
@@ -388,11 +372,9 @@ class QuotientByLattice(GroupSpec):
                 v = [x - q * r for x, r in zip(v, row)]
         return tuple(v)
 
-    def identity(self):
-        return (0,) * self.rank
-
     def check_element(self, g) -> None:
-        if not (_is_int_tuple(g, self.rank) and g == self._reduce(g)):
+        super().check_element(g)
+        if g != self._reduce(g):
             raise TypeError(f"{g!r} is not an element of {self.kind} group")
 
     def mul(self, g, h):

@@ -16,7 +16,6 @@ from .groups import (
     FreeAbelian,
     GroupSpec,
     Heisenberg,
-    element_key,
     shell_key,
 )
 
@@ -55,7 +54,7 @@ def ladder_prefixes(items: list, steps: int = 3) -> list[list]:
 
     Successive prefixes behave like growing balls around the identity.
     """
-    ordered = sorted(items, key=lambda g: (shell_key(g), element_key(g)))
+    ordered = sorted(items, key=lambda g: (shell_key(g), g))
     n = len(ordered)
     if n == 0:
         return [[] for _ in range(steps)]
@@ -107,9 +106,8 @@ _SCAN_START = 4
 
 
 class MetricEvaluator:
-    """Two-argument exact distance; subclasses set `pseudo` as needed."""
+    """Two-argument exact distance."""
 
-    pseudo = False
     # Distances above radius_cap evaluate to HORIZON; None if none do or
     # the cap is unknown.
     radius_cap = None
@@ -213,8 +211,6 @@ class MaxEntryMetric(MetricEvaluator):
 class Entry12Pseudometric(MetricEvaluator):
     """|a - a'| on Heisenberg triples (a, b, c): the (1,2) matrix entry."""
 
-    pseudo = True
-
     def eval(self, g, h):
         return abs(g[0] - h[0])
 
@@ -225,8 +221,6 @@ class QuotientWordMetric(MetricEvaluator):
     A pseudometric on the ambient free abelian group: elements of the same
     coset are at distance zero.
     """
-
-    pseudo = True
 
     def __init__(self, rank: int, lattice_generators, radius_cap: int = 64):
         self.spec = GroupSpec.free_abelian(rank)

@@ -16,6 +16,12 @@ from coarsegroups.cli import (
     parse_metric,
 )
 from coarsegroups.groups import GroupSpec
+from coarsegroups.metrics import (
+    Entry12Pseudometric,
+    MaxEntryMetric,
+    QuotientWordMetric,
+    WordMetric,
+)
 from coarsegroups.scenarios import SCENARIOS
 
 from oracles import bfs_distances, cayley_adjacency
@@ -65,10 +71,11 @@ class TestParsers:
     def test_metrics(self):
         Z = parse_group("Z")
         assert parse_metric(Z, "word").spec is Z
-        assert parse_metric(Z, "quotient:5").pseudo
+        assert isinstance(parse_metric(Z, "word"), WordMetric)
+        assert isinstance(parse_metric(Z, "quotient:5"), QuotientWordMetric)
         H = parse_group("H")
-        assert not parse_metric(H, "maxentry").pseudo
-        assert parse_metric(H, "entry12").pseudo
+        assert isinstance(parse_metric(H, "maxentry"), MaxEntryMetric)
+        assert isinstance(parse_metric(H, "entry12"), Entry12Pseudometric)
 
     def test_metric_group_mismatch(self):
         with pytest.raises(ConfigError):
@@ -134,6 +141,23 @@ class TestExitCodes:
         assert proc.stdout == ""
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_config_scenario_conflict_is_two(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "heisenberg_separation"}))
+        proc = run_cli_process(["run", "rho_plus_demo", "--config", str(path)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_config_scenario_agreeing_with_the_argument_runs(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "heisenberg_separation"}))
+        assert main(["run", "heisenberg_separation", "--config", str(path)]) == 0
+        with_file = capsys.readouterr().out
+        assert main(["run", "heisenberg_separation"]) == 0
+        assert capsys.readouterr().out == with_file
 
     def test_config_string_value_converts_like_a_param(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from coarsegroups.groups import (
     BudgetExceededError,
     GroupSpec,
-    element_key,
     hermite_rows,
 )
 from coarsegroups.metrics import WordNorm
@@ -172,7 +171,7 @@ class TestBall:
 
     def test_deterministic_order(self):
         b = H.ball(3)
-        assert b == sorted(b, key=element_key)
+        assert b == sorted(b)
         assert b == H.ball(3)
 
 
@@ -232,6 +231,70 @@ class TestEnumeration:
         box = H.box(1)
         assert len(box) == 27
         assert all(max(abs(c) for c in g) <= 1 for g in box)
+
+
+class TestSymmetricGenerators:
+    CASES = {
+        "Z2": (Z2, ((1, 0), (-1, 0), (0, 1), (0, -1))),
+        "H": (H, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))),
+        # (1,) is its own inverse in Z/2.
+        "Z/2": (GroupSpec.cyclic(2), ((1,),)),
+        "Z{1,-1,2}": (
+            GroupSpec.free_abelian(1, ((1,), (-1,), (2,))),
+            ((1,), (-1,), (2,), (-2,)),
+        ),
+        "ZxZ/2": (
+            GroupSpec.direct_product(Z, GroupSpec.cyclic(2)),
+            ((1, 0), (-1, 0), (0, 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_each_generator_then_its_inverse_once(self, name):
+        spec, expected = self.CASES[name]
+        assert spec.symmetric_generators() == expected
+
+
+C3 = GroupSpec.cyclic(3)
+ZxC3 = GroupSpec.direct_product(Z, C3)
+HxC3 = GroupSpec.direct_product(H, C3)
+
+
+class TestDirectProduct:
+    """Elements are the left factor's coordinates followed by the right's."""
+
+    def test_identity(self):
+        assert ZxC3.rank == 2
+        assert ZxC3.identity() == (0, 0)
+        for g in ZxC3.ball(3):
+            assert ZxC3.mul(ZxC3.identity(), g) == g == ZxC3.mul(g, ZxC3.identity())
+
+    def test_check_element(self):
+        for g in [(0, 0), (-7, 2), (5, 1)]:
+            ZxC3.check_element(g)
+        # Nested factors, an unreduced residue, too few and too many ints.
+        for g in [((1,), (2,)), (1, 3), (1,), (1, 2, 0)]:
+            with pytest.raises(TypeError):
+                ZxC3.check_element(g)
+
+    def test_box_is_the_sorted_product_of_the_factor_boxes(self):
+        box = ZxC3.box(2)
+        assert box == sorted(a + b for a, b in itertools.product(Z.box(2), C3.box(2)))
+        for g in box:
+            ZxC3.check_element(g)
+
+    def test_box_cap(self, monkeypatch):
+        monkeypatch.setenv("COARSE_BALL_CAP", str(5 * 3 - 1))
+        with pytest.raises(BudgetExceededError):
+            ZxC3.box(2)
+
+    def test_law_is_factorwise_over_a_nonabelian_factor(self):
+        assert HxC3.rank == 4
+        ball = HxC3.ball(2)
+        for g in ball:
+            assert HxC3.inv(g) == H.inv(g[:3]) + C3.inv(g[3:])
+            for h in ball:
+                assert HxC3.mul(g, h) == H.mul(g[:3], h[:3]) + C3.mul(g[3:], h[3:])
 
 
 def _heisenberg_nodes(c_bound: int) -> list:

@@ -170,10 +170,6 @@ class TestQuotientDistance:
         qm = QuotientWordMetric(1, [(5,)])
         assert qm.eval((1,), (2,)) == 1
 
-    def test_pseudo_flag(self):
-        assert QuotientWordMetric(1, [(5,)]).pseudo
-        assert not WordMetric(Z).pseudo
-
 
 class TestQuotientDiameter:
     """The one-point-per-coset diameter against the all-pairs scan.

@@ -1,0 +1,44 @@
+"""Static checks on the package source, with the standard library's `ast`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsegroups"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never referenced in the module.
+
+    `from __future__ import ...` binds no name and is skipped.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "from x import a, b as c\n"
+        "sys.exit(c)\n"
+    )
+    assert unused_imports(source) == ["os", "a"]
+
+
+def test_every_module_is_checked():
+    assert {p.name for p in MODULES} >= {"groups.py", "metrics.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
