@@ -121,8 +121,8 @@ class GeneratedBasis(BornologyBasis):
     both orders; a union is tried once per unordered pair of distinct sets,
     since a | b is b | a and a | a is a.  Within a level, sets are ordered
     by (size, sorted encoding); duplicates never reappear.  Translates
-    arise as products with singletons.  The stream ends after level
-    `depth_cap`.
+    arise as products with singletons.  Every product set comes from the
+    group's `product_set` hook.  The stream ends after level `depth_cap`.
     """
 
     def __init__(self, spec: GroupSpec, seeds, depth_cap: int = 8):
@@ -155,14 +155,14 @@ class GeneratedBasis(BornologyBasis):
                 self._admit(bucket, {inv(g)})
             for s in self._levels[n - 1]:
                 self._admit(bucket, {inv(x) for x in s})
-            mul = self.spec.mul
+            product_set = self.spec.product_set
             for i in range(n):
                 j = n - 1 - i
                 for ia, a in enumerate(self._levels[i]):
                     for ib, b in enumerate(self._levels[j]):
                         if i < j or (i == j and ia < ib):
                             self._admit(bucket, a | b)
-                        self._admit(bucket, {mul(x, y) for x in a for y in b})
+                        self._admit(bucket, product_set(a, b))
         level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
         self._known.update(level)
         self._levels.append(level)
@@ -240,7 +240,8 @@ class ChainMetric(MetricEvaluator):
     """Left-invariant metric built from a basis via a nested product chain.
 
     C_0 = {e}; C_n is the n-fold product of the symmetrized union of the
-    first n basis sets together with {e}.  d(x, y) is the least n with
+    first n basis sets together with {e}, each factor taken with the
+    group's `product_set` hook.  d(x, y) is the least n with
     x^-1 y in C_n; the chain satisfies C_n * C_m within C_{n+m}, which
     gives the triangle inequality.  Evaluation is truncated at n_cap.
     """
@@ -254,7 +255,7 @@ class ChainMetric(MetricEvaluator):
     def _level(self, n: int) -> frozenset:
         while len(self._chain) <= n:
             k = len(self._chain)
-            mul, inv = self.spec.mul, self.spec.inv
+            inv = self.spec.inv
             sym = {self.spec.identity()}
             for b in self.basis.sets(k):
                 sym |= b
@@ -262,7 +263,7 @@ class ChainMetric(MetricEvaluator):
             sym = frozenset(sym)
             power = sym
             for _ in range(k - 1):
-                power = _capped({mul(x, y) for x in power for y in sym})
+                power = _capped(self.spec.product_set(power, sym))
             self._chain.append(power)
         return self._chain[n]
 

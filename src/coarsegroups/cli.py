@@ -233,9 +233,11 @@ def cmd_run(args) -> int:
 
 def cmd_distance(args) -> int:
     spec = parse_group(args.group)
+    # Elements first: they are cheap to reject, and a metric can cost a
+    # table.  Every metric built here has `metric.spec == spec`.
+    g = parse_element(spec, args.g)
+    h = parse_element(spec, args.h)
     metric = parse_metric(spec, args.metric)
-    g = parse_element(metric.spec, args.g)
-    h = parse_element(metric.spec, args.h)
     print(fmt(metric.eval(g, h)))
     return 0
 

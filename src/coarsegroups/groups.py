@@ -12,10 +12,18 @@ lattice quotient Z/<k>, with elements (0,), ..., (k-1,).  Build them with
 the `GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
 encodings are canonical: equal group elements have identical payloads, so
 natural tuple order is the one element order.
+
+Besides `mul`, every kind answers two set-at-a-time hooks: `translates(g,
+hs)`, the list [g*h for h in hs], and `product_set(a, b)`, the set {x*y : x
+in a, y in b}.  Generated bornologies and chain metrics build their sets
+through `product_set`.  `Heisenberg` overrides `translates` with its law
+unpacked, and `FreeAbelian` of rank 1 overrides `product_set` with plain
+int sums; every other kind inherits the bodies built on `mul`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -91,8 +99,11 @@ def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
     return result
 
 
+@functools.cache
 def _units(rank: int) -> tuple:
-    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+    """The unit vectors of Z^rank, built once per rank: a Z^n spec and its
+    word metric both read them."""
+    return tuple((0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank))
 
 
 def _cube(radius: int, n: int) -> Iterator[tuple]:
@@ -142,6 +153,11 @@ class GroupSpec:
     triple encoding this is exactly the max-entry ball of that radius.
     Each kind subclass defines mul(g, h) and inv(g); a lattice quotient
     and a direct product also narrow check_element and box.
+
+    The set-at-a-time law has two hooks: translates(g, hs) and
+    product_set(a, b).  The base bodies call `mul` once per pair;
+    `Heisenberg` overrides translates and `FreeAbelian` of rank 1
+    overrides product_set, each without a method call per pair.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -231,6 +247,15 @@ class GroupSpec:
     def box(self, radius: int) -> list:
         return list(_cube(radius, self.rank))
 
+    def translates(self, g, hs) -> list:
+        """[g*h for h in hs], in the order of `hs`."""
+        mul = self.mul
+        return [mul(g, h) for h in hs]
+
+    def product_set(self, a, b) -> set:
+        """{x*y : x in a, y in b}."""
+        return {p for x in a for p in self.translates(x, b)}
+
     def symmetric_generators(self) -> tuple:
         """Each generator followed by its inverse, first occurrences only."""
         return tuple(dict.fromkeys(h for g in self.generating_set for h in (g, self.inv(g))))
@@ -299,6 +324,12 @@ class FreeAbelian(GroupSpec):
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
+    def product_set(self, a, b) -> set:
+        if self.rank != 1:
+            return super().product_set(a, b)
+        ys = [y for (y,) in b]
+        return {(x + y,) for (x,) in a for y in ys}
+
     def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
             return _l1_distance(cap)
@@ -318,6 +349,10 @@ class Heisenberg(GroupSpec):
     def inv(self, g):
         a, b, c = g
         return (-a, -b, a * b - c)
+
+    def translates(self, g, hs) -> list:
+        a, b, c = g
+        return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
 
 
 @dataclass(frozen=True)

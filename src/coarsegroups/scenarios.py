@@ -148,12 +148,11 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
 
-    e, mul, dist = spec.identity(), spec.mul, rho.eval
+    e, dist = spec.identity(), rho.eval
     invariance_ok = True
     for g in ball:
-        g_inv = spec.inv(g)
-        for h in ball:
-            if dist(e, mul(g_inv, h)) != dist(g, h):
+        for t, h in zip(spec.translates(spec.inv(g), ball), ball):
+            if dist(e, t) != dist(g, h):
                 invariance_ok = False
                 break
         if not invariance_ok:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import random
 
@@ -34,6 +35,22 @@ def sym_power(spec, base, n):
     for _ in range(n - 1):
         out = {spec.mul(x, y) for x in out for y in base}
     return out
+
+
+@contextlib.contextmanager
+def mul_product_sets():
+    """Inside the block, every kind's `product_set` is the pairwise `mul`
+    comprehension that built generated levels and chain levels before the
+    hook existed."""
+
+    def product_set(self, a, b):
+        return {self.mul(x, y) for x in a for y in b}
+
+    with pytest.MonkeyPatch.context() as m:
+        for cls in (GroupSpec, *GroupSpec.__subclasses__()):
+            if "product_set" in vars(cls):
+                m.setattr(cls, "product_set", product_set)
+        yield
 
 
 class TestSeeds:
@@ -248,6 +265,23 @@ class TestStreams:
         monkeypatch.delenv("COARSE_SET_CAP")
         assert basis.sets(40) == GeneratedBasis(Z, seeds, depth_cap=3).sets(40)
 
+    # The five `geom:b,L` bornologies of the `queries` benchmark workload.
+    @pytest.mark.parametrize("base,length", [(10, 6), (2, 8), (3, 5), (5, 4), (4, 6)])
+    def test_generated_levels_match_the_mul_comprehension(self, base, length):
+        def levels():
+            basis = GeneratedBasis(Z, [GeometricSeed(base, length)], depth_cap=4)
+            basis.sets(10**6)
+            return basis._levels
+
+        with mul_product_sets():
+            expected = levels()
+        assert levels() == expected
+
+    def test_generated_level_sizes_through_level_five(self):
+        basis = GeneratedBasis(Z, [GeometricSeed(10, 6)], depth_cap=5)
+        basis.sets(10**6)
+        assert [len(level) for level in basis._levels] == [2, 5, 10, 24, 66, 176]
+
 
 class TestMember:
     def test_seed_prefix_member_at_depth_one(self):
@@ -373,6 +407,20 @@ class TestChainMetric:
             for g in level:
                 assert not is_horizon(m.eval(Z.identity(), g))
                 assert m.eval(Z.identity(), g) <= n
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: MinimalBasis(Z), lambda: GeneratedBasis(Z, [GeometricSeed(10, 3)])],
+        ids=["minimal", "geom:10,3"],
+    )
+    def test_levels_match_the_mul_comprehension(self, make):
+        def levels():
+            m = ChainMetric(make())
+            return [m._level(n) for n in range(6)]
+
+        with mul_product_sets():
+            expected = levels()
+        assert levels() == expected
 
     def test_left_invariance(self):
         m = metric_from_basis(MinimalBasis(Z), n_cap=6)

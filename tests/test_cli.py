@@ -212,6 +212,17 @@ class TestExitCodes:
         assert main(["run", scenario, "--param", param]) == 2
         self.assert_one_error_line(capsys)
 
+    def test_bad_element_is_two_before_any_metric_is_built(self, capsys, monkeypatch):
+        # Rejecting "0" must not wait on the metric: a word metric on Z^2000
+        # compares 2000 unit vectors of 2000 ints.
+        def no_metric(spec, text):
+            raise AssertionError("metric built before the elements were parsed")
+
+        monkeypatch.setattr(cli, "parse_metric", no_metric)
+        argv = ["distance", "--group", "Z^2000", "--metric", "word", "0", "0"]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys)
+
     @pytest.mark.parametrize("var", ["COARSE_BALL_CAP", "COARSE_SET_CAP"])
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     @pytest.mark.parametrize(

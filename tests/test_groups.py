@@ -370,3 +370,55 @@ class TestCapBoundary:
         for _ in range(2):  # a retry raises again instead of ending the table
             with pytest.raises(BudgetExceededError):
                 norm(far)
+
+
+HOOK_CASES = {
+    "Z": Z,
+    "Z2": Z2,
+    "Z/7": GroupSpec.cyclic(7),
+    "Z2/(2,1),(0,3)": GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
+    "H": H,
+    "HxZ/3": HxC3,
+}
+
+
+class TestSetHooks:
+    """`translates` and `product_set` agree with `mul` on every kind."""
+
+    @staticmethod
+    def inputs(spec):
+        # The box is reversed so that `translates` cannot pass by sorting.
+        return spec.ball(2), spec.box(2)[::-1]
+
+    @pytest.mark.parametrize("name", list(HOOK_CASES))
+    def test_translates_is_mul_in_order(self, name):
+        spec = HOOK_CASES[name]
+        ball, box = self.inputs(spec)
+        for g in ball:
+            assert spec.translates(g, box) == [spec.mul(g, h) for h in box]
+            assert spec.translates(g, []) == []
+
+    @pytest.mark.parametrize("name", list(HOOK_CASES))
+    def test_product_set_is_the_mul_comprehension(self, name):
+        spec = HOOK_CASES[name]
+        ball, box = self.inputs(spec)
+        for a, b in [(ball, box), (box, ball), (frozenset(ball), frozenset(ball))]:
+            assert spec.product_set(a, b) == {spec.mul(x, y) for x in a for y in b}
+        assert spec.product_set([], box) == set()
+        assert spec.product_set(ball, []) == set()
+
+    def test_heisenberg_translates_match_matrix_oracle(self):
+        box = H.box(2)[::-1]
+        for g in H.box(2):
+            m = heis_to_matrix(g)
+            expected = [heis_from_matrix(matmul3(m, heis_to_matrix(h))) for h in box]
+            assert H.translates(g, box) == expected
+
+    def test_heisenberg_product_set_matches_matrix_oracle(self):
+        a, b = H.ball(2), H.box(1)
+        expected = {
+            heis_from_matrix(matmul3(heis_to_matrix(x), heis_to_matrix(y)))
+            for x in a
+            for y in b
+        }
+        assert H.product_set(a, b) == expected
