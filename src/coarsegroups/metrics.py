@@ -4,6 +4,12 @@ Distances are exact integers.  Word-metric evaluation is
 truncated at a radius cap: past the cap the evaluator returns the HORIZON
 marker instead of a number.  Truncation is the normal operating mode of
 the toolkit, never an exception.
+
+Besides `eval`, every metric answers one row-at-a-time hook:
+`distances(g, hs)`, the list [d(g, h) for h in hs].  `diameter` takes one
+row per point, and the Heisenberg invariance check compares rows.
+`Entry12Pseudometric` overrides `distances` with one comprehension; every
+other metric inherits the body built on `eval`.
 """
 
 from __future__ import annotations
@@ -106,7 +112,13 @@ _SCAN_START = 4
 
 
 class MetricEvaluator:
-    """Two-argument exact distance."""
+    """Two-argument exact distance.
+
+    `eval(g, h)` is one distance; the row hook `distances(g, hs)` is the
+    list of distances from g to each of hs.  Its base body calls `eval`
+    once per point; a subclass overrides it only where a row can skip the
+    method call per pair.
+    """
 
     # Distances above radius_cap evaluate to HORIZON; None if none do or
     # the cap is unknown.
@@ -117,6 +129,10 @@ class MetricEvaluator:
 
     def eval(self, g, h):
         raise NotImplementedError
+
+    def distances(self, g, hs) -> list:
+        """[d(g, h) for h in hs], in the order of `hs`."""
+        return [self.eval(g, h) for h in hs]
 
     def ball(self, n: int) -> frozenset:
         """{g : d(e, g) <= n}, by scanning coordinate boxes.
@@ -153,13 +169,12 @@ class MetricEvaluator:
         """Max pairwise distance over a finite set; HORIZON-propagating."""
         elements = list(elements)
         best = 0
-        for i, g in enumerate(elements):
-            for h in elements[i + 1 :]:
-                d = self.eval(g, h)
-                if is_horizon(d):
-                    return HORIZON
-                if d > best:
-                    best = d
+        # Up to the last point, each row holds at least one distance.
+        for i, g in enumerate(elements[:-1]):
+            row = self.distances(g, elements[i + 1 :])
+            if HORIZON in row:
+                return HORIZON
+            best = max(best, *row)
         return best
 
 
@@ -213,6 +228,10 @@ class Entry12Pseudometric(MetricEvaluator):
 
     def eval(self, g, h):
         return abs(g[0] - h[0])
+
+    def distances(self, g, hs) -> list:
+        a = g[0]
+        return [abs(a - h[0]) for h in hs]
 
 
 class QuotientWordMetric(MetricEvaluator):

@@ -148,15 +148,12 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
 
-    e, dist = spec.identity(), rho.eval
-    invariance_ok = True
-    for g in ball:
-        for t, h in zip(spec.translates(spec.inv(g), ball), ball):
-            if dist(e, t) != dist(g, h):
-                invariance_ok = False
-                break
-        if not invariance_ok:
-            break
+    # Row g compares rho(e, g^-1 h) with rho(g, h) for every h in the ball.
+    e = spec.identity()
+    invariance_ok = all(
+        rho.distances(e, spec.translates(spec.inv(g), ball)) == rho.distances(g, ball)
+        for g in ball
+    )
     report.check(
         "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball",
         True,

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegroups import metrics
 from coarsegroups.bornology import MetricBallsBasis
 from coarsegroups.groups import BudgetExceededError, GroupSpec
 from coarsegroups.metrics import (
@@ -23,7 +25,14 @@ from coarsegroups.metrics import (
     rho_plus_truncated,
 )
 
-from oracles import bfs_distances, cayley_adjacency, heis_max_entry_norm
+from oracles import (
+    bfs_distances,
+    cayley_adjacency,
+    heis_max_entry_norm,
+    heis_to_matrix,
+    matinv_unitriangular,
+    matmul3,
+)
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -171,11 +180,93 @@ class TestQuotientDistance:
         assert qm.eval((1,), (2,)) == 1
 
 
+# Metrics whose row hook `TestDistances` checks against `eval`: a fresh
+# metric, and whether some pair of its ball(2) is at distance HORIZON.
+ROW_METRICS = {
+    "word-Z": (lambda: WordMetric(Z, radius_cap=2), True),
+    "word-Z2": (lambda: WordMetric(Z2, radius_cap=2), True),
+    "word-Z/7": (lambda: WordMetric(GroupSpec.cyclic(7), radius_cap=2), True),
+    "word-H-bfs": (lambda: WordMetric(H), False),
+    "word-H-bfs-cap2": (lambda: WordMetric(H, radius_cap=2), True),
+    "word-Z{2,3}-bfs": (
+        lambda: WordMetric(GroupSpec.free_abelian(1, generators=((2,), (3,)))),
+        False,
+    ),
+    "induced-Z2-cap3": (lambda: InducedMetric(WordNorm(Z2, radius_cap=3)), True),
+    "maxentry-H": (lambda: MaxEntryMetric(H), False),
+    "entry12-H": (lambda: Entry12Pseudometric(H), False),
+    "quotient-Z/<5>": (lambda: QuotientWordMetric(1, [(5,)]), False),
+    "quotient-Z2-cap1": (lambda: QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=1), True),
+}
+
+
+def _row_hook_owner(metric):
+    """The class whose `distances` body `metric` runs."""
+    return next(c for c in type(metric).__mro__ if "distances" in vars(c))
+
+
+class TestDistances:
+    """The row hook `distances(g, hs)` against one `eval` per point."""
+
+    @pytest.mark.parametrize("make,horizon", ROW_METRICS.values(), ids=ROW_METRICS.keys())
+    def test_rows_match_eval(self, make, horizon):
+        m = make()
+        ball = list(m.spec.ball(2))
+        seen = []
+        for g in ball:
+            for hs in (ball, ball[::-1]):
+                row = m.distances(g, hs)
+                assert row == [m.eval(g, h) for h in hs], g
+                seen += row
+            assert m.distances(g, []) == []
+        assert (HORIZON in seen) == horizon
+
+    def test_every_override_is_parametrized(self):
+        defined = {
+            cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if "distances" in vars(cls)
+        }
+        covered = {_row_hook_owner(make()) for make, _ in ROW_METRICS.values()}
+        assert MetricEvaluator in defined and Entry12Pseudometric in defined
+        assert defined <= covered, sorted(c.__name__ for c in defined - covered)
+
+    def test_entry12_invariance_rows_match_the_matrix_oracle(self):
+        # The two rows the `heisenberg_pseudometric` invariance loop compares,
+        # with g^-1 h and the (1,2) entries taken from 3x3 integer matrices.
+        rho = Entry12Pseudometric(H)
+        ball = list(H.ball(3))
+        e = H.identity()
+        for g in ball:
+            ginv = matinv_unitriangular(heis_to_matrix(g))
+            left = [abs(matmul3(ginv, heis_to_matrix(h))[0][1]) for h in ball]
+            right = [abs(heis_to_matrix(g)[0][1] - heis_to_matrix(h)[0][1]) for h in ball]
+            assert rho.distances(e, H.translates(H.inv(g), ball)) == left, g
+            assert rho.distances(g, ball) == right, g
+            assert left == right, g
+
+
+def _all_pairs_diameter(metric, pts):
+    """Max of `metric.eval` over every unordered pair, one call per pair.
+
+    HORIZON if any pair is at distance HORIZON; 0 for fewer than two points.
+    """
+    best = 0
+    horizon = False
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = metric.eval(pts[i], pts[j])
+            if d is HORIZON:
+                horizon = True
+            elif d > best:
+                best = d
+    return HORIZON if horizon else best
+
+
 class TestQuotientDiameter:
-    """The one-point-per-coset diameter against the all-pairs scan.
+    """The one-point-per-coset diameter and the base row-by-row diameter,
+    both against the plain double loop `_all_pairs_diameter`.
 
     `MetricEvaluator.diameter(qm, pts)` is called unbound, so it skips the
-    override and evaluates every pair through `qm.eval`.
+    override and takes one row of `qm.distances` per point.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -187,7 +278,8 @@ class TestQuotientDiameter:
     def test_rank_one_matches_all_pairs(self, k, radius_cap, xs):
         qm = QuotientWordMetric(1, [(k,)], radius_cap=radius_cap)
         pts = [(x,) for x in xs]
-        assert qm.diameter(pts) == MetricEvaluator.diameter(qm, pts)
+        expected = _all_pairs_diameter(qm, pts)
+        assert qm.diameter(pts) == expected == MetricEvaluator.diameter(qm, pts)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -196,12 +288,38 @@ class TestQuotientDiameter:
     )
     def test_rank_two_lattice_matches_all_pairs(self, radius_cap, pts):
         qm = QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=radius_cap)
-        assert qm.diameter(pts) == MetricEvaluator.diameter(qm, pts)
+        expected = _all_pairs_diameter(qm, pts)
+        assert qm.diameter(pts) == expected == MetricEvaluator.diameter(qm, pts)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 5), st.lists(st.integers(-30, 30), max_size=12))
+    def test_word_metric_on_z_matches_all_pairs(self, radius_cap, xs):
+        wm = WordMetric(Z, radius_cap=radius_cap)
+        pts = [(x,) for x in xs]
+        assert wm.diameter(pts) == _all_pairs_diameter(wm, pts)
 
     @pytest.mark.parametrize("pts", [[], [(7,)]])
     def test_empty_and_one_point(self, pts):
         qm = QuotientWordMetric(1, [(5,)])
         assert qm.diameter(pts) == 0 == MetricEvaluator.diameter(qm, pts)
+        assert _all_pairs_diameter(qm, pts) == 0
+        wm = WordMetric(Z, radius_cap=1)
+        assert wm.diameter(pts) == 0 == _all_pairs_diameter(wm, pts)
+
+    @pytest.mark.parametrize(
+        "metric,pts",
+        [
+            (WordMetric(Z, radius_cap=1), [(0,), (-1,), (1,)]),
+            (QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=1), [(0, 0), (0, 1), (0, -1)]),
+        ],
+        ids=["word-Z", "quotient-Z2"],
+    )
+    def test_horizon_only_in_the_last_pair(self, metric, pts):
+        pairs = list(itertools.combinations(pts, 2))
+        assert [metric.eval(g, h) is HORIZON for g, h in pairs] == [False] * (len(pairs) - 1) + [True]
+        assert _all_pairs_diameter(metric, pts) is HORIZON
+        assert MetricEvaluator.diameter(metric, pts) is HORIZON
+        assert metric.diameter(pts) is HORIZON
 
     def test_horizon_propagates(self):
         # Residues 0 and 4 of Z/9 are at quotient distance 4 > radius_cap.

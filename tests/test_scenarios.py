@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coarsegroups import scenarios
-from coarsegroups.groups import GroupSpec
+from coarsegroups.groups import GroupSpec, Heisenberg
 from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon, ladder_prefixes
 from coarsegroups.reporting import fmt, report_to_json, report_to_tsv
 from coarsegroups.scenarios import (
@@ -94,6 +94,21 @@ def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
     monkeypatch.setattr(scenarios, "Entry12Pseudometric", MaxEntryMetric)
     report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
     assert _invariance_observed(report) is False
+
+
+def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
+    # A wrong first coordinate of g^-1 h turns the invariance check, and only
+    # it, to FAIL: the ball, the axioms and the witnesses do not use translates.
+    def wrong_translates(self, g, hs):
+        a, b, c = g
+        return [(a + a2 + b * b2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
+
+    monkeypatch.setattr(Heisenberg, "translates", wrong_translates)
+    report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
+    assert _invariance_observed(report) is False
+    failed = [a.description for a in report.assertions if not a.passed]
+    assert failed == ["|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"]
+    assert len(report.assertions) == 4
 
 
 def _smith_rows_per_c(R):
