@@ -182,7 +182,7 @@ class MembershipVerdict:
     """Constructive cover verdict for a finite query set."""
 
     status: str  # "member" or "not-covered-at-depth"
-    depth_examined: int
+    depth_examined: int  # sets drawn: below depth if the stream ended or a cover came first
     cover: list[int] = field(default_factory=list)  # 1-based basis indices
     via_singleton_axiom: bool = False
 
@@ -200,23 +200,24 @@ def member(basis: BornologyBasis, query, depth: int) -> MembershipVerdict:
     """
     query = frozenset(query)
     if not query:
-        return MembershipVerdict(status="member", depth_examined=depth)
+        return MembershipVerdict(status="member", depth_examined=0)
     remaining = set(query)
     cover = []
-    for idx, b in enumerate(itertools.islice(basis.iter_sets(), depth), start=1):
+    drawn = 0
+    for drawn, b in enumerate(itertools.islice(basis.iter_sets(), depth), start=1):
         gained = remaining & b
         if gained:
-            cover.append(idx)
+            cover.append(drawn)
             remaining -= gained
         if not remaining:
             return MembershipVerdict(
-                status="member", depth_examined=depth, cover=cover
+                status="member", depth_examined=drawn, cover=cover
             )
     if len(query) == 1:
         return MembershipVerdict(
-            status="member", depth_examined=depth, via_singleton_axiom=True
+            status="member", depth_examined=drawn, via_singleton_axiom=True
         )
-    return MembershipVerdict(status="not-covered-at-depth", depth_examined=depth)
+    return MembershipVerdict(status="not-covered-at-depth", depth_examined=drawn)
 
 
 def member_depth(basis: BornologyBasis, query, depth_cap: int):

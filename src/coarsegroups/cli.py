@@ -2,6 +2,11 @@
 
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 configuration or
 parse errors, 3 resource budget exceeded.
+
+`main` may be called repeatedly in one process.  Calls share the argument
+parser and, for `member`, one basis per bornology and cap setting, at most
+`SHARED_BASES` of them; answers are byte-identical to a fresh process's.
+Word-norm tables are not shared: each `distance` call builds its own.
 """
 
 from __future__ import annotations
@@ -124,23 +129,49 @@ def parse_int_set(text: str) -> frozenset:
     raise ConfigError(f"cannot parse set {text!r}; use {{a,b,c}} or evens:lo..hi")
 
 
-def parse_bornology(text: str):
+# The most bases `parse_bornology` keeps at once; the least recently used
+# goes first.  The `queries` benchmark workload names six bornologies.
+SHARED_BASES = 8
+
+
+def bornology_description(text: str):
+    """`"minimal"`, or the tuple of frozen seeds that `text` names; textual
+    variants such as `geom:10,6` and `geom: 10, 6` give equal descriptions."""
     text = text.strip()
-    zspec = GroupSpec.free_abelian(1)
     if text == "minimal":
-        return MinimalBasis(zspec)
+        return "minimal"
     if text.startswith("geom:"):
         try:
             base, length = (int(p) for p in text[len("geom:"):].split(","))
-            seed = GeometricSeed(base, length)
+            return (GeometricSeed(base, length),)
         except ValueError as exc:
             raise ConfigError(f"bad bornology {text!r}: {exc}") from exc
-        return GeneratedBasis(zspec, [seed])
     if text.startswith("explicit:"):
-        return GeneratedBasis(zspec, [Explicit(tuple(sorted(parse_int_set(text[len("explicit:"):]))))])
+        return (Explicit(tuple(sorted(parse_int_set(text[len("explicit:"):])))),)
     raise ConfigError(
         f"unknown bornology {text!r}; use minimal, geom:base,length, or explicit:{{...}}"
     )
+
+
+@functools.lru_cache(maxsize=SHARED_BASES)
+def shared_basis(description, ball_cap: int, set_cap: int):
+    """The basis for a bornology description, built once and then extended by
+    every later query that names it under the same caps.
+
+    The caps only key the cache: the basis reads them from the environment
+    as it builds, so a level built under one cap never answers under
+    another.  A stream is deterministic and a level is committed only once
+    it is whole, so a shared basis answers exactly as a fresh one would.
+    """
+    zspec = GroupSpec.free_abelian(1)
+    if description == "minimal":
+        return MinimalBasis(zspec)
+    return GeneratedBasis(zspec, description)
+
+
+def parse_bornology(text: str):
+    """The process's shared basis for the bornology `text` names."""
+    return shared_basis(bornology_description(text), ball_size_cap(), set_size_cap())
 
 
 def check_caps() -> None:

@@ -313,6 +313,21 @@ class TestMember:
         assert verdict.is_member
         assert verdict.cover == [1, 2, 3]
 
+    @pytest.mark.parametrize(
+        "basis,query,depth,status,drawn",
+        [
+            # The stream ends after level 8: 1+0+2+2+2+3+5+6+8 = 29 sets.
+            (GeneratedBasis(Z, [Explicit(((0,),))]), [(5,), (6,)], 10**6, "not-covered-at-depth", 29),
+            (MinimalBasis(Z), [(0,), (50,)], 3, "not-covered-at-depth", 3),
+            (MinimalBasis(Z), [(0,), (1,), (-1,)], 40, "member", 3),
+            (GeneratedBasis(Z, [GeometricSeed(10, 2)]), [(77,)], 1, "member", 1),
+            (MinimalBasis(Z), [], 7, "member", 0),
+        ],
+    )
+    def test_depth_examined_counts_the_sets_drawn(self, basis, query, depth, status, drawn):
+        verdict = member(basis, query, depth)
+        assert (verdict.status, verdict.depth_examined) == (status, drawn)
+
     def test_member_depth_no_axiom(self):
         basis = MinimalBasis(Z)
         assert member_depth(basis, [(2,)], depth_cap=10) == 4

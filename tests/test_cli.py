@@ -1,5 +1,7 @@
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from coarsegroups import cli
+from coarsegroups.bornology import GeneratedBasis, GeometricSeed, MinimalBasis, member
 from coarsegroups.cli import (
     ConfigError,
     main,
+    parse_bornology,
     parse_element,
     parse_group,
     parse_int_set,
@@ -37,6 +41,14 @@ def run_cli_process(argv, **env):
         capture_output=True,
         text=True,
     )
+
+
+@pytest.fixture(autouse=True)
+def fresh_bases():
+    """Every test starts with no shared bornology bases."""
+    cli.shared_basis.cache_clear()
+    yield
+    cli.shared_basis.cache_clear()
 
 
 class TestParsers:
@@ -417,6 +429,13 @@ class TestMember:
         ) == 0
         assert "not covered at depth 3" in capsys.readouterr().out
 
+    def test_not_covered_names_the_sets_drawn(self, capsys):
+        # explicit:{0} streams 29 sets in all (levels 0-8 hold 1, 0, 2, 2,
+        # 2, 3, 5, 6, 8), so no deeper prefix was examined.
+        argv = ["member", "--bornology", "explicit:{0}", "--set", "{5,6}", "--depth", "1000000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "not covered at depth 29\n"
+
     def test_singleton_axiom(self, capsys):
         assert main(
             [
@@ -548,3 +567,79 @@ class TestReusedParser:
         ]
         assert in_process == fresh
         assert {rc for rc, _, _ in fresh} == {0, 2}
+
+
+class TestSharedBases:
+    """`main` shares one basis per bornology and cap setting across calls;
+    every answer must be the one a freshly built basis gives."""
+
+    BORNOLOGIES = ["geom:10,6", "geom:2,8", "geom:3,5", "geom:5,4", "geom:4,6", "minimal"]
+    SETS = ["{0,10,100}", "evens:0..50", "{1,2,3}", "{-3,7}", "{5}"]
+    DEPTHS = [1, 4, 17, 41]
+
+    @staticmethod
+    def fresh_answer(bornology, text, depth):
+        """The answer of a basis built for this query alone, printed as
+        `cmd_member` prints it."""
+        Z = GroupSpec.free_abelian(1)
+        if bornology == "minimal":
+            basis = MinimalBasis(Z)
+        else:
+            base, length = (int(p) for p in bornology[len("geom:"):].split(","))
+            basis = GeneratedBasis(Z, [GeometricSeed(base, length)])
+        query = parse_int_set(text)
+        verdict = member(basis, query, depth)
+        if not verdict.is_member:
+            return f"not covered at depth {verdict.depth_examined}\n"
+        if verdict.via_singleton_axiom:
+            return "member (singleton axiom)\n"
+        return f"member (cover indices: {', '.join(map(str, verdict.cover))})\n"
+
+    def test_same_answers_as_fresh_bases(self, capsys):
+        queries = list(itertools.product(self.BORNOLOGIES, self.SETS, self.DEPTHS))
+        random.Random(14).shuffle(queries)
+        for bornology, text, depth in queries:
+            argv = ["member", "--bornology", bornology, "--set", text, "--depth", str(depth)]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == self.fresh_answer(bornology, text, depth), (bornology, text, depth)
+        assert cli.shared_basis.cache_info().currsize == len(self.BORNOLOGIES)
+
+    def test_caps_are_in_the_key(self, capsys, monkeypatch):
+        # Depth 41 draws all of geom:10,6's levels 0-3.  The largest set of
+        # level 2 has 154 elements and of level 3 505, so a set cap of 200
+        # trips at level 3: a basis shared across caps would answer from
+        # the level built without a cap.
+        argv = ["member", "--bornology", "geom:10,6", "--set", "evens:0..50", "--depth", "41"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert first == self.fresh_answer("geom:10,6", "evens:0..50", 41)
+        monkeypatch.setenv("COARSE_SET_CAP", "200")
+        for _ in range(2):
+            # The failed level committed nothing, so the retry fails alike.
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("resource budget exceeded: set of ")
+        monkeypatch.delenv("COARSE_SET_CAP")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
+    def test_one_basis_per_bornology(self):
+        assert parse_bornology("geom:10,6") is parse_bornology(" geom: 10, 6 ")
+        assert parse_bornology("minimal") is parse_bornology("minimal")
+        assert parse_bornology("explicit:{2,4}") is parse_bornology("explicit:{4, 2}")
+        assert parse_bornology("geom:10,6") is not parse_bornology("geom:10,5")
+
+    def test_at_most_eight_bases(self):
+        texts = [f"geom:{base},3" for base in range(2, 11)]
+        assert len(texts) == 9
+        bases = [parse_bornology(text) for text in texts]
+        assert len({id(b) for b in bases}) == 9
+        assert cli.shared_basis.cache_info().currsize == cli.SHARED_BASES == 8
+
+    def test_parse_errors_cache_nothing(self):
+        for text in ["geom:1,6", "geom:10", "bogus", "explicit:{x}"]:
+            with pytest.raises(ConfigError):
+                parse_bornology(text)
+        assert cli.shared_basis.cache_info().currsize == 0
