@@ -4,9 +4,11 @@ Exit codes: 0 all assertions pass, 1 assertion failures, 2 configuration or
 parse errors, 3 resource budget exceeded.
 
 `main` may be called repeatedly in one process.  Calls share the argument
-parser and, for `member`, one basis per bornology and cap setting, at most
+parsers and, for `member`, one basis per bornology and cap setting, at most
 `SHARED_BASES` of them; answers are byte-identical to a fresh process's.
-Word-norm tables are not shared: each `distance` call builds its own.
+A command line that starts with a subcommand name is parsed by that
+subcommand's parser alone.  No `distance` call builds a word-norm table:
+every group the CLI names has a closed-form word distance.
 """
 
 from __future__ import annotations
@@ -292,43 +294,57 @@ def cmd_member(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and then shared by every `main`
-    call in the process; parsing keeps no state on it."""
+def build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The CLI's top-level parser and its subcommand parsers by name, built
+    on first use and then shared by every `main` call in the process;
+    parsing keeps no state on them."""
     parser = _Parser(
         prog="coarsegroups",
         description="Exact desk-scale computations in coarse geometry on groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    sub.add_parser("list", help="list registered scenarios").set_defaults(func=cmd_list)
+    def command(name, func, summary):
+        commands[name] = sub.add_parser(name, help=summary)
+        commands[name].set_defaults(func=func)
+        return commands[name]
 
-    run = sub.add_parser("run", help="run a scenario and emit its report")
+    command("list", cmd_list, "list registered scenarios")
+
+    run = command("run", cmd_run, "run a scenario and emit its report")
     run.add_argument("scenario", nargs="?", help="registered scenario name")
     run.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     run.add_argument("--config", help="JSON config file; --param flags override it")
     run.add_argument("--format", choices=("tsv", "json"), default="tsv")
     run.add_argument("--output", help="write the report to this path")
-    run.set_defaults(func=cmd_run)
 
-    dist = sub.add_parser("distance", help="evaluate a metric on two elements")
+    dist = command("distance", cmd_distance, "evaluate a metric on two elements")
     dist.add_argument("--group", required=True, help="Z, Z^n, Z/k, or heisenberg")
     dist.add_argument("--metric", required=True, help="word, maxentry, entry12, quotient:k")
     dist.add_argument("g")
     dist.add_argument("h")
-    dist.set_defaults(func=cmd_distance)
 
-    mem = sub.add_parser("member", help="semi-decide bornology membership")
+    mem = command("member", cmd_member, "semi-decide bornology membership")
     mem.add_argument("--bornology", required=True, help="minimal, geom:base,length, explicit:{...}")
     mem.add_argument("--set", required=True, help="{a,b,c} or evens:lo..hi")
     mem.add_argument("--depth", type=int, required=True)
-    mem.set_defaults(func=cmd_member)
-    return parser
+    return parser, commands
+
+
+def parse_args(argv):
+    """`argv` parsed by the subcommand parser that `argv[0]` names, which is
+    what the top-level parser would hand the rest of `argv` to; anything
+    else (no arguments, -h, an unknown command) by the top-level parser."""
+    parser, commands = build_parsers()
+    if argv and argv[0] in commands:
+        return commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         check_caps()
         return args.func(args)
     except (ConfigError, KeyError, OSError, json.JSONDecodeError) as exc:

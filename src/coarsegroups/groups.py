@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass, replace
@@ -224,10 +225,11 @@ class GroupSpec:
         """The word distance as one closed-form function of (g, h), or None.
 
         The function returns HORIZON for distances past `cap`.  Only the
-        standard generators of Z^n and of Z^n modulo the empty or a rank-1
-        lattice have one; the latter is Z/k, whose elements are 1-tuples.
-        Every other kind and generating set reads word distances off
-        `spheres()`.
+        standard generators have one: the unit vectors of Z^n and of Z^n
+        modulo the empty or a rank-1 lattice (the latter is Z/k, whose
+        elements are 1-tuples), and (1,0,0), (0,1,0) on the Heisenberg
+        group.  Every other kind and generating set reads word distances
+        off `spheres()`.
         """
         return None
 
@@ -353,6 +355,52 @@ class Heisenberg(GroupSpec):
     def translates(self, g, hs) -> list:
         a, b, c = g
         return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
+
+    def word_distance(self, cap: int):
+        if self.generating_set == ((1, 0, 0), (0, 1, 0)):
+            return _heisenberg_word_distance(cap)
+        return None
+
+
+def _heisenberg_word_distance(cap: int):
+    """The word distance of the generators (1,0,0), (0,1,0) on Heisenberg
+    triples, HORIZON past `cap` (S. Blachère, "Word distance on the discrete
+    Heisenberg group", Colloq. Math. 95 (2003)).
+
+    A word for (a, b, c) = g^-1 h is a lattice path from (0, 0) to (a, b)
+    with c the integral of x dy along it.  After the reflections
+    (a, b, c) -> (-a, b, -c) and (a, -b, -c), a >= 0 and b >= 0, and a
+    monotone path reaches exactly the c in [0, ab].  Otherwise, with c
+    replaced by ab - c when c < 0 so that c > ab, the distance is
+    a + b + 2k for the least k >= 1 with M(k) >= c, where M(k) is the
+    largest area of a rectangle of semi-perimeter a + b + k holding
+    [0, a] x [0, b]; M increases with k.
+    """
+
+    def dist(g, h):
+        # (a, b, c) = g^-1 h.
+        a, b = h[0] - g[0], h[1] - g[1]
+        c = h[2] - g[2] - g[0] * b
+        if a < 0:
+            a, c = -a, -c
+        if b < 0:
+            b, c = -b, -c
+        n = a + b
+        if not 0 <= c <= a * b:
+            if c < 0:
+                c = a * b - c
+            lo, hi = sorted((a, b))
+            # While k < hi - lo the rectangle is hi by lo + k, of area
+            # hi * (lo + k); from there on it is as square as its
+            # semi-perimeter s = n + k allows, of area floor(s^2 / 4) >= c
+            # exactly when s^2 >= 4c.
+            k = -(-c // hi) - lo if hi > lo else 0
+            if k >= hi - lo:
+                k = math.isqrt(4 * c - 1) + 1 - n
+            n += 2 * k
+        return n if n <= cap else HORIZON
+
+    return dist
 
 
 @dataclass(frozen=True)

@@ -371,11 +371,12 @@ class TestDistance:
         assert main(argv) == 0
         assert capsys.readouterr().out == "10\n"
 
-    def test_heisenberg_word_distance_still_reads_the_ball_cap(self, capsys, monkeypatch):
+    def test_heisenberg_word_distance_builds_no_ball(self, capsys, monkeypatch):
         monkeypatch.setenv("COARSE_BALL_CAP", "10")
-        argv = ["distance", "--group", "H", "--metric", "word", "(0,0,0)", "(2,2,0)"]
-        assert main(argv) == 3
-        assert "budget" in capsys.readouterr().err
+        argv = ["distance", "--group", "H", "--metric", "word", "(0,0,0)"]
+        for h, out in [("(2,2,0)", "4\n"), ("(0,0,256)", "64\n"), ("(0,0,257)", "HORIZON\n")]:
+            assert main([*argv, h]) == 0
+            assert capsys.readouterr() == (out, "")
 
     def test_maxentry(self, capsys):
         assert main(
@@ -643,3 +644,90 @@ class TestSharedBases:
             with pytest.raises(ConfigError):
                 parse_bornology(text)
         assert cli.shared_basis.cache_info().currsize == 0
+
+
+def _dispatch_sweep(config):
+    """Command lines for `TestSubcommandDispatch`: help at both levels, no
+    arguments, unknown commands, option abbreviations, `--opt=value`, `--`,
+    missing and extra positionals, repeated and non-integer options, and the
+    README's commands (`config` is a path to the README's JSON block)."""
+    sweep = [
+        [], ["-h"], ["--help"], ["--he"], ["-x"], ["--"], ["frobnicate"], ["dist"],
+        ["-h", "distance"], ["--", "distance"], ["list"], ["list", "-h"], ["list", "--bogus"],
+        ["list", "extra"], ["list", "--"], ["run", "-h"], ["run"], ["run", "nope"],
+        ["run", "powers_of_ten", "--form", "json"], ["run", "powers_of_ten", "--format", "xml"],
+        ["run", "--param"], ["run", "smith_uniqueness_probe", "--param", "R=8", "--param", "R=9"],
+        ["run", "heisenberg_separation", "--param", "N=20", "--format", "json"],
+        ["run", "--config", config, "--format", "tsv"],
+        ["distance", "--group", "H", "--metric", "maxentry", "(7,0,1)", "(8,1,1)"],
+        ["distance", "--group", "Z", "--metric", "quotient:5", "0", "3"],
+        ["distance", "--group", "Z/7", "--metric", "word", "2", "12 mod 7"],
+        ["distance", "--group", "H", "--metric", "word", "(0,0,0)", "(0,0,256)"],
+        ["distance", "-h"], ["distance", "--h"], ["distance", "--group", "Z", "-h", "0"],
+    ]
+    for flag in ["--group", "--grou", "--gr", "--g"]:
+        sweep.append(["distance", flag, "Z^2", "--metric", "word", "(0,0)", "(5,-3)"])
+    for group, g, h in [("Z", "-3", "5"), ("H", "(0,0,0)", "(1,1,0)"), ("Z", "--", "5")]:
+        word = ["--metric", "word"]
+        sweep += [
+            ["distance", "--group", group, *word, g, h],
+            ["distance", f"--group={group}", "--metric=word", g, h],
+            ["distance", "--group", group, *word, "--", g, h],
+            ["distance", g, h, *word, "--group", group],
+            ["distance", "--group", group, *word, g],
+            ["distance", "--group", group, *word, g, h, "extra"],
+            ["distance", "--group", group, *word, g, h, "--bogus"],
+            ["distance", "--group", "Z/7", "--group", group, *word, g, h],
+            ["distance", *word, g, h],
+        ]
+    for bornology, query, depth in [
+        ("geom:10,6", "{0,10,100}", "1"),
+        ("geom:10,6", "evens:0..50", "3"),
+        ("minimal", "{0}", "0"),
+    ]:
+        flags = ["--bornology", bornology, "--set", query]
+        sweep += [
+            ["member", *flags, "--depth", depth],
+            ["member", *flags, "--depth", depth, "--depth", "2"],
+            ["member", *flags, "--depth", "x"],
+            ["member", *flags],
+            ["member", *flags, "--depth", depth, "extra"],
+            ["member", "--born", bornology, "--se", query, "--dep", depth],
+            ["member", f"--bornology={bornology}", f"--set={query}", f"--depth={depth}"],
+            ["member", "--depth", "-3", *flags],
+            ["member", *flags, "--depth", depth, "--", "x"],
+        ]
+    return sweep
+
+
+class TestSubcommandDispatch:
+    """`main` parses a command line that starts with a subcommand name with
+    that subcommand's parser; everything else goes through the top-level one."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """(exit code, stdout, stderr) of `main(argv)`; help exits are
+        ("exit", code)."""
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        return (rc, *capsys.readouterr())
+
+    def test_same_outcome_as_the_top_level_parser(self, capsys, monkeypatch, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"scenario": "heisenberg_separation", "parameters": {"N": 20}}')
+        sweep = _dispatch_sweep(str(config))
+        direct = [self.outcome(capsys, argv) for argv in sweep]
+        monkeypatch.setattr(cli, "parse_args", cli.build_parsers()[0].parse_args)
+        via_top = [self.outcome(capsys, argv) for argv in sweep]
+        for argv, a, b in zip(sweep, direct, via_top):
+            assert a == b, argv
+        assert {rc for rc, _, _ in direct} == {0, 2, ("exit", 0)}
+
+    def test_named_subcommands_skip_the_top_level_parser(self, capsys, monkeypatch):
+        top = cli.build_parsers()[0]
+        monkeypatch.setattr(top, "parse_args", lambda argv: pytest.fail(f"parsed {argv}"))
+        assert main(["distance", "--group", "Z", "--metric", "word", "0", "3"]) == 0
+        assert main(["member", "--bornology", "minimal", "--set", "{0}", "--depth", "1"]) == 0
+        assert capsys.readouterr().out == "3\nmember (cover indices: 1)\n"

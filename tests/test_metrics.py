@@ -353,6 +353,7 @@ def _assert_word_metric_matches_bfs(spec, r):
 
 
 STANDARD = {f"Z^{n}": GroupSpec.free_abelian(n) for n in (1, 2, 3)}
+STANDARD["H"] = H
 STANDARD.update({f"Z/{k}": GroupSpec.cyclic(k) for k in range(2, 10)})
 STANDARD.update(
     {f"Z/<{k}>": QuotientWordMetric(1, [(k,)]).quotient for k in (*range(2, 10), *range(-9, -1))}
@@ -364,7 +365,7 @@ FALLBACK = {
     "Z^2{e2,e1}": GroupSpec.free_abelian(2, generators=((0, 1), (1, 0))),
     "Z/<7>{2}": GroupSpec.quotient_by_lattice(1, [(7,)], generators=((2,),)),
     "Z^2/<(3,1),(0,4)>": GroupSpec.quotient_by_lattice(2, [(3, 1), (0, 4)]),
-    "H": H,
+    "H{e2,e1}": GroupSpec.heisenberg(generators=((0, 1, 0), (1, 0, 0))),
     "ZxZ/3": GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
 }
 
@@ -423,8 +424,13 @@ class TestClosedFormWordDistance:
             (GroupSpec.free_abelian(3), lambda n: (n - n // 2, 0, -(n // 2))),
             (GroupSpec.cyclic(13), lambda n: (-n % 13,)),
             (QuotientWordMetric(1, [(13,)]).quotient, lambda n: (n,)),
+            (H, lambda n: (n - n // 2, -(n // 2), 0)),
+            # The largest c that a word of length n reaches.
+            (H, lambda n: (n // 2, n - n // 2, (n // 2) * (n - n // 2))),
+            # (0, 0, c) has length 2 * ceil(2 * sqrt(c)) for c > 0.
+            (H, lambda n: (0, 0, -(n * n // 16)) if n >= 4 and n % 2 == 0 else (0, -n, 0)),
         ],
-        ids=["Z", "Z3", "Z/13", "Z/<13>"],
+        ids=["Z", "Z3", "Z/13", "Z/<13>", "H", "H-corner", "H-center"],
     )
     def test_horizon_exactly_past_the_cap(self, spec, at, cap):
         wm = WordMetric(spec, radius_cap=cap)
@@ -437,6 +443,78 @@ class TestClosedFormWordDistance:
     def test_other_generating_sets_fall_back_to_bfs(self, spec):
         assert spec.word_distance(64) is None
         _assert_word_metric_matches_bfs(spec, r=3)
+
+
+BIG = 10**40
+# Integers near 0 and near +-10**40.
+big_ints = st.one_of(
+    *(st.integers(centre - 10**6, centre + 10**6) for centre in (-BIG, 0, BIG))
+)
+
+
+@st.composite
+def big_triples(draw):
+    """Heisenberg triples with coordinates near 0 and 10**40, and c on both
+    sides of [0, ab], where the length is a + b."""
+    a, b = draw(big_ints), draw(big_ints)
+    return (a, b, draw(st.sampled_from([-1, 0, 1, 2])) * a * b + draw(big_ints))
+
+
+class TestHeisenbergWordDistance:
+    """The closed-form Heisenberg word distance: the BFS spheres, then the
+    symmetries of the word length far past any ball."""
+
+    length = staticmethod(H.word_distance(10**1000))
+
+    def test_sphere_index_up_to_radius_twenty(self):
+        # Every element of the 20-ball has its sphere index as its length,
+        # and no other element of a box around that ball has length <= 20.
+        r, e = 20, H.identity()
+        ball = set()
+        for n, sphere in enumerate(itertools.islice(H.spheres(), r + 1)):
+            assert [self.length(e, g) for g in sphere] == [n] * len(sphere), n
+            ball.update(sphere)
+        side = range(-r - 1, r + 2)
+        box = itertools.product(side, side, range(-r * r // 2, r * r // 2 + 1))
+        assert {g for g in box if self.length(e, g) <= r} == ball
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_triples())
+    def test_symmetries(self, g):
+        a, b, c = g
+        e = H.identity()
+        n = self.length(e, g)
+        assert self.length(e, (-a, b, -c)) == n
+        assert self.length(e, (a, -b, -c)) == n
+        assert self.length(e, (b, a, a * b - c)) == n
+        assert self.length(e, H.inv(g)) == n
+        assert self.length(g, e) == n
+
+    @settings(max_examples=300, deadline=None)
+    @given(big_triples())
+    def test_each_generator_moves_one_step(self, g):
+        # On the Cayley graph a length with these two properties and 0 only
+        # at e is the word length.
+        e = H.identity()
+        n = self.length(e, g)
+        steps = [self.length(e, H.mul(g, s)) for s in H.symmetric_generators()]
+        assert [abs(m - n) for m in steps] == [1] * 4, (n, steps)
+        assert (n - 1 in steps) == (g != e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(big_triples(), big_triples(), big_triples())
+    def test_left_invariance(self, x, g, h):
+        assert self.length(H.mul(x, g), H.mul(x, h)) == self.length(g, h)
+
+    def test_centre(self):
+        e = H.identity()
+        assert self.length(e, (0, 0, BIG)) == 4 * 10**20
+        assert self.length(e, (0, 0, -BIG - 1)) == 4 * 10**20 + 2
+        # Past the range of a float.
+        assert self.length(e, (0, 0, 10**400)) == 4 * 10**200
+        wm = WordMetric(H)
+        assert wm.eval(e, (0, 0, 256)) == wm.eval((0, 0, -256), e) == 64
+        assert wm.eval(e, (0, 0, 257)) is HORIZON
 
 
 class TestMetricAxioms:
