@@ -10,21 +10,19 @@ is drawn, and membership draws only until it has an answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections.abc import Iterator
 
-from .groups import GroupSpec, check_set_size
+from .groups import GroupSpec, _Value, check_set_size, set_size_cap
 from .metrics import HORIZON, MetricEvaluator
 
 
 # -- seed descriptors -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Explicit:
-    """An explicit finite seed set."""
+class Explicit(_Value):
+    """An explicit finite seed set, compared by its `elements` tuple."""
 
-    elements: tuple
+    __slots__ = ("elements",)
 
     def materialize(self, spec: GroupSpec) -> frozenset:
         for g in self.elements:
@@ -32,14 +30,13 @@ class Explicit:
         return frozenset(self.elements)
 
 
-@dataclass(frozen=True)
-class GeometricSeed:
+class GeometricSeed(_Value):
     """{0, b, b^2, ..., b^L} inside the integers, truncated at length L."""
 
-    base: int
-    length_cap: int
+    __slots__ = ("base", "length_cap")
 
-    def __post_init__(self):
+    def __init__(self, base: int, length_cap: int):
+        super().__init__(base, length_cap)
         if self.base < 2:
             raise ValueError("base must be at least 2")
         if self.length_cap < 1:
@@ -134,8 +131,7 @@ class GeneratedBasis(BornologyBasis):
         self._levels: list[list[frozenset]] = []
         self._known: set[frozenset] = set()
 
-    def _admit(self, bucket: dict, s) -> None:
-        s = _capped(s)
+    def _admit(self, bucket: dict, s: frozenset) -> None:
         if s and s not in self._known and s not in bucket:
             bucket[s] = None
 
@@ -146,23 +142,23 @@ class GeneratedBasis(BornologyBasis):
         bucket: dict[frozenset, None] = {}
         if n == 0:
             for seed in self.seeds:
-                self._admit(bucket, seed.materialize(self.spec))
+                self._admit(bucket, _capped(seed.materialize(self.spec)))
             for seed in list(bucket):
-                self._admit(bucket, {inv(x) for x in seed})
+                self._admit(bucket, _capped({inv(x) for x in seed}))
         else:
             for g in itertools.islice(self.spec.sphere_stream(), n - 1, n):
-                self._admit(bucket, {g})
-                self._admit(bucket, {inv(g)})
+                self._admit(bucket, _capped({g}))
+                self._admit(bucket, _capped({inv(g)}))
             for s in self._levels[n - 1]:
-                self._admit(bucket, {inv(x) for x in s})
-            product_set = self.spec.product_set
+                self._admit(bucket, _capped({inv(x) for x in s}))
+            product_set, cap = self.spec.product_set, set_size_cap()
             for i in range(n):
                 j = n - 1 - i
                 for ia, a in enumerate(self._levels[i]):
                     for ib, b in enumerate(self._levels[j]):
                         if i < j or (i == j and ia < ib):
-                            self._admit(bucket, a | b)
-                        self._admit(bucket, product_set(a, b))
+                            self._admit(bucket, _capped(a | b))
+                        self._admit(bucket, frozenset(product_set(a, b, cap)))
         level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
         self._known.update(level)
         self._levels.append(level)
@@ -177,14 +173,15 @@ class GeneratedBasis(BornologyBasis):
 # -- membership -------------------------------------------------------
 
 
-@dataclass
 class MembershipVerdict:
     """Constructive cover verdict for a finite query set."""
 
-    status: str  # "member" or "not-covered-at-depth"
-    depth_examined: int  # sets drawn: below depth if the stream ended or a cover came first
-    cover: list[int] = field(default_factory=list)  # 1-based basis indices
-    via_singleton_axiom: bool = False
+    def __init__(self, status: str, depth_examined: int, cover=None, via_singleton_axiom=False):
+        self.status = status  # "member" or "not-covered-at-depth"
+        # Sets drawn: below depth if the stream ended or a cover came first.
+        self.depth_examined = depth_examined
+        self.cover = [] if cover is None else cover  # 1-based basis indices
+        self.via_singleton_axiom = via_singleton_axiom
 
     @property
     def is_member(self) -> bool:
@@ -256,7 +253,7 @@ class ChainMetric(MetricEvaluator):
     def _level(self, n: int) -> frozenset:
         while len(self._chain) <= n:
             k = len(self._chain)
-            inv = self.spec.inv
+            inv, cap = self.spec.inv, set_size_cap()
             sym = {self.spec.identity()}
             for b in self.basis.sets(k):
                 sym |= b
@@ -264,7 +261,7 @@ class ChainMetric(MetricEvaluator):
             sym = frozenset(sym)
             power = sym
             for _ in range(k - 1):
-                power = _capped(self.spec.product_set(power, sym))
+                power = frozenset(self.spec.product_set(power, sym, cap))
             self._chain.append(power)
         return self._chain[n]
 

@@ -8,11 +8,10 @@ growing trend of per-index observed quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .bornology import BornologyBasis, member_depth
-from .groups import GroupSpec
+from .groups import GroupSpec, _Value
 from .metrics import (
     HORIZON,
     MetricEvaluator,
@@ -22,13 +21,15 @@ from .metrics import (
 )
 
 
-@dataclass(frozen=True)
-class Entourage:
-    pairs: frozenset
+class Entourage(_Value):
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: frozenset):  # one per probed index: skip the generic field loop
+        object.__setattr__(self, "pairs", pairs)
 
     @staticmethod
     def of(pairs) -> "Entourage":
-        return Entourage(pairs=frozenset(tuple(p) for p in pairs))
+        return Entourage(frozenset(tuple(p) for p in pairs))
 
     def __iter__(self):
         return iter(sorted(self.pairs))
@@ -56,13 +57,13 @@ def translate(spec: GroupSpec, g, e: Entourage) -> Entourage:
     return Entourage(frozenset((spec.mul(g, x), spec.mul(g, y)) for x, y in e.pairs))
 
 
-@dataclass(frozen=True)
 class EntourageFamily:
     """A pure indexed sequence of entourages, probed at horizons."""
 
-    index_cap: int
-    generator: Callable[[int], Entourage]
-    name: str = ""
+    def __init__(self, index_cap: int, generator: Callable[[int], Entourage], name: str = ""):
+        self.index_cap = index_cap
+        self.generator = generator
+        self.name = name
 
     def at(self, n: int) -> Entourage:
         if not 1 <= n <= self.index_cap:
@@ -80,11 +81,11 @@ class Structure:
         raise NotImplementedError
 
 
-@dataclass
 class BoundedByMetric(Structure):
     """Controlled = uniformly bounded distance; observed = max distance."""
 
-    metric: MetricEvaluator
+    def __init__(self, metric: MetricEvaluator):
+        self.metric = metric
 
     def value_of(self, e: Entourage):
         best = 0
@@ -97,23 +98,23 @@ class BoundedByMetric(Structure):
         return best
 
 
-@dataclass
 class LeftBornological(Structure):
     """Controlled = left shadow bounded; observed = cover depth of shadow."""
 
-    basis: BornologyBasis
-    depth_cap: int = 16
+    def __init__(self, basis: BornologyBasis, depth_cap: int = 16):
+        self.basis = basis
+        self.depth_cap = depth_cap
 
     def value_of(self, e: Entourage):
         shadow = left_shadow(self.basis.spec, e)
         return member_depth(self.basis, shadow, self.depth_cap)
 
 
-@dataclass
 class ControlledVerdict:
-    structure: str
-    per_index: list  # (index, observed quantity or None on depth overflow)
-    trend: str
+    def __init__(self, structure: str, per_index: list, trend: str):
+        self.structure = structure
+        self.per_index = per_index  # (index, observed quantity or None on depth overflow)
+        self.trend = trend
 
 
 def _ladder_verdict(structure: Structure, entourages) -> ControlledVerdict:
@@ -144,12 +145,12 @@ def controlled_probe(
 # -- finite-set boundedness ------------------------------------------
 
 
-@dataclass
 class BoundedSetReport:
-    diam: object
-    radii: dict
-    two_sided_ok: bool
-    horizon_hit: bool = False
+    def __init__(self, diam, radii: dict, two_sided_ok: bool, horizon_hit: bool = False):
+        self.diam = diam
+        self.radii = radii
+        self.two_sided_ok = two_sided_ok
+        self.horizon_hit = horizon_hit
 
 
 def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
@@ -182,11 +183,11 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
 # -- map probes -------------------------------------------------------
 
 
-@dataclass
 class CoarseMapReport:
-    bornologous_ok: bool
-    proper_ok: bool
-    witnesses: list = field(default_factory=list)
+    def __init__(self, bornologous_ok: bool, proper_ok: bool, witnesses: list):
+        self.bornologous_ok = bornologous_ok
+        self.proper_ok = proper_ok
+        self.witnesses = witnesses
 
 
 def coarse_map_probe(

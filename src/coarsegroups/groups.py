@@ -14,11 +14,16 @@ encodings are canonical: equal group elements have identical payloads, so
 natural tuple order is the one element order.
 
 Besides `mul`, every kind answers two set-at-a-time hooks: `translates(g,
-hs)`, the list [g*h for h in hs], and `product_set(a, b)`, the set {x*y : x
-in a, y in b}.  Generated bornologies and chain metrics build their sets
+hs)`, the list [g*h for h in hs], and `product_set(a, b, cap)`, the set
+{x*y : x in a, y in b}, which raises once it holds more than `cap`
+elements.  Generated bornologies and chain metrics build their sets
 through `product_set`.  `Heisenberg` overrides `translates` with its law
 unpacked, and `FreeAbelian` of rank 1 overrides `product_set` with plain
 int sums; every other kind inherits the bodies built on `mul`.
+
+Specs are values (base `_Value`): equal, and hashing alike, when of one
+kind with equal fields, as `cyclic(7)` and `quotient_by_lattice(1, [(7,)])`,
+and never changed once built.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass, replace
-from typing import ClassVar, Iterator
+from collections.abc import Iterator
 
 
 class BudgetExceededError(RuntimeError):
@@ -57,6 +61,52 @@ def check_set_size(size: int) -> None:
     cap = set_size_cap()
     if size > cap:
         raise BudgetExceededError(f"set of {size} elements exceeded size cap {cap}")
+
+
+def _union_rows(rows, cap: int) -> set:
+    """The union of the lists `rows`, checked against `cap` after each row."""
+    out = set()
+    for row in rows:
+        out.update(row)
+        if len(out) > cap:
+            raise BudgetExceededError(f"set of {len(out)} elements exceeded size cap {cap}")
+    return out
+
+
+class _Value:
+    """A record equal to one of its own class with equal fields, hashed as the
+    tuple of its fields: the `__slots__` of its classes, base first, which
+    the constructor takes in that order.  A record never changes: setting or
+    deleting a field raises AttributeError, so a record that keys a set or a
+    cache keeps its hash."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} field {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, not setattr.
+        return type(self), self._key()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def shell_key(g) -> tuple:
@@ -143,9 +193,12 @@ def _l1_distance(cap: int):
     return dist
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(_Value):
     """A concrete finitely generated group with a fixed generating set.
+
+    A spec is a value: specs of one kind with equal fields (generating set,
+    and the rank, factors or lattice rows of the kind) are equal and hash
+    alike, and setting a field raises AttributeError.
 
     Every element is a tuple of `rank` ints, on every kind.  The base class
     defines identity(), check_element(g) (TypeError unless g is an
@@ -156,7 +209,7 @@ class GroupSpec:
     and a direct product also narrow check_element and box.
 
     The set-at-a-time law has two hooks: translates(g, hs) and
-    product_set(a, b).  The base bodies call `mul` once per pair;
+    product_set(a, b, cap).  The base bodies call `mul` once per pair;
     `Heisenberg` overrides translates and `FreeAbelian` of rank 1
     overrides product_set, each without a method call per pair.
 
@@ -165,9 +218,9 @@ class GroupSpec:
     size cap of balls, boxes and streams.
     """
 
-    generating_set: tuple
+    __slots__ = ("generating_set",)
     # The number of integer coordinates of an element; each kind sets it.
-    rank: ClassVar[int]
+    rank: int
 
     # -- constructors -------------------------------------------------
 
@@ -176,7 +229,7 @@ class GroupSpec:
         if rank < 1:
             raise ValueError("rank must be positive")
         gens = generators if generators is not None else _units(rank)
-        return FreeAbelian(generating_set=tuple(gens), rank=rank)
+        return FreeAbelian(tuple(gens), rank)
 
     @staticmethod
     def cyclic(modulus: int, generators: tuple | None = None) -> "GroupSpec":
@@ -188,7 +241,7 @@ class GroupSpec:
     @staticmethod
     def heisenberg(generators: tuple | None = None) -> "GroupSpec":
         gens = generators if generators is not None else ((1, 0, 0), (0, 1, 0))
-        return Heisenberg(generating_set=tuple(gens))
+        return Heisenberg(tuple(gens))
 
     @staticmethod
     def direct_product(left: "GroupSpec", right: "GroupSpec") -> "GroupSpec":
@@ -196,9 +249,7 @@ class GroupSpec:
         gens = tuple(g + re for g in left.generating_set) + tuple(
             le + g for g in right.generating_set
         )
-        return DirectProduct(
-            generating_set=gens, factors=(left, right), rank=left.rank + right.rank
-        )
+        return DirectProduct(gens, (left, right), left.rank + right.rank)
 
     @staticmethod
     def quotient_by_lattice(
@@ -216,10 +267,10 @@ class GroupSpec:
             (next(j for j, x in enumerate(row) if x != 0), tuple(row))
             for row in hermite_rows(lattice)
         )
-        spec = QuotientByLattice(generating_set=(), pivot_rows=pivot_rows, rank=rank)
         if generators is None:
-            generators = tuple(spec._reduce(u) for u in _units(rank))
-        return replace(spec, generating_set=tuple(generators))
+            reduce = QuotientByLattice((), pivot_rows, rank)._reduce
+            generators = tuple(reduce(u) for u in _units(rank))
+        return QuotientByLattice(tuple(generators), pivot_rows, rank)
 
     def word_distance(self, cap: int):
         """The word distance as one closed-form function of (g, h), or None.
@@ -254,9 +305,11 @@ class GroupSpec:
         mul = self.mul
         return [mul(g, h) for h in hs]
 
-    def product_set(self, a, b) -> set:
-        """{x*y : x in a, y in b}."""
-        return {p for x in a for p in self.translates(x, b)}
+    def product_set(self, a, b, cap: int) -> set:
+        """{x*y : x in a, y in b}; past `cap` elements, raises after one row x*b."""
+        if len(a) * len(b) <= cap:
+            return {p for x in a for p in self.translates(x, b)}
+        return _union_rows((self.translates(x, b) for x in a), cap)
 
     def symmetric_generators(self) -> tuple:
         """Each generator followed by its inverse, first occurrences only."""
@@ -315,9 +368,8 @@ class GroupSpec:
             yield from sorted(sphere, key=shell_key)
 
 
-@dataclass(frozen=True)
 class FreeAbelian(GroupSpec):
-    rank: int
+    __slots__ = ("rank",)
     kind = "free-abelian"
 
     def mul(self, g, h):
@@ -326,11 +378,13 @@ class FreeAbelian(GroupSpec):
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
-    def product_set(self, a, b) -> set:
+    def product_set(self, a, b, cap: int) -> set:
         if self.rank != 1:
-            return super().product_set(a, b)
+            return super().product_set(a, b, cap)
         ys = [y for (y,) in b]
-        return {(x + y,) for (x,) in a for y in ys}
+        if len(a) * len(ys) <= cap:
+            return {(x + y,) for (x,) in a for y in ys}
+        return _union_rows(([(x + y,) for y in ys] for (x,) in a), cap)
 
     def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
@@ -338,8 +392,8 @@ class FreeAbelian(GroupSpec):
         return None
 
 
-@dataclass(frozen=True)
 class Heisenberg(GroupSpec):
+    __slots__ = ()
     rank = 3
     kind = "heisenberg"
 
@@ -403,12 +457,10 @@ def _heisenberg_word_distance(cap: int):
     return dist
 
 
-@dataclass(frozen=True)
 class DirectProduct(GroupSpec):
     """The left factor's coordinates followed by the right factor's."""
 
-    factors: tuple[GroupSpec, GroupSpec]
-    rank: int
+    __slots__ = ("factors", "rank")
     kind = "direct-product"
 
     def check_element(self, g) -> None:
@@ -437,13 +489,11 @@ class DirectProduct(GroupSpec):
         return [a + b for a in left for b in right]
 
 
-@dataclass(frozen=True)
 class QuotientByLattice(GroupSpec):
     """Z^rank modulo a lattice, given by the (pivot column, row) pairs of
     the lattice's Hermite normal form."""
 
-    pivot_rows: tuple[tuple[int, tuple[int, ...]], ...]
-    rank: int
+    __slots__ = ("pivot_rows", "rank")
     kind = "quotient-by-lattice"
 
     def _reduce(self, vec: tuple) -> tuple:

@@ -194,15 +194,16 @@ class WordMetric(InducedMetric):
     """Cayley-graph distance for a fixed generating set.
 
     Where the group kind has a closed form for its generating set
-    (`GroupSpec.word_distance`), `eval` is that function, bound once;
-    otherwise it reads the breadth-first `WordNorm` table.
+    (`GroupSpec.word_distance`), `eval` is that function and no table is
+    built; otherwise `InducedMetric` reads the breadth-first `WordNorm` table.
     """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
-        super().__init__(WordNorm(spec, radius_cap=radius_cap))
         closed = spec.word_distance(radius_cap)
-        if closed is not None:
-            self.eval = closed
+        if closed is None:
+            super().__init__(WordNorm(spec, radius_cap=radius_cap))
+        else:
+            self.spec, self.radius_cap, self.eval = spec, radius_cap, closed
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.

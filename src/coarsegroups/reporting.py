@@ -7,10 +7,16 @@ the in-memory record but excluded from the emitted formats.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import sys
 
 from .metrics import is_horizon
 from .scenarios import ScenarioReport
+
+
+def _is_fraction(value) -> bool:
+    """isinstance(value, Fraction), without importing the `fractions` a Fraction needs."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def fmt(value) -> str:
@@ -23,8 +29,6 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
     if isinstance(value, frozenset):
         return "{" + ", ".join(fmt(v) for v in sorted(value)) + "}"
     if isinstance(value, (tuple, list)):
@@ -35,9 +39,7 @@ def fmt(value) -> str:
 def _jsonable(value):
     if is_horizon(value):
         return "HORIZON"
-    if isinstance(value, Fraction):
-        return fmt(value)
-    if isinstance(value, (tuple, frozenset)):
+    if _is_fraction(value) or isinstance(value, (tuple, frozenset)):
         return fmt(value)
     if isinstance(value, list):
         return [_jsonable(v) for v in value]

@@ -7,11 +7,9 @@ the underlying statement quantifies over the whole group.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from .bornology import (
     GeneratedBasis,
@@ -47,26 +45,26 @@ TRIVIAL = "TRIVIAL"
 DERIVED = "DERIVED"
 
 
-@dataclass
 class Assertion:
-    description: str
-    expected: object
-    observed: object
-    provenance: str
+    def __init__(self, description: str, expected, observed, provenance: str):
+        self.description = description
+        self.expected = expected
+        self.observed = observed
+        self.provenance = provenance
 
     @property
     def passed(self) -> bool:
         return self.expected == self.observed
 
 
-@dataclass
 class ScenarioReport:
-    name: str
-    parameters: dict
-    rows: list = field(default_factory=list)
-    assertions: list = field(default_factory=list)
-    truncations: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    def __init__(self, name: str, parameters: dict):
+        self.name = name
+        self.parameters = parameters
+        self.rows: list = []
+        self.assertions: list = []
+        self.truncations: dict = {}
+        self.wall_time = 0.0
 
     def check(self, description, expected, observed, provenance):
         self.assertions.append(Assertion(description, expected, observed, provenance))
@@ -486,11 +484,13 @@ def scenario_params(name: str) -> dict:
     """Parameter names and defaults of a registered scenario, in order.
 
     A scenario is a function `(report, **params)` whose parameters after
-    the report all have defaults; its signature is the only schema, and
-    each value has the type of its default.
+    the report all have defaults; its signature, read off its code object,
+    is the only schema, and each value has the type of its default.
     """
-    params = list(inspect.signature(SCENARIOS[name]).parameters.values())[1:]
-    return {p.name: p.default for p in params}
+    f = SCENARIOS[name]
+    defaults = f.__defaults__ or ()
+    names = f.__code__.co_varnames[: f.__code__.co_argcount]
+    return dict(zip(names[len(names) - len(defaults) :], defaults))
 
 
 def run_scenario(name: str, **params) -> ScenarioReport:

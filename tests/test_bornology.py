@@ -17,7 +17,7 @@ from coarsegroups.bornology import (
     member_depth,
     metric_from_basis,
 )
-from coarsegroups.groups import BudgetExceededError, GroupSpec
+from coarsegroups.groups import BudgetExceededError, FreeAbelian, GroupSpec
 from coarsegroups.metrics import MaxEntryMetric, MetricEvaluator, WordMetric, is_horizon
 
 from oracles import heis_max_entry_norm
@@ -41,9 +41,10 @@ def sym_power(spec, base, n):
 def mul_product_sets():
     """Inside the block, every kind's `product_set` is the pairwise `mul`
     comprehension that built generated levels and chain levels before the
-    hook existed."""
+    hook existed.  The cap is not read: these blocks build under the
+    default caps, which no product reaches."""
 
-    def product_set(self, a, b):
+    def product_set(self, a, b, cap):
         return {self.mul(x, y) for x in a for y in b}
 
     with pytest.MonkeyPatch.context() as m:
@@ -51,6 +52,31 @@ def mul_product_sets():
             if "product_set" in vars(cls):
                 m.setattr(cls, "product_set", product_set)
         yield
+
+
+@contextlib.contextmanager
+def counted_product_rows():
+    """Inside the block, each call of the rank-1 `FreeAbelian.product_set`
+    appends a list to the yielded list, and each row x*b that the call
+    iterates to appends len(b) to that call's list."""
+    calls = []
+    product_set = FreeAbelian.product_set
+
+    def counted(spec, a, b, cap):
+        rows = []
+        calls.append(rows)
+
+        class CountedRows(frozenset):
+            def __iter__(self):
+                for x in frozenset.__iter__(self):
+                    rows.append(len(b))
+                    yield x
+
+        return product_set(spec, CountedRows(a), b, cap)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(FreeAbelian, "product_set", counted)
+        yield calls
 
 
 class TestSeeds:
@@ -265,6 +291,34 @@ class TestStreams:
         monkeypatch.delenv("COARSE_SET_CAP")
         assert basis.sets(40) == GeneratedBasis(Z, seeds, depth_cap=3).sets(40)
 
+    def test_generated_level_stops_building_at_the_set_cap(self, monkeypatch):
+        # Level 1's product seed * seed holds 4,952 of its 10,000 sums, past
+        # a set cap of 100.
+        monkeypatch.setenv("COARSE_SET_CAP", "100")
+        basis = GeneratedBasis(Z, [GeometricSeed(2, 99)])
+        with counted_product_rows() as calls, pytest.raises(BudgetExceededError):
+            basis.sets(10**6)
+        assert len(basis._levels) == 1
+        assert calls == [[100, 100]]
+
+    def test_generated_level_reads_the_set_cap_once_for_its_products(self, monkeypatch):
+        # Level 0 is the seed and its inverse, so level 1 admits 2 singletons,
+        # 2 inverses, 1 union and 4 products.  The products share the one cap
+        # read of the level; only the other five sets are checked one by one.
+        reads = []
+
+        def env_cap(name):
+            reads.append(name)
+            return 10**6
+
+        monkeypatch.setattr("coarsegroups.groups._env_cap", env_cap)
+        basis = GeneratedBasis(Z, [GeometricSeed(10, 3)])
+        assert len(basis.sets(2)) == 2 and len(basis._levels) == 1
+        reads.clear()
+        basis.sets(3)
+        assert len(basis._levels) == 2
+        assert reads.count("COARSE_SET_CAP") == 1 + 5
+
     # The five `geom:b,L` bornologies of the `queries` benchmark workload.
     @pytest.mark.parametrize("base,length", [(10, 6), (2, 8), (3, 5), (5, 4), (4, 6)])
     def test_generated_levels_match_the_mul_comprehension(self, base, length):
@@ -463,6 +517,16 @@ class TestChainMetric:
         assert m.eval((0,), (2,)) == 2
         with pytest.raises(BudgetExceededError):
             m.eval((0,), (100,))
+
+    def test_set_cap_stops_the_product(self, monkeypatch):
+        # Building C_4 = sym^4 with sym = {0, ±1, ±2}, the product
+        # sym^2 * sym = {-6..6} has 13 elements, past the cap of 10: at most
+        # one row x*sym may be built past it, not all nine.
+        monkeypatch.setenv("COARSE_SET_CAP", "10")
+        m = metric_from_basis(MinimalBasis(Z))
+        with counted_product_rows() as calls, pytest.raises(BudgetExceededError):
+            m.eval((0,), (100,))
+        assert 10 < sum(calls[-1]) <= 10 + 5
 
     def test_horizon_past_cap(self):
         m = metric_from_basis(MinimalBasis(Z), n_cap=3)

@@ -626,6 +626,14 @@ class TestSharedBases:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_identical_member_calls_share_one_basis(self, capsys):
+        argv = ["member", "--bornology", "geom:10,6", "--set", "{0,10}", "--depth", "3"]
+        assert main(argv) == 0
+        assert main(list(argv)) == 0
+        info = cli.shared_basis.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert capsys.readouterr().out == "member (cover indices: 1)\n" * 2
+
     def test_one_basis_per_bornology(self):
         assert parse_bornology("geom:10,6") is parse_bornology(" geom: 10, 6 ")
         assert parse_bornology("minimal") is parse_bornology("minimal")

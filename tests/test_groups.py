@@ -1,14 +1,21 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coarsegroups.bornology import Explicit, GeometricSeed
+from coarsegroups.coarse import Entourage
 from coarsegroups.groups import (
     BudgetExceededError,
+    DirectProduct,
     GroupSpec,
+    QuotientByLattice,
     hermite_rows,
+    set_size_cap,
 )
 from coarsegroups.metrics import WordNorm
 
@@ -403,9 +410,25 @@ class TestSetHooks:
         spec = HOOK_CASES[name]
         ball, box = self.inputs(spec)
         for a, b in [(ball, box), (box, ball), (frozenset(ball), frozenset(ball))]:
-            assert spec.product_set(a, b) == {spec.mul(x, y) for x in a for y in b}
-        assert spec.product_set([], box) == set()
-        assert spec.product_set(ball, []) == set()
+            assert spec.product_set(a, b, set_size_cap()) == {spec.mul(x, y) for x in a for y in b}
+        assert spec.product_set([], box, 0) == set()
+        assert spec.product_set(ball, [], 0) == set()
+
+    @pytest.mark.parametrize("name", list(HOOK_CASES))
+    def test_product_set_raises_exactly_past_the_cap(self, name):
+        # Caps at and above len(a) * len(b) take the one comprehension; caps
+        # below it take the row-at-a-time loop, which must raise exactly when
+        # the whole product would pass the cap.
+        spec = HOOK_CASES[name]
+        ball, box = self.inputs(spec)
+        full = spec.product_set(ball, box, len(ball) * len(box))
+        for cap in (len(full) - 1, len(full), len(full) + 1, len(ball) * len(box)):
+            if cap < len(full):
+                with pytest.raises(BudgetExceededError):
+                    spec.product_set(ball, box, cap)
+            else:
+                assert spec.product_set(ball, box, cap) == full
+        assert spec.product_set([], box, 0) == set()
 
     def test_heisenberg_translates_match_matrix_oracle(self):
         box = H.box(2)[::-1]
@@ -421,4 +444,78 @@ class TestSetHooks:
             for x in a
             for y in b
         }
-        assert H.product_set(a, b) == expected
+        assert H.product_set(a, b, len(a) * len(b)) == expected
+
+
+class TestValueSemantics:
+    """Specs, seeds and entourages compare and hash by their fields."""
+
+    def test_cyclic_is_the_lattice_quotient(self):
+        a, b = GroupSpec.cyclic(7), GroupSpec.quotient_by_lattice(1, [(7,)])
+        assert a == b and hash(a) == hash(b)
+        assert a.generating_set == ((1,),) and a.pivot_rows == ((0, (7,)),)
+        assert len({a, b, GroupSpec.cyclic(8)}) == 2
+
+    def test_every_constructor_gives_equal_values(self):
+        for make in (
+            lambda: GroupSpec.free_abelian(2),
+            lambda: GroupSpec.heisenberg(),
+            lambda: GroupSpec.direct_product(H, GroupSpec.cyclic(3)),
+            lambda: GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
+        ):
+            assert make() == make() and hash(make()) == hash(make())
+        assert GroupSpec.free_abelian(1) != GroupSpec.free_abelian(1, ((2,), (3,)))
+        assert GroupSpec.heisenberg() != GroupSpec.heisenberg(((0, 1, 0), (1, 0, 0)))
+
+    def test_equal_fields_of_different_kinds_differ(self):
+        fields = (((1,),), (), 1)
+        assert QuotientByLattice(*fields) != DirectProduct(*fields)
+        assert Explicit(((1,),)) != Entourage(((1,),))
+        assert GroupSpec.free_abelian(1) != GroupSpec.quotient_by_lattice(1, [])
+        assert GroupSpec.free_abelian(1) != "Z"
+
+    def test_records(self):
+        assert GeometricSeed(10, 6) == GeometricSeed(10, 6)
+        assert hash(GeometricSeed(10, 6)) == hash(GeometricSeed(10, 6))
+        assert GeometricSeed(10, 6) != GeometricSeed(10, 5)
+        assert Entourage.of([[1, 2]]) == Entourage(frozenset([(1, 2)]))
+        with pytest.raises(ValueError):
+            GeometricSeed(1, 3)
+
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (GroupSpec.cyclic(7), "generating_set"),
+            (GroupSpec.cyclic(7), "pivot_rows"),
+            (GroupSpec.heisenberg(), "generating_set"),
+            (GeometricSeed(10, 6), "base"),
+            (Explicit(((1,),)), "elements"),
+            (Entourage.of([[1, 2]]), "pairs"),
+        ],
+        ids=["Z/7-gens", "Z/7-rows", "H-gens", "geom", "explicit", "entourage"],
+    )
+    def test_fields_cannot_change(self, value, field):
+        # A value keys sets and `cli.shared_basis`: changing a field would
+        # change its hash under the key it was stored with.
+        before, h = getattr(value, field), hash(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, ())
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.other = 1
+        assert getattr(value, field) is before and hash(value) == h
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            GroupSpec.direct_product(H, GroupSpec.cyclic(3)),
+            GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
+            GeometricSeed(10, 6),
+            Entourage.of([[1, 2]]),
+        ],
+        ids=["HxZ/3", "Z2/L", "geom", "entourage"],
+    )
+    def test_copies_and_pickles_are_equal(self, value):
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value) and other == value and hash(other) == hash(value)

@@ -182,12 +182,16 @@ class TestQuotientDistance:
 
 # Metrics whose row hook `TestDistances` checks against `eval`: a fresh
 # metric, and whether some pair of its ball(2) is at distance HORIZON.
+H_SWAPPED = GroupSpec.heisenberg(generators=((0, 1, 0), (1, 0, 0)))
 ROW_METRICS = {
     "word-Z": (lambda: WordMetric(Z, radius_cap=2), True),
     "word-Z2": (lambda: WordMetric(Z2, radius_cap=2), True),
     "word-Z/7": (lambda: WordMetric(GroupSpec.cyclic(7), radius_cap=2), True),
-    "word-H-bfs": (lambda: WordMetric(H), False),
-    "word-H-bfs-cap2": (lambda: WordMetric(H, radius_cap=2), True),
+    "word-H-closed": (lambda: WordMetric(H), False),
+    "word-H-closed-cap2": (lambda: WordMetric(H, radius_cap=2), True),
+    # Swapped generators have no closed form: a breadth-first table.
+    "word-H{e2,e1}-bfs": (lambda: WordMetric(H_SWAPPED), False),
+    "word-H{e2,e1}-bfs-cap2": (lambda: WordMetric(H_SWAPPED, radius_cap=2), True),
     "word-Z{2,3}-bfs": (
         lambda: WordMetric(GroupSpec.free_abelian(1, generators=((2,), (3,)))),
         False,
@@ -442,7 +446,20 @@ class TestClosedFormWordDistance:
     @pytest.mark.parametrize("spec", FALLBACK.values(), ids=FALLBACK.keys())
     def test_other_generating_sets_fall_back_to_bfs(self, spec):
         assert spec.word_distance(64) is None
+        assert isinstance(WordMetric(spec).norm, WordNorm)
         _assert_word_metric_matches_bfs(spec, r=3)
+
+    @pytest.mark.parametrize("spec", STANDARD.values(), ids=STANDARD.keys())
+    def test_closed_form_builds_no_table(self, spec, monkeypatch):
+        def no_spheres(self):
+            raise AssertionError("a closed-form word metric read spheres()")
+
+        monkeypatch.setattr(GroupSpec, "spheres", no_spheres)
+        wm = WordMetric(spec, radius_cap=5)
+        assert not hasattr(wm, "norm")
+        assert (wm.spec, wm.radius_cap) == (spec, 5)
+        e = spec.identity()
+        assert wm.eval(e, e) == 0
 
 
 BIG = 10**40

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from coarsegroups.scenarios import (
     SCENARIOS,
     heisenberg_pair,
     run_scenario,
+    scenario_params,
 )
 
 
@@ -157,6 +159,20 @@ def test_invalid_parameter_value_rejected():
         run_scenario("heisenberg_separation", N=0)
 
 
+def test_fractions_render_as_p_over_q_in_both_formats():
+    from fractions import Fraction
+
+    report = scenarios.ScenarioReport("demo", {"q": Fraction(1, 3)})
+    report.rows.append({"r": Fraction(4, 2)})
+    report.check("ratio", Fraction(3, 2), Fraction(3, 2), scenarios.TRIVIAL)
+    payload = json.loads(report_to_json(report))
+    assert payload["parameters"] == {"q": "1/3"}
+    assert payload["rows"] == [{"r": "2"}]
+    assert payload["assertions"][0]["expected"] == "3/2"
+    tsv = report_to_tsv(report)
+    assert "param\tq\t\t1/3\t\t\n" in tsv and "row\tr=2\t" in tsv
+
+
 def test_fmt_values():
     from fractions import Fraction
 
@@ -169,3 +185,26 @@ def test_fmt_values():
     assert fmt(None) == "-"
     assert fmt(True) == "true"
     assert fmt((1, 2)) == "(1, 2)"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_params_match_the_signature(name):
+    params = list(inspect.signature(SCENARIOS[name]).parameters.values())[1:]
+    assert scenario_params(name) == {p.name: p.default for p in params}
+    assert list(scenario_params(name)) == [p.name for p in params]
+
+
+def test_scenario_params_skip_locals_and_empty_signatures(monkeypatch):
+    def bare(report):
+        local = 1
+        return local
+
+    def one(report, n: int = 3):
+        local = n
+        return local
+
+    monkeypatch.setitem(SCENARIOS, "bare", bare)
+    monkeypatch.setitem(SCENARIOS, "one", one)
+    assert scenario_params("bare") == {}
+    assert scenario_params("one") == {"n": 3}
+    assert run_scenario("bare").parameters == {}

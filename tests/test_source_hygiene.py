@@ -1,6 +1,9 @@
 """Static checks on the package source, with the standard library's `ast`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,24 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Modules a fresh `import coarsegroups.cli` must not load: `dataclasses`
+# brings `inspect`, and `fractions` brings `decimal`.
+COLD_IMPORT_EXCLUDED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+
+
+def test_cli_import_loads_no_excluded_module():
+    # -S skips `site`, whose own start-up imports (`typing`, with some
+    # installed packages) would hide what the package loads.
+    code = (
+        "import sys; before = set(sys.modules); import coarsegroups.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "coarsegroups.cli" in loaded and "argparse" in loaded
+    assert [m for m in COLD_IMPORT_EXCLUDED if m in loaded] == []
