@@ -89,8 +89,8 @@ class MinimalBasis(BornologyBasis):
 class MetricBallsBasis(BornologyBasis):
     """B_n = {g : d(e, g) <= n} for a metric on the group.
 
-    Each ball comes from the metric's `ball(n)`: a closed form where the
-    metric has one, a coordinate box scan otherwise.
+    Each ball comes from the metric's `ball(n)`: the word ball of a word
+    metric, or the max-entry box on Z^n and H; other metrics raise.
     """
 
     def __init__(self, metric: MetricEvaluator):

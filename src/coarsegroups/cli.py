@@ -266,8 +266,8 @@ def cmd_run(args) -> int:
 
 def cmd_distance(args) -> int:
     spec = parse_group(args.group)
-    # Elements first: they are cheap to reject, and a metric can cost a
-    # table.  Every metric built here has `metric.spec == spec`.
+    # Elements first: a bad one is rejected before the Z^n word metric
+    # compares n unit vectors of n ints.  Every metric has `.spec == spec`.
     g = parse_element(spec, args.g)
     h = parse_element(spec, args.h)
     metric = parse_metric(spec, args.metric)

@@ -31,12 +31,6 @@ class Entourage(_Value):
     def of(pairs) -> "Entourage":
         return Entourage(frozenset(tuple(p) for p in pairs))
 
-    def __iter__(self):
-        return iter(sorted(self.pairs))
-
-    def __len__(self):
-        return len(self.pairs)
-
 
 def left_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
     """{x^-1 y} over the pairs of the entourage."""

@@ -107,10 +107,6 @@ class WordNorm:
 # -- metric evaluators ------------------------------------------------
 
 
-# First box radius of the ball scan in `MetricEvaluator.ball`.
-_SCAN_START = 4
-
-
 class MetricEvaluator:
     """Two-argument exact distance.
 
@@ -119,10 +115,6 @@ class MetricEvaluator:
     once per point; a subclass overrides it only where a row can skip the
     method call per pair.
     """
-
-    # Distances above radius_cap evaluate to HORIZON; None if none do or
-    # the cap is unknown.
-    radius_cap = None
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
@@ -135,35 +127,10 @@ class MetricEvaluator:
         return [self.eval(g, h) for h in hs]
 
     def ball(self, n: int) -> frozenset:
-        """{g : d(e, g) <= n}, by scanning coordinate boxes.
-
-        The box radius doubles until one doubling adds nothing; a metric
-        with infinite balls (for example a quotient pseudometric) hits the
-        size cap instead.  A HORIZON distance is past `radius_cap`, so
-        outside the ball when n <= radius_cap; otherwise (or with no known
-        cap) its membership is unknown and the scan raises
-        `BudgetExceededError`.  Subclasses with a closed form override this.
-        """
-        e = self.spec.identity()
-        radius = max(_SCAN_START, n + 1)
-        prev = None
-        while True:
-            current = set()
-            for g in self.spec.box(radius):
-                d = self.eval(e, g)
-                if not is_horizon(d):
-                    if d < n + 1:
-                        current.add(g)
-                elif self.radius_cap is None or n > self.radius_cap:
-                    raise BudgetExceededError(
-                        f"ball({n}) of {type(self).__name__} needs distances past"
-                        f" its radius cap {self.radius_cap} (at {g})"
-                    )
-            current = frozenset(current)
-            if prev is not None and current == prev:
-                return current
-            prev = current
-            radius *= 2
+        """{g : d(e, g) <= n}, where the metric has a closed form for it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no ball on a {self.spec.kind} group"
+        )
 
     def diameter(self, elements):
         """Max pairwise distance over a finite set; HORIZON-propagating."""
@@ -184,7 +151,6 @@ class InducedMetric(MetricEvaluator):
     def __init__(self, norm):
         self.norm = norm
         self.spec = norm.spec
-        self.radius_cap = norm.radius_cap
 
     def eval(self, g, h):
         return self.norm(self.spec.mul(self.spec.inv(g), h))
@@ -203,7 +169,7 @@ class WordMetric(InducedMetric):
         if closed is None:
             super().__init__(WordNorm(spec, radius_cap=radius_cap))
         else:
-            self.spec, self.radius_cap, self.eval = spec, radius_cap, closed
+            self.spec, self.eval = spec, closed
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.
@@ -246,7 +212,6 @@ class QuotientWordMetric(MetricEvaluator):
         self.spec = GroupSpec.free_abelian(rank)
         self.quotient = GroupSpec.quotient_by_lattice(rank, lattice_generators)
         self._word = WordMetric(self.quotient, radius_cap=radius_cap)
-        self.radius_cap = radius_cap
 
     def project(self, g):
         return self.quotient._reduce(g)

@@ -52,3 +52,31 @@ def cayley_adjacency(spec, nodes):
         u: [spec.mul(u, s) for s in gens if spec.mul(u, s) in nodes]
         for u in nodes
     }
+
+
+def scan_ball(metric, n, radius_cap=None):
+    """{g : d(e, g) <= n}, by scanning coordinate boxes of `metric.spec`.
+
+    The box radius doubles until one doubling adds nothing.  A distance
+    that is not an int is a HORIZON marker, past `radius_cap`: outside the
+    ball when n <= radius_cap; otherwise (or with no cap given) its
+    membership is unknown and the scan raises ValueError.
+    """
+    spec = metric.spec
+    e = spec.identity()
+    radius = max(4, n + 1)
+    prev = None
+    while True:
+        current = set()
+        for g in spec.box(radius):
+            d = metric.eval(e, g)
+            if isinstance(d, int):
+                if d <= n:
+                    current.add(g)
+            elif radius_cap is None or n > radius_cap:
+                raise ValueError(f"ball({n}) needs a distance past radius cap {radius_cap} at {g}")
+        current = frozenset(current)
+        if current == prev:
+            return current
+        prev = current
+        radius *= 2

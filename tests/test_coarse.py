@@ -33,12 +33,6 @@ heis_entourages = st.builds(
 )
 
 
-class TestAlgebra:
-    def test_deterministic_iteration(self):
-        e = Entourage.of([((2,), (0,)), ((-1,), (5,)), ((0,), (0,))])
-        assert list(e) == sorted(e.pairs, key=lambda p: (p[0], p[1]))
-
-
 class TestShadows:
     def test_left_shadow_formula(self):
         e = Entourage.of([((7, 0, 1), (8, 1, 1))])

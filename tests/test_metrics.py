@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coarsegroups import metrics
 from coarsegroups.bornology import MetricBallsBasis
-from coarsegroups.groups import BudgetExceededError, GroupSpec
+from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -32,6 +32,7 @@ from oracles import (
     heis_to_matrix,
     matinv_unitriangular,
     matmul3,
+    scan_ball,
 )
 
 Z = GroupSpec.free_abelian(1)
@@ -117,15 +118,20 @@ class TestMetricBall:
         expected = {g for g in square if max(map(abs, g)) <= n}
         assert MaxEntryMetric(Z2).ball(n) == expected
 
-    @pytest.mark.parametrize("n", range(4))
-    def test_lattice_quotient_uses_the_scan(self, n):
-        q = GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)])
-        m = MaxEntryMetric(q)
-        # Reduced representatives are (a, b) with 0 <= a < 3, 0 <= b < 5.
-        expected = {(a, b) for a in range(3) for b in range(5) if max(a, b) <= n}
-        assert m.ball(n) == MetricEvaluator.ball(m, n) == expected
-        if n >= 1:  # the reduced box reaches entries past n
-            assert m.ball(n) != frozenset(q.box(n))
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            MaxEntryMetric(GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)])),
+            MaxEntryMetric(GroupSpec.direct_product(Z, GroupSpec.cyclic(3))),
+            QuotientWordMetric(1, [(5,)]),
+            Entry12Pseudometric(H),
+        ],
+        ids=["max-entry-Z2/lattice", "max-entry-ZxZ/3", "quotient-word-Z/5", "entry12-H"],
+    )
+    def test_no_closed_form_raises(self, metric):
+        name, kind = type(metric).__name__, metric.spec.kind
+        with pytest.raises(NotImplementedError, match=f"^{name} has no ball on a {kind} group$"):
+            metric.ball(1)
 
 
 class TestWordMetricBall:
@@ -139,25 +145,7 @@ class TestWordMetricBall:
     @pytest.mark.parametrize("n", range(5))
     def test_matches_the_scan(self, spec, n):
         m = WordMetric(spec)
-        assert m.ball(n) == MetricEvaluator.ball(m, n)
-
-
-class TestScanHorizon:
-    def test_horizon_raises(self):
-        # Past the radius cap the scan used to drop HORIZON points: {-3..3}.
-        with pytest.raises(BudgetExceededError, match="radius cap 3"):
-            QuotientWordMetric(1, [], radius_cap=3).ball(5)
-
-    @pytest.mark.parametrize("n", range(4))
-    def test_horizon_within_the_cap_is_outside(self, n):
-        # The scan meets HORIZON at |g| > 3 >= n: those points are outside.
-        ball = QuotientWordMetric(1, [], radius_cap=3).ball(n)
-        assert ball == frozenset((i,) for i in range(-n, n + 1))
-
-    def test_induced_metric_reads_the_norm_cap(self):
-        with pytest.raises(BudgetExceededError, match="radius cap 5"):
-            InducedMetric(WordNorm(Z, radius_cap=5)).ball(6)
-        assert len(InducedMetric(WordNorm(Z2, radius_cap=5)).ball(5)) == 61
+        assert m.ball(n) == scan_ball(m, n, radius_cap=64)
 
 
 class TestQuotientDistance:
@@ -457,7 +445,7 @@ class TestClosedFormWordDistance:
         monkeypatch.setattr(GroupSpec, "spheres", no_spheres)
         wm = WordMetric(spec, radius_cap=5)
         assert not hasattr(wm, "norm")
-        assert (wm.spec, wm.radius_cap) == (spec, 5)
+        assert wm.spec == spec
         e = spec.identity()
         assert wm.eval(e, e) == 0
 

@@ -66,3 +66,31 @@ def test_cli_import_loads_no_excluded_module():
     loaded = proc.stdout.split()
     assert "coarsegroups.cli" in loaded and "argparse" in loaded
     assert [m for m in COLD_IMPORT_EXCLUDED if m in loaded] == []
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def package_imports(source: str) -> list[str]:
+    """The `coarsegroups` modules that the import statements of `source` name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return [n for n in names if n.split(".")[0] == "coarsegroups"]
+
+
+def test_finds_a_package_import():
+    source = (
+        "import os, coarsegroups\n"
+        "from coarsegroups.metrics import HORIZON\n"
+        "from collections import deque\n"
+    )
+    assert package_imports(source) == ["coarsegroups", "coarsegroups.metrics"]
+
+
+def test_oracles_import_no_package_module():
+    # The oracles cross-check the package, so they must not share its code.
+    assert package_imports(ORACLES.read_text(encoding="utf-8")) == []
