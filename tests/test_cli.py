@@ -291,6 +291,15 @@ class TestExitCodes:
         assert main(["run", "heisenberg_pseudometric"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    def test_separation_builds_no_ball_under_a_small_cap(self, capsys, monkeypatch):
+        # Its metric balls are tested by distance, never built: the box of
+        # radius 11 (12,167 triples) would pass a ball cap of 100.
+        assert main(["run", "heisenberg_separation"]) == 0
+        uncapped = capsys.readouterr()
+        monkeypatch.setenv("COARSE_BALL_CAP", "100")
+        assert main(["run", "heisenberg_separation"]) == 0
+        assert capsys.readouterr() == uncapped
+
 
 class TestRun:
     def test_tsv_default_format(self, capsys):

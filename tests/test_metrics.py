@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegroups import metrics
-from coarsegroups.bornology import MetricBallsBasis
+from coarsegroups.bornology import MetricBallsBasis, member_depth
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
@@ -132,6 +132,18 @@ class TestMetricBall:
         name, kind = type(metric).__name__, metric.spec.kind
         with pytest.raises(NotImplementedError, match=f"^{name} has no ball on a {kind} group$"):
             metric.ball(1)
+
+    def test_no_closed_form_ball_is_tested_by_distance(self):
+        # Membership reads |a|; only iterating the ball needs `ball(n)`.
+        basis = MetricBallsBasis(Entry12Pseudometric(H))
+        assert member_depth(basis, [(3, 100, -7), (-1, 0, 9)], depth_cap=5) == 3
+        assert member_depth(basis, [(6, 0, 0)], depth_cap=5) is None
+        ball = basis.sets(2)[-1]
+        assert (2, -50, 50) in ball and (3, 0, 0) not in ball
+        message = "^Entry12Pseudometric has no ball on a heisenberg group$"
+        for build in (list, len):
+            with pytest.raises(NotImplementedError, match=message):
+                build(ball)
 
 
 class TestWordMetricBall:

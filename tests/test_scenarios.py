@@ -13,6 +13,7 @@ from coarsegroups.scenarios import (
     run_scenario,
     scenario_params,
 )
+from test_report_hashes import FROZEN, _sha256
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -67,6 +68,18 @@ def test_separation_rows_cover_range():
     assert [r["n"] for r in report.rows] == list(range(1, 13))
     assert all(r["distance"] == 1 for r in report.rows)
     assert [r["shadow_norm"] for r in report.rows] == list(range(2, 14))
+
+
+def test_separation_builds_no_box(monkeypatch):
+    # Its cover depths are read off max-entry distances: with every box
+    # refused, the report bytes are still the frozen ones.
+    def refuse(self, radius):
+        raise AssertionError(f"box of radius {radius} built")
+
+    monkeypatch.setattr(GroupSpec, "box", refuse)
+    report = run_scenario("heisenberg_separation")
+    [frozen] = [row[3:] for row in FROZEN if row[:2] == ("heisenberg_separation", {})]
+    assert (_sha256(report_to_json(report)), _sha256(report_to_tsv(report))) == frozen
 
 
 @pytest.mark.parametrize("k", [2, 3, 10])
