@@ -52,9 +52,9 @@ class GeometricSeed(_Value):
 # -- basis streams ----------------------------------------------------
 
 
-def _capped(out) -> frozenset:
-    """`out` as a frozenset; raises once it passes `COARSE_SET_CAP`."""
-    check_set_size(len(out))
+def _capped(out, cap: int) -> frozenset:
+    """`out` as a frozenset; raises once it passes `cap`, the level's `COARSE_SET_CAP`."""
+    check_set_size(len(out), cap)
     return frozenset(out)
 
 
@@ -174,26 +174,26 @@ class GeneratedBasis(BornologyBasis):
     def _build_level(self) -> None:
         """Build the next level whole, then commit it; a cap error commits nothing."""
         n = len(self._levels)
-        inv = self.spec.inv
+        inv, cap = self.spec.inv, set_size_cap()
         bucket: dict[frozenset, None] = {}
         if n == 0:
             for seed in self.seeds:
-                self._admit(bucket, _capped(seed.materialize(self.spec)))
+                self._admit(bucket, _capped(seed.materialize(self.spec), cap))
             for seed in list(bucket):
-                self._admit(bucket, _capped({inv(x) for x in seed}))
+                self._admit(bucket, _capped({inv(x) for x in seed}, cap))
         else:
             for g in itertools.islice(self.spec.sphere_stream(), n - 1, n):
-                self._admit(bucket, _capped({g}))
-                self._admit(bucket, _capped({inv(g)}))
+                self._admit(bucket, _capped({g}, cap))
+                self._admit(bucket, _capped({inv(g)}, cap))
             for s in self._levels[n - 1]:
-                self._admit(bucket, _capped({inv(x) for x in s}))
-            product_set, cap = self.spec.product_set, set_size_cap()
+                self._admit(bucket, _capped({inv(x) for x in s}, cap))
+            product_set = self.spec.product_set
             for i in range(n):
                 j = n - 1 - i
                 for ia, a in enumerate(self._levels[i]):
                     for ib, b in enumerate(self._levels[j]):
                         if i < j or (i == j and ia < ib):
-                            self._admit(bucket, _capped(a | b))
+                            self._admit(bucket, _capped(a | b, cap))
                         self._admit(bucket, frozenset(product_set(a, b, cap)))
         level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
         self._known.update(level)
@@ -293,7 +293,7 @@ class ChainMetric(MetricEvaluator):
             sym = {self.spec.identity()}
             for b in self.basis.sets(k):
                 sym |= b
-                sym |= _capped({inv(x) for x in b})
+                sym |= _capped({inv(x) for x in b}, cap)
             sym = frozenset(sym)
             power = sym
             for _ in range(k - 1):
@@ -309,5 +309,4 @@ class ChainMetric(MetricEvaluator):
         return HORIZON
 
 
-def metric_from_basis(basis: BornologyBasis, n_cap: int = 16) -> ChainMetric:
-    return ChainMetric(basis, n_cap=n_cap)
+metric_from_basis = ChainMetric

@@ -19,7 +19,8 @@ import json
 import sys
 
 from .bornology import Explicit, GeneratedBasis, GeometricSeed, MinimalBasis, member
-from .groups import BudgetExceededError, GroupSpec, ball_size_cap, check_set_size, set_size_cap
+from .groups import BudgetExceededError, FreeAbelian, GroupSpec
+from .groups import ball_size_cap, check_set_size, set_size_cap
 from .metrics import (
     Entry12Pseudometric,
     MaxEntryMetric,
@@ -119,12 +120,12 @@ def parse_int_set(text: str) -> frozenset:
         if text.startswith("evens:"):
             lo, hi = (int(p) for p in text[len("evens:"):].split(".."))
             # Counted before any is built: hi may be astronomically large.
-            check_set_size(max(0, hi // 2 - (lo + 1) // 2 + 1))
+            check_set_size(max(0, hi // 2 - (lo + 1) // 2 + 1), set_size_cap())
             return frozenset((i,) for i in range(lo + lo % 2, hi + 1, 2))
         if text.startswith("{") and text.endswith("}"):
             parts = [p for p in text[1:-1].split(",") if p.strip()]
             query = frozenset((int(p),) for p in parts)
-            check_set_size(len(query))
+            check_set_size(len(query), set_size_cap())
             return query
     except ValueError as exc:
         raise ConfigError(f"cannot parse set {text!r}: {exc}") from exc
@@ -265,11 +266,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    spec = parse_group(args.group)
-    # Elements first: a bad one is rejected before the Z^n word metric
-    # compares n unit vectors of n ints.  Every metric has `.spec == spec`.
-    g = parse_element(spec, args.g)
-    h = parse_element(spec, args.h)
+    group = args.group.strip()
+    try:
+        rank = int(group[2:]) if group[:2] == "Z^" else 0
+    except ValueError:
+        rank = 0  # `parse_group` rejects it
+    # A Z^n spec holds n unit vectors of n ints, so Z^n elements are parsed
+    # first, against a Z^n with no generators: a bad one costs no vectors.
+    # Elements come before the metric; every metric has `.spec == spec`.
+    shape = FreeAbelian((), rank) if rank > 0 else parse_group(group)
+    g = parse_element(shape, args.g)
+    h = parse_element(shape, args.h)
+    spec = parse_group(group) if rank > 0 else shape
     metric = parse_metric(spec, args.metric)
     print(fmt(metric.eval(g, h)))
     return 0

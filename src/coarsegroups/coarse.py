@@ -52,30 +52,18 @@ def translate(spec: GroupSpec, g, e: Entourage) -> Entourage:
 
 
 class EntourageFamily:
-    """A pure indexed sequence of entourages, probed at horizons."""
+    """A pure indexed sequence of entourages; a probe draws indices 1..horizon."""
 
-    def __init__(self, index_cap: int, generator: Callable[[int], Entourage], name: str = ""):
-        self.index_cap = index_cap
+    def __init__(self, generator: Callable[[int], Entourage], name: str = ""):
         self.generator = generator
         self.name = name
 
-    def at(self, n: int) -> Entourage:
-        if not 1 <= n <= self.index_cap:
-            raise IndexError(f"index {n} outside 1..{self.index_cap}")
-        return self.generator(n)
-
 
 # -- structures -------------------------------------------------------
+# A structure measures how controlled an entourage is: `value_of(e)`.
 
 
-class Structure:
-    """A way of measuring how controlled an entourage is."""
-
-    def value_of(self, e: Entourage):
-        raise NotImplementedError
-
-
-class BoundedByMetric(Structure):
+class BoundedByMetric:
     """Controlled = uniformly bounded distance; observed = max distance."""
 
     def __init__(self, metric: MetricEvaluator):
@@ -92,7 +80,7 @@ class BoundedByMetric(Structure):
         return best
 
 
-class LeftBornological(Structure):
+class LeftBornological:
     """Controlled = left shadow bounded; observed = cover depth of shadow."""
 
     def __init__(self, basis: BornologyBasis, depth_cap: int = 16):
@@ -111,7 +99,7 @@ class ControlledVerdict:
         self.trend = trend
 
 
-def _ladder_verdict(structure: Structure, entourages) -> ControlledVerdict:
+def _ladder_verdict(structure, entourages) -> ControlledVerdict:
     """Observe each entourage of a ladder and classify the trend."""
     per_index = [(n, structure.value_of(e)) for n, e in enumerate(entourages, start=1)]
     trend = classify_trend([v for _, v in per_index])
@@ -120,20 +108,14 @@ def _ladder_verdict(structure: Structure, entourages) -> ControlledVerdict:
     )
 
 
-def controlled_probe(
-    family: EntourageFamily,
-    structure: Structure,
-    horizon: int,
-) -> ControlledVerdict:
-    """Observe the family's per-index quantity up to the horizon.
+def controlled_probe(family: EntourageFamily, structure, horizon: int) -> ControlledVerdict:
+    """Observe the family's per-index quantity for indices 1..horizon.
 
     The quantity is the max distance (metric structures) or the minimal
     shadow cover depth (bornological structures, None on overflow); the
     trend is classified by the shared ladder rule.
     """
-    if horizon > family.index_cap:
-        raise ValueError("horizon exceeds the family's index cap")
-    return _ladder_verdict(structure, (family.at(n) for n in range(1, horizon + 1)))
+    return _ladder_verdict(structure, map(family.generator, range(1, horizon + 1)))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -156,20 +138,15 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
     B = sorted(set(B))
     if not B:
         raise ValueError("B must be nonempty")
-    diam = m.diameter(B)
-    if is_horizon(diam):
-        return BoundedSetReport(diam=HORIZON, radii={}, two_sided_ok=False, horizon_hit=True)
+    # One row per point: a metric is symmetric, so the row d(x, B) holds
+    # every d(b, x); the radius at x is its max, the diameter the max radius.
     radii = {}
     for x in B:
-        r = 0
-        for b in B:
-            d = m.eval(b, x)
-            if is_horizon(d):
-                return BoundedSetReport(
-                    diam=HORIZON, radii={}, two_sided_ok=False, horizon_hit=True
-                )
-            r = max(r, d)
-        radii[x] = r
+        row = m.distances(x, B)
+        if HORIZON in row:
+            return BoundedSetReport(diam=HORIZON, radii={}, two_sided_ok=False, horizon_hit=True)
+        radii[x] = max(row)
+    diam = max(radii.values())
     ok = all(diam <= 2 * r and r <= diam for r in radii.values())
     return BoundedSetReport(diam=diam, radii=radii, two_sided_ok=ok)
 
@@ -186,8 +163,8 @@ class CoarseMapReport:
 
 def coarse_map_probe(
     f: Callable,
-    domain: Structure,
-    codomain: Structure,
+    domain,
+    codomain,
     families,
     bounded_samples,
     domain_truncation,
@@ -210,9 +187,8 @@ def coarse_map_probe(
         if dom_verdict.trend != "bounded":
             continue
         image = EntourageFamily(
-            index_cap=fam.index_cap,
             generator=lambda n, fam=fam: Entourage.of(
-                (f(x), f(y)) for x, y in fam.at(n).pairs
+                (f(x), f(y)) for x, y in fam.generator(n).pairs
             ),
             name=f"{fam.name}-image",
         )
@@ -242,7 +218,7 @@ def closeness_probe(
     f: Callable,
     f2: Callable,
     domain_truncation,
-    structure: Structure,
+    structure,
 ) -> ControlledVerdict:
     """Probe the pairing {(f(m), f2(m))} for controlledness on a ladder."""
     return _ladder_verdict(

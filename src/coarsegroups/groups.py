@@ -56,9 +56,9 @@ def set_size_cap() -> int:
     return _env_cap("COARSE_SET_CAP")
 
 
-def check_set_size(size: int) -> None:
-    """Raise BudgetExceededError when a set of `size` elements passes `COARSE_SET_CAP`."""
-    cap = set_size_cap()
+def check_set_size(size: int, cap: int) -> None:
+    """Raise BudgetExceededError when a set of `size` elements passes `cap`,
+    a `COARSE_SET_CAP` its caller read."""
     if size > cap:
         raise BudgetExceededError(f"set of {size} elements exceeded size cap {cap}")
 
@@ -68,8 +68,7 @@ def _union_rows(rows, cap: int) -> set:
     out = set()
     for row in rows:
         out.update(row)
-        if len(out) > cap:
-            raise BudgetExceededError(f"set of {len(out)} elements exceeded size cap {cap}")
+        check_set_size(len(out), cap)
     return out
 
 

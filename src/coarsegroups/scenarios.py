@@ -79,6 +79,10 @@ def heisenberg_pair(n: int) -> tuple:
     return (n, 0, 1), (n + 1, 1, 1)
 
 
+def _identity(x):
+    return x
+
+
 # -- scenarios --------------------------------------------------------
 
 
@@ -116,7 +120,6 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
 
     horizon = min(N, 10)
     family = EntourageFamily(
-        index_cap=horizon,
         generator=lambda n: Entourage.of([(heisenberg_pair(n)[1], heisenberg_pair(n)[0])]),
         name="near-diagonal-pairs",
     )
@@ -216,19 +219,12 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     codomain_basis = MinimalBasis(cyclic)
     horizon = 8
 
-    def project(x):
-        return qm.project(x)
-
-    def section(r):
-        return r
-
     fam_multiples = EntourageFamily(
-        index_cap=horizon,
         generator=lambda n: Entourage.of([((0,), (k * n,))]),
         name="coset-jumps",
     )
     probe_pi = coarse_map_probe(
-        project,
+        qm.project,
         domain=LeftBornological(domain_basis),
         codomain=LeftBornological(codomain_basis, depth_cap=k + 2),
         families=[fam_multiples],
@@ -240,14 +236,14 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     report.check("projection is proper on the truncation", True, probe_pi.proper_ok, PAPER)
 
     fam_const = EntourageFamily(
-        index_cap=horizon,
         generator=lambda n: Entourage.of(
             [(cyclic.identity(), cyclic._reduce((1,)))]
         ),
         name="adjacent-residues",
     )
+    # The section sends the residue (r,) to the integer (r,).
     probe_section = coarse_map_probe(
-        section,
+        _identity,
         domain=LeftBornological(codomain_basis, depth_cap=k + 2),
         codomain=LeftBornological(domain_basis),
         families=[fam_const],
@@ -259,8 +255,8 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     report.check("section is proper on the truncation", True, probe_section.proper_ok, PAPER)
 
     verdict = closeness_probe(
-        lambda x: section(project(x)),
-        lambda x: x,
+        qm.project,  # section after projection
+        _identity,
         truncation,
         LeftBornological(domain_basis),
     )
@@ -362,35 +358,24 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
     report.check("norm of 1 in the {2, 3} generating set", 2, d2.eval((0,), (1,)), DERIVED)
 
     truncation = [(i,) for i in range(-R, R + 1)]
-    identity_map = lambda x: x  # noqa: E731
     families = [
         EntourageFamily(
-            index_cap=R,
             generator=lambda n, c=c: Entourage.of([((n,), (n + c,))]),
             name=f"step-{c}",
         )
         for c in (1, 2, 3)
     ]
     samples = [frozenset((i,) for i in range(-4, 5))]
-    forward = coarse_map_probe(
-        identity_map,
-        domain=BoundedByMetric(d1),
-        codomain=BoundedByMetric(d2),
-        families=families,
-        bounded_samples=samples,
-        domain_truncation=truncation,
-        horizon=R,
-    )
-    backward = coarse_map_probe(
-        identity_map,
-        domain=BoundedByMetric(d2),
-        codomain=BoundedByMetric(d1),
-        families=families,
-        bounded_samples=samples,
-        domain_truncation=truncation,
-        horizon=R,
-    )
-    for direction, probe in (("forward", forward), ("backward", backward)):
+    for direction, dom, cod in (("forward", d1, d2), ("backward", d2, d1)):
+        probe = coarse_map_probe(
+            _identity,
+            domain=BoundedByMetric(dom),
+            codomain=BoundedByMetric(cod),
+            families=families,
+            bounded_samples=samples,
+            domain_truncation=truncation,
+            horizon=R,
+        )
         report.check(f"identity is bornologous ({direction})", True, probe.bornologous_ok, DERIVED)
         report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
 

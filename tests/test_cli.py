@@ -235,6 +235,34 @@ class TestExitCodes:
         assert main(argv) == 2
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "g,h,message",
+        [
+            ("0", "0", "'0': (0,) is not an element of free-abelian group"),
+            ("(0,0)", "0", "'(0,0)': (0, 0) is not an element of free-abelian group"),
+            ("x", "0", "'x': invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_bad_z_n_element_is_two_before_the_unit_vectors(
+        self, capsys, monkeypatch, g, h, message
+    ):
+        # A Z^4000 spec would hold 4000 unit vectors of 4000 ints.
+        def no_units(rank):
+            raise AssertionError(f"unit vectors of Z^{rank} built")
+
+        monkeypatch.setattr("coarsegroups.groups._units", no_units)
+        for group in ("Z^4000", " Z^+4000 ", "Z^4_000"):
+            assert main(["distance", "--group", group, "--metric", "word", g, h]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: cannot parse element {message}"]
+
+    def test_z_n_elements_of_the_right_length_are_measured(self, capsys):
+        argv = ["distance", "--group", " Z^3 ", "--metric", "word", "(1,2,3)", "(0,0,-1)"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "7\n"
+        assert main(["distance", "--group", "Z^0", "--metric", "word", "0", "0"]) == 2
+        assert capsys.readouterr().err == "error: bad group 'Z^0'\n"
+
     @pytest.mark.parametrize("var", ["COARSE_BALL_CAP", "COARSE_SET_CAP"])
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     @pytest.mark.parametrize(

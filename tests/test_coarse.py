@@ -20,11 +20,12 @@ from coarsegroups.coarse import (
     translate,
 )
 from coarsegroups.groups import GroupSpec
-from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon
+from coarsegroups.metrics import HORIZON, MaxEntryMetric, MetricEvaluator, WordMetric, is_horizon
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
 H = GroupSpec.heisenberg()
+C7 = GroupSpec.cyclic(7)
 
 triples = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
 heis_pairs = st.tuples(triples, triples)
@@ -66,7 +67,6 @@ class TestShadows:
 class TestControlledProbe:
     def test_bounded_family_under_word_metric(self):
         fam = EntourageFamily(
-            index_cap=10,
             generator=lambda n: Entourage.of(((i,), (i + 2,)) for i in range(-n, n)),
             name="shift-by-2",
         )
@@ -76,7 +76,6 @@ class TestControlledProbe:
 
     def test_growing_family(self):
         fam = EntourageFamily(
-            index_cap=10,
             generator=lambda n: Entourage.of([((0,), (n,))]),
         )
         verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
@@ -85,7 +84,6 @@ class TestControlledProbe:
     def test_near_diagonal_heisenberg_left_shadow_grows(self):
         # max-entry-close pairs whose left shadows need ever deeper covers
         fam = EntourageFamily(
-            index_cap=12,
             generator=lambda n: Entourage.of(
                 ((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)
             ),
@@ -100,15 +98,119 @@ class TestControlledProbe:
         assert metric_verdict.trend == "bounded"
         assert shadow_verdict.trend == "growing"
 
-    def test_index_cap_enforced(self):
-        fam = EntourageFamily(index_cap=3, generator=lambda n: Entourage.of([((n,), (n,))]))
-        with pytest.raises(ValueError):
-            controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
-        with pytest.raises(IndexError):
-            fam.at(4)
+
+def counting_family(calls: list, generator, name: str = "") -> EntourageFamily:
+    """A family that appends each index it is asked for to `calls`."""
+
+    def counted(n):
+        calls.append(n)
+        return generator(n)
+
+    return EntourageFamily(generator=counted, name=name)
+
+
+class TestProbeIndices:
+    """A probe draws each family at exactly the indices 1..horizon, in order."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 6])
+    def test_controlled_probe(self, horizon):
+        calls = []
+        fam = counting_family(calls, lambda n: Entourage.of([((0,), (n,))]))
+        verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon)
+        assert calls == list(range(1, horizon + 1))
+        assert [n for n, _ in verdict.per_index] == calls
+
+    @pytest.mark.parametrize("horizon", [2, 5])
+    def test_coarse_map_probe(self, horizon):
+        # The bounded family is drawn for the domain and again for its image;
+        # the growing one is dropped after the domain probe.
+        bounded_calls, growing_calls = [], []
+        bounded = counting_family(bounded_calls, lambda n: Entourage.of([((n,), (n + 1,))]))
+        growing = counting_family(growing_calls, lambda n: Entourage.of([((0,), (n,))]))
+        structure = BoundedByMetric(WordMetric(Z))
+        report = coarse_map_probe(
+            lambda g: g,
+            domain=structure,
+            codomain=structure,
+            families=[bounded, growing],
+            bounded_samples=[],
+            domain_truncation=[],
+            horizon=horizon,
+        )
+        assert report.bornologous_ok
+        assert bounded_calls == 2 * list(range(1, horizon + 1))
+        assert growing_calls == list(range(1, horizon + 1))
+
+
+def bounded_set_oracle(B, m):
+    """(diam, radii) over all ordered pairs by `eval`; (HORIZON, {}) on any HORIZON."""
+    B = set(B)
+    table = {(x, y): m.eval(x, y) for x in B for y in B}
+    if HORIZON in table.values():
+        return HORIZON, {}
+    radii = {x: max(table[b, x] for b in B) for x in B}
+    return max(table.values()), radii
+
+
+class CountingMetric(MetricEvaluator):
+    """A metric that counts its `eval` calls; rows come from the base body."""
+
+    def __init__(self, base: MetricEvaluator):
+        super().__init__(base.spec)
+        self.base = base
+        self.evals = 0
+
+    def eval(self, g, h):
+        self.evals += 1
+        return self.base.eval(g, h)
+
+
+ORACLE_METRICS = {
+    "Z": (WordMetric(Z, radius_cap=6), Z.ball(5)),
+    "Z2": (WordMetric(Z2, radius_cap=5), Z2.ball(4)),
+    "H": (WordMetric(H, radius_cap=4), H.ball(3)),
+    "H-maxentry": (MaxEntryMetric(H), H.box(2)),
+    "Z/7": (WordMetric(C7, radius_cap=2), C7.ball(3)),
+}
 
 
 class TestBoundedSetCheck:
+    @pytest.mark.parametrize("name", ORACLE_METRICS)
+    def test_matches_the_all_pairs_oracle(self, name):
+        m, pool = ORACLE_METRICS[name]
+        rng = random.Random(name)
+        horizons = 0
+        for _ in range(60):
+            B = rng.sample(pool, rng.randint(1, min(9, len(pool))))
+            report = bounded_set_check(B, m)
+            diam, radii = bounded_set_oracle(B, m)
+            assert (report.diam, report.radii) == (diam, radii)
+            assert report.horizon_hit == (diam is HORIZON)
+            two_sided = diam is not HORIZON and all(r <= diam <= 2 * r for r in radii.values())
+            assert report.two_sided_ok == two_sided
+            horizons += report.horizon_hit
+        # Each word metric's radius cap puts some sets past the horizon and
+        # leaves others inside it; the max-entry metric has no cap.
+        assert 0 < horizons < 60 if name != "H-maxentry" else horizons == 0
+
+    def test_only_horizon_pair_last(self):
+        # Sorted, the far pair (1,-2), (1,2) is the last pair of distinct
+        # points; every other pair is within the cap of 3.
+        m = WordMetric(Z2, radius_cap=3)
+        B = [(1, 2), (0, 0), (1, -2)]
+        assert bounded_set_oracle(B, m) == (HORIZON, {})
+        report = bounded_set_check(B, m)
+        assert report.horizon_hit and report.diam is HORIZON and report.radii == {}
+        assert not report.two_sided_ok
+        assert not bounded_set_check(B[1:], m).horizon_hit
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    def test_one_row_per_point(self, n):
+        m = CountingMetric(WordMetric(Z))
+        report = bounded_set_check([(i,) for i in range(n)], m)
+        assert m.evals == n * n
+        assert report.diam == n - 1
+
     def test_interval(self):
         report = bounded_set_check([(i,) for i in range(-3, 4)], WordMetric(Z))
         assert report.diam == 6
@@ -138,7 +240,6 @@ class TestBoundedSetCheck:
 class TestMapProbes:
     def test_identity_map_is_coarse(self):
         fam = EntourageFamily(
-            index_cap=6,
             generator=lambda n: Entourage.of(((i,), (i + 1,)) for i in range(-n, n)),
             name="adjacent",
         )
@@ -156,7 +257,6 @@ class TestMapProbes:
 
     def test_doubling_is_bornologous_not_surjective_issue(self):
         fam = EntourageFamily(
-            index_cap=6,
             generator=lambda n: Entourage.of(((i,), (i + 1,)) for i in range(-n, n)),
         )
         structure = BoundedByMetric(WordMetric(Z))
@@ -173,7 +273,6 @@ class TestMapProbes:
 
     def test_collapse_map_fails_properness(self):
         fam = EntourageFamily(
-            index_cap=6,
             generator=lambda n: Entourage.of([((0,), (1,))]),
         )
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
