@@ -3,20 +3,21 @@
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 configuration or
 parse errors, 3 resource budget exceeded.
 
-`main` may be called repeatedly in one process.  Calls share the argument
-parsers and, for `member`, one basis per bornology and cap setting, at most
-`SHARED_BASES` of them; answers are byte-identical to a fresh process's.
-A command line that starts with a subcommand name is parsed by that
-subcommand's parser alone.  No `distance` call builds a word-norm table:
-every group the CLI names has a closed-form word distance.
+`main` may be called repeatedly in one process.  Well-formed command lines
+are read directly; the argument parsers are built on the first help or
+error, and then shared.  So is, for `member`, one basis per bornology and
+cap setting, at most `SHARED_BASES` of them; answers are byte-identical to
+a fresh process's.  Any other line that starts with a subcommand name is
+parsed by that subcommand's parser alone.  No `distance` call builds a
+word-norm table: every group the CLI names has a closed-form word distance.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .bornology import Explicit, GeneratedBasis, GeometricSeed, MinimalBasis, member
 from .groups import BudgetExceededError, FreeAbelian, GroupSpec
@@ -33,15 +34,6 @@ from .scenarios import SCENARIOS, run_scenario, scenario_params
 
 class ConfigError(ValueError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise `ConfigError` instead of
-    printing usage and exiting, so `main` reports them like any other bad
-    input; subcommand parsers inherit the class."""
-
-    def error(self, message):
-        raise ConfigError(message)
 
 
 # -- parsing ----------------------------------------------------------
@@ -301,49 +293,111 @@ def cmd_member(args) -> int:
     return 0
 
 
+# Each subcommand once: its handler, its help summary and its arguments, as
+# `add_argument(name, **keywords)` calls in order.  `build_parsers` builds
+# the argparse parsers from it; `read_args` reads well-formed lines with it.
+COMMANDS = {
+    "list": (cmd_list, "list registered scenarios", {}),
+    "run": (cmd_run, "run a scenario and emit its report", {
+        "scenario": {"nargs": "?", "help": "registered scenario name"},
+        "--param": {"action": "append", "default": [], "metavar": "KEY=VALUE"},
+        "--config": {"help": "JSON config file; --param flags override it"},
+        "--format": {"choices": ("tsv", "json"), "default": "tsv"},
+        "--output": {"help": "write the report to this path"},
+    }),
+    "distance": (cmd_distance, "evaluate a metric on two elements", {
+        "--group": {"required": True, "help": "Z, Z^n, Z/k, or heisenberg"},
+        "--metric": {"required": True, "help": "word, maxentry, entry12, quotient:k"},
+        "g": {}, "h": {},
+    }),
+    "member": (cmd_member, "semi-decide bornology membership", {
+        "--bornology": {"required": True, "help": "minimal, geom:base,length, explicit:{...}"},
+        "--set": {"required": True, "help": "{a,b,c} or evens:lo..hi"},
+        "--depth": {"type": int, "required": True},
+    }),
+}
+
+
 @functools.cache
-def build_parsers() -> tuple[argparse.ArgumentParser, dict]:
+def build_parsers() -> tuple:
     """The CLI's top-level parser and its subcommand parsers by name, built
     on first use and then shared by every `main` call in the process;
     parsing keeps no state on them."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors raise `ConfigError` instead
+        of printing usage and exiting, so `main` reports them like any other
+        bad input; subcommand parsers inherit the class."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
     parser = _Parser(
         prog="coarsegroups",
         description="Exact desk-scale computations in coarse geometry on groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def command(name, func, summary):
+    for name, (func, summary, arguments) in COMMANDS.items():
         commands[name] = sub.add_parser(name, help=summary)
         commands[name].set_defaults(func=func)
-        return commands[name]
-
-    command("list", cmd_list, "list registered scenarios")
-
-    run = command("run", cmd_run, "run a scenario and emit its report")
-    run.add_argument("scenario", nargs="?", help="registered scenario name")
-    run.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    run.add_argument("--config", help="JSON config file; --param flags override it")
-    run.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    run.add_argument("--output", help="write the report to this path")
-
-    dist = command("distance", cmd_distance, "evaluate a metric on two elements")
-    dist.add_argument("--group", required=True, help="Z, Z^n, Z/k, or heisenberg")
-    dist.add_argument("--metric", required=True, help="word, maxentry, entry12, quotient:k")
-    dist.add_argument("g")
-    dist.add_argument("h")
-
-    mem = command("member", cmd_member, "semi-decide bornology membership")
-    mem.add_argument("--bornology", required=True, help="minimal, geom:base,length, explicit:{...}")
-    mem.add_argument("--set", required=True, help="{a,b,c} or evens:lo..hi")
-    mem.add_argument("--depth", type=int, required=True)
+        for argument, keywords in arguments.items():
+            commands[name].add_argument(argument, **keywords)
     return parser, commands
 
 
+def read_args(argv):
+    """What the parser of subcommand `argv[0]` gives for `argv[1:]`, read
+    from `COMMANDS` when every later token is an exact long option name with
+    its value, or a positional.  None, for argparse to read, on help, `--`,
+    `--opt=value`, abbreviations, a value that starts with "-" (but an ASCII
+    negative integer), a bad value and a missing or extra argument."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, arguments = COMMANDS[argv[0]]
+    args = {"func": func}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = arguments.get(token) if token[:2] == "--" else None
+        value = token if keywords is None else next(tokens, "-")  # no value: "-"
+        # argparse takes an ASCII negative integer for a value, but "-²",
+        # which `isdigit` alone would pass, for an option.
+        if value[:1] == "-" and not (value[1:].isascii() and value[1:].isdigit()):
+            return None
+        if keywords is None:
+            positionals.append(value)
+            continue
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        if keywords.get("action") == "append":
+            value = [*args.get(token[2:], keywords["default"]), value]
+        args[token[2:]] = value
+    names = [name for name in arguments if name[0] != "-"]
+    if len(positionals) > len(names):
+        return None
+    args.update(zip(names, positionals))
+    for name, keywords in arguments.items():
+        if name.lstrip("-") not in args:
+            if keywords.get("required") or name[0] != "-" and keywords.get("nargs") != "?":
+                return None
+            args[name.lstrip("-")] = keywords.get("default")
+    return SimpleNamespace(**args)
+
+
 def parse_args(argv):
-    """`argv` parsed by the subcommand parser that `argv[0]` names, which is
-    what the top-level parser would hand the rest of `argv` to; anything
-    else (no arguments, -h, an unknown command) by the top-level parser."""
+    """`argv` as `read_args` reads it; else parsed by the subcommand parser
+    that `argv[0]` names, which is what the top-level parser would hand the
+    rest of `argv` to; anything else (no arguments, -h, an unknown command)
+    by the top-level parser."""
+    args = read_args(argv)
+    if args is not None:
+        return args
     parser, commands = build_parsers()
     if argv and argv[0] in commands:
         return commands[argv[0]].parse_args(argv[1:])

@@ -183,16 +183,11 @@ def coarse_map_probe(
 
     bornologous_ok = True
     for fam in families:
-        dom_verdict = controlled_probe(fam, domain, horizon)
-        if dom_verdict.trend != "bounded":
+        entourages = [fam.generator(n) for n in range(1, horizon + 1)]
+        if _ladder_verdict(domain, entourages).trend != "bounded":
             continue
-        image = EntourageFamily(
-            generator=lambda n, fam=fam: Entourage.of(
-                (f(x), f(y)) for x, y in fam.generator(n).pairs
-            ),
-            name=f"{fam.name}-image",
-        )
-        cod_verdict = controlled_probe(image, codomain, horizon)
+        images = [Entourage.of((f(x), f(y)) for x, y in e.pairs) for e in entourages]
+        cod_verdict = _ladder_verdict(codomain, images)
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
             witnesses.append(("bornologous", fam.name, cod_verdict))

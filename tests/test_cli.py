@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarsegroups import cli
 from coarsegroups.bornology import GeneratedBasis, GeometricSeed, MinimalBasis, member
@@ -694,8 +696,9 @@ class TestSharedBases:
 def _dispatch_sweep(config):
     """Command lines for `TestSubcommandDispatch`: help at both levels, no
     arguments, unknown commands, option abbreviations, `--opt=value`, `--`,
-    missing and extra positionals, repeated and non-integer options, and the
-    README's commands (`config` is a path to the README's JSON block)."""
+    missing, extra and empty positionals, repeated and non-integer options,
+    a non-ASCII digit after "-", and the README's commands (`config` is a
+    path to the README's JSON block)."""
     sweep = [
         [], ["-h"], ["--help"], ["--he"], ["-x"], ["--"], ["frobnicate"], ["dist"],
         ["-h", "distance"], ["--", "distance"], ["list"], ["list", "-h"], ["list", "--bogus"],
@@ -709,6 +712,11 @@ def _dispatch_sweep(config):
         ["distance", "--group", "Z/7", "--metric", "word", "2", "12 mod 7"],
         ["distance", "--group", "H", "--metric", "word", "(0,0,0)", "(0,0,256)"],
         ["distance", "-h"], ["distance", "--h"], ["distance", "--group", "Z", "-h", "0"],
+        ["distance", "--group", "Z", "--metric", "word", "-²", "3"],
+        ["distance", "--group", "Z", "--metric", "word", "", "3"], ["run", ""],
+        ["run", "--format", "json", "powers_of_ten"],
+        ["member", "--bornology", "minimal", "--set", "{0}", "--depth", "x", "--depth", "2"],
+        ["member", "--bornology", "minimal", "--set", "{0}", "--depth", " 3"],
     ]
     for flag in ["--group", "--grou", "--gr", "--g"]:
         sweep.append(["distance", flag, "Z^2", "--metric", "word", "(0,0)", "(5,-3)"])
@@ -776,3 +784,78 @@ class TestSubcommandDispatch:
         assert main(["distance", "--group", "Z", "--metric", "word", "0", "3"]) == 0
         assert main(["member", "--bornology", "minimal", "--set", "{0}", "--depth", "1"]) == 0
         assert capsys.readouterr().out == "3\nmember (cover indices: 1)\n"
+
+
+# Tokens for `command_lines`: every subcommand and scenario name, every
+# option name with its abbreviations and `=` forms, help and `--`, and
+# values that argparse reads in its own way: "-" alone, negative numbers, a
+# superscript digit, the empty string, spaces, underscores and choices.
+OPTIONS = sorted({name for _, _, args in cli.COMMANDS.values() for name in args if name[0] == "-"})
+VALUES = ["-", "-3", "-1.5", "-²", "", " 3 ", "3_0", "3", "json", "tsv", "xml"]
+TOKENS = sorted(
+    {*cli.COMMANDS, *SCENARIOS, "-h", "--help", "--", *VALUES}
+    | {
+        form
+        for name in OPTIONS
+        for end in range(3, len(name) + 1)
+        for form in (name[:end], f"{name[:end]}=3", f"{name[:end]}=json")
+    }
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand name, then, in any order, most of its arguments (each
+    option name with a value after it) and a few more pieces: an option
+    name of the subcommand with a value, or any one token."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[name][2]
+    value = st.sampled_from(VALUES)
+    pieces = [
+        (arg, draw(value)) if arg[0] == "-" else (draw(value),)
+        for arg in arguments
+        if draw(st.integers(0, 9))
+    ]
+    own = [arg for arg in arguments if arg[0] == "-"] or OPTIONS
+    extra = st.one_of(st.tuples(st.sampled_from(own), value), st.tuples(st.sampled_from(TOKENS)))
+    pieces += draw(st.lists(extra, max_size=2))
+    return [name, *(t for piece in draw(st.permutations(pieces)) for t in piece)]
+
+
+class TestReader:
+    """`read_args` reads a command line only as argparse would."""
+
+    @given(command_lines())
+    @settings(max_examples=500, deadline=None)
+    def test_same_namespace_as_argparse(self, argv):
+        args = cli.read_args(argv)
+        if args is not None:
+            parser = cli.build_parsers()[1][argv[0]]
+            assert vars(args) == vars(parser.parse_args(argv[1:]))
+
+    def test_reads_the_well_formed_lines(self):
+        # The positive control for the test above, which checks nothing on
+        # a line the reader turns down.
+        for argv in TestReusedParser.COMMANDS + [["list"], ["run"], ["run", "--param", "R=8"]]:
+            args = cli.read_args(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(cli.build_parsers()[1][argv[0]].parse_args(argv[1:]))
+
+    @pytest.mark.parametrize("argv", [
+        ["distance", "-h"],
+        ["distance", "--group", "Z", "--metric", "word", "--", "0", "3"],
+        ["distance", "--group=Z", "--metric", "word", "0", "3"],
+        ["distance", "--gr", "Z", "--metric", "word", "0", "3"],
+        ["distance", "--group", "Z", "--metric", "word", "-²", "3"],
+        ["distance", "--group", "Z", "--metric", "word", "-1.5", "3"],
+        ["distance", "--group", "Z", "--metric", "word", "0"],
+        ["distance", "--group", "Z", "--metric", "word", "0", "3", "4"],
+        ["distance", "--metric", "word", "0", "3"],
+        ["member", "--bornology", "minimal", "--set", "{0}", "--depth", "x", "--depth", "2"],
+        ["run", "--format", "xml"],
+        ["run", "--param"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli.read_args(argv) is None

@@ -122,8 +122,8 @@ class TestProbeIndices:
 
     @pytest.mark.parametrize("horizon", [2, 5])
     def test_coarse_map_probe(self, horizon):
-        # The bounded family is drawn for the domain and again for its image;
-        # the growing one is dropped after the domain probe.
+        # Each family is drawn once: the bounded one's entourages are probed
+        # in the domain and mapped for the image, the growing one is dropped.
         bounded_calls, growing_calls = [], []
         bounded = counting_family(bounded_calls, lambda n: Entourage.of([((n,), (n + 1,))]))
         growing = counting_family(growing_calls, lambda n: Entourage.of([((0,), (n,))]))
@@ -138,7 +138,7 @@ class TestProbeIndices:
             horizon=horizon,
         )
         assert report.bornologous_ok
-        assert bounded_calls == 2 * list(range(1, horizon + 1))
+        assert bounded_calls == list(range(1, horizon + 1))
         assert growing_calls == list(range(1, horizon + 1))
 
 

@@ -48,8 +48,11 @@ def test_no_unused_imports(path):
 
 
 # Modules a fresh `import coarsegroups.cli` must not load: `dataclasses`
-# brings `inspect`, and `fractions` brings `decimal`.
-COLD_IMPORT_EXCLUDED = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+# brings `inspect`, `fractions` brings `decimal`, and `argparse` brings
+# `gettext`, and its parsers `locale`, which only help and errors need.
+COLD_IMPORT_EXCLUDED = (
+    "dataclasses", "inspect", "typing", "fractions", "decimal", "argparse", "gettext", "locale"
+)
 
 
 def test_cli_import_loads_no_excluded_module():
@@ -64,8 +67,33 @@ def test_cli_import_loads_no_excluded_module():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     loaded = proc.stdout.split()
-    assert "coarsegroups.cli" in loaded and "argparse" in loaded
+    assert "coarsegroups.cli" in loaded and "json" in loaded
     assert [m for m in COLD_IMPORT_EXCLUDED if m in loaded] == []
+
+
+# Canonical command lines are read without argparse; help and errors need it.
+CLI_LINES = {
+    "run": ("run heisenberg_separation --param N=20 --format json", 0, False),
+    "distance": ("distance --group H --metric maxentry (7,0,1) (8,1,1)", 0, False),
+    "member": ("member --bornology geom:10,6 --set {0,10,100} --depth 1", 0, False),
+    "help": ("member -h", 0, True),
+    "missing_positional": ("distance --group Z --metric word 0", 2, True),
+}
+
+
+@pytest.mark.parametrize("line, code, needs_argparse", CLI_LINES.values(), ids=CLI_LINES.keys())
+def test_argparse_is_loaded_only_for_help_and_errors(line, code, needs_argparse):
+    script = (
+        "import sys; from coarsegroups import cli\n"
+        "try: code = cli.main()\n"
+        "except SystemExit as exc: code = exc.code\n"
+        "print(code, 'argparse' in sys.modules, 'gettext' in sys.modules, file=sys.stderr)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, *line.split()], env=env, capture_output=True, text=True
+    )
+    assert proc.stderr.splitlines()[-1] == f"{code} {needs_argparse} {needs_argparse}"
 
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
