@@ -181,14 +181,22 @@ class _Horizon:
 HORIZON = _Horizon()
 
 
-def _l1_distance(cap: int):
+def _l1_distance(cap: int, rank: int):
     """The word distance of the unit vectors on Z^n: the L1 norm of h - g,
-    HORIZON past `cap`."""
+    HORIZON past `cap`.  On Z (rank 1) it carries the row kernel
+    `dist.distances(g, hs)`, the list [dist(g, h) for h in hs]."""
 
     def dist(g, h):
         d = sum(map(abs, map(operator.sub, h, g)))
         return d if d <= cap else HORIZON
 
+    if rank == 1:
+
+        def distances(g, hs):
+            (x,) = g
+            return [d if (d := abs(y - x)) <= cap else HORIZON for (y,) in hs]
+
+        dist.distances = distances
     return dist
 
 
@@ -214,7 +222,8 @@ class GroupSpec(_Value):
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
-    size cap of balls, boxes and streams.
+    size cap of balls, boxes and streams.  Closed-form word distances, and
+    the one row kernel among them (on Z), come from `word_distance(cap)`.
     """
 
     __slots__ = ("generating_set",)
@@ -279,7 +288,9 @@ class GroupSpec(_Value):
         modulo the empty or a rank-1 lattice (the latter is Z/k, whose
         elements are 1-tuples), and (1,0,0), (0,1,0) on the Heisenberg
         group.  Every other kind and generating set reads word distances
-        off `spheres()`.
+        off `spheres()`.  The function for Z itself (rank 1, generator
+        (1,)) also carries a row kernel, `distances(g, hs)`, that
+        `WordMetric` binds as its row hook.
         """
         return None
 
@@ -387,7 +398,7 @@ class FreeAbelian(GroupSpec):
 
     def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
-            return _l1_distance(cap)
+            return _l1_distance(cap, self.rank)
         return None
 
 
@@ -522,7 +533,7 @@ class QuotientByLattice(GroupSpec):
         if self.generating_set != _units(self.rank):
             return None
         if not self.pivot_rows:
-            return _l1_distance(cap)
+            return _l1_distance(cap, self.rank)
         if self.rank != 1:
             return None
         # Z/k = Z/<k>: the one pivot row is (k,) with k >= 2, since the

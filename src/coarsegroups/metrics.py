@@ -8,8 +8,10 @@ the toolkit, never an exception.
 Besides `eval`, every metric answers one row-at-a-time hook:
 `distances(g, hs)`, the list [d(g, h) for h in hs].  `diameter` takes one
 row per point, and the Heisenberg invariance check compares rows.
-`Entry12Pseudometric` overrides `distances` with one comprehension; every
-other metric inherits the body built on `eval`.
+`Entry12Pseudometric` overrides `distances` with one comprehension, and
+`WordMetric` on Z binds the row kernel of its closed form
+(`GroupSpec.word_distance`); every other metric inherits the body built on
+`eval`.
 """
 
 from __future__ import annotations
@@ -162,6 +164,8 @@ class WordMetric(InducedMetric):
     Where the group kind has a closed form for its generating set
     (`GroupSpec.word_distance`), `eval` is that function and no table is
     built; otherwise `InducedMetric` reads the breadth-first `WordNorm` table.
+    A closed form that carries a row kernel (Z with the generator (1,))
+    is also bound as `distances`, so a diameter makes no call per pair.
     """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
@@ -170,6 +174,8 @@ class WordMetric(InducedMetric):
             super().__init__(WordNorm(spec, radius_cap=radius_cap))
         else:
             self.spec, self.eval = spec, closed
+            if hasattr(closed, "distances"):
+                self.distances = closed.distances
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.

@@ -145,15 +145,18 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
 
 def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: int = 1000) -> None:
     """Left invariance of the (1,2)-entry pseudometric, checked exactly."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     spec = GroupSpec.heisenberg()
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
 
     # Row g compares rho(e, g^-1 h) with rho(g, h) for every h in the ball.
+    # rho(g, h) depends on g only through g[0]: one right-hand row per value.
     e = spec.identity()
+    right = {a: rho.distances(g, ball) for a, g in {g[0]: g for g in ball}.items()}
     invariance_ok = all(
-        rho.distances(e, spec.translates(spec.inv(g), ball)) == rho.distances(g, ball)
-        for g in ball
+        rho.distances(e, spec.translates(spec.inv(g), ball)) == right[g[0]] for g in ball
     )
     report.check(
         "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball",
@@ -190,6 +193,10 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     if k < 2:
         raise ValueError("k must be at least 2")
     R = truncation_radius
+    # Two points of [-R, R] are at most 2R apart, so a smaller R cannot
+    # reach the quotient diameter k // 2.
+    if 2 * R < k // 2:
+        raise ValueError("twice the truncation radius must be at least k // 2")
     zspec = GroupSpec.free_abelian(1)
     qm = QuotientWordMetric(1, [(k,)])
     word = WordMetric(zspec, radius_cap=4 * R)

@@ -220,10 +220,19 @@ class TestExitCodes:
             ("z_quotient_metric", "k=1"),
             ("heisenberg_separation", "N=0"),
             ("rho_plus_demo", "truncation_radius=1"),
+            # No triple would be sampled.
+            ("heisenberg_pseudometric", "samples=0"),
+            ("heisenberg_pseudometric", "samples=-3"),
+            # A truncation that cannot reach the quotient diameter k // 2.
+            ("z_quotient_metric", "k=7 truncation_radius=1"),
+            ("z_quotient_metric", "truncation_radius=0"),
         ],
     )
     def test_scenario_parameter_error_is_two(self, capsys, scenario, param):
-        assert main(["run", scenario, "--param", param]) == 2
+        argv = ["run", scenario]
+        for p in param.split():
+            argv += ["--param", p]
+        assert main(argv) == 2
         self.assert_one_error_line(capsys)
 
     def test_bad_element_is_two_before_any_metric_is_built(self, capsys, monkeypatch):

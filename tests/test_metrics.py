@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegroups import metrics
+from coarsegroups import groups, metrics
 from coarsegroups.bornology import MetricBallsBasis, member_depth
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
@@ -205,8 +205,31 @@ ROW_METRICS = {
 
 
 def _row_hook_owner(metric):
-    """The class whose `distances` body `metric` runs."""
+    """Where the `distances` body that `metric` runs is defined: the code of
+    a row kernel bound on the instance, else the class that defines it."""
+    if "distances" in vars(metric):
+        return metric.distances.__code__
     return next(c for c in type(metric).__mro__ if "distances" in vars(c))
+
+
+def _nested_row_kernels(*modules):
+    """The code of every function named `distances` nested in a function or
+    method of `modules`: the row kernels a metric can bind per instance."""
+    functions = []
+    for module in modules:
+        for _, obj in inspect.getmembers(module):
+            if inspect.isfunction(obj):
+                functions.append(obj)
+            elif inspect.isclass(obj):
+                functions += [f for f in vars(obj).values() if inspect.isfunction(f)]
+    found, stack = set(), [f.__code__ for f in functions]
+    while stack:
+        for const in stack.pop().co_consts:
+            if inspect.iscode(const):
+                if const.co_name == "distances":
+                    found.add(const)
+                stack.append(const)
+    return found
 
 
 class TestDistances:
@@ -229,9 +252,28 @@ class TestDistances:
         defined = {
             cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if "distances" in vars(cls)
         }
+        kernels = _nested_row_kernels(metrics, groups)
         covered = {_row_hook_owner(make()) for make, _ in ROW_METRICS.values()}
         assert MetricEvaluator in defined and Entry12Pseudometric in defined
-        assert defined <= covered, sorted(c.__name__ for c in defined - covered)
+        z_row = _row_hook_owner(ROW_METRICS["word-Z"][0]())
+        assert kernels == {z_row}
+        assert defined | kernels <= covered, sorted(map(str, (defined | kernels) - covered))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.integers(-12, 12),
+        st.lists(st.integers(-12, 12), max_size=12),
+    )
+    def test_z_row_matches_the_bfs_oracle(self, cap, x, ys):
+        # Geodesics between points of [-12, 12] stay in it; HORIZON past cap.
+        adjacency = cayley_adjacency(Z, [(i,) for i in range(-12, 13)])
+        oracle = bfs_distances(adjacency, (x,))
+        hs = [(y,) for y in ys]
+        expected = [d if (d := oracle[h]) <= cap else HORIZON for h in hs]
+        wm = WordMetric(Z, radius_cap=cap)
+        assert "distances" in vars(wm)
+        assert wm.distances((x,), hs) == expected
 
     def test_entry12_invariance_rows_match_the_matrix_oracle(self):
         # The two rows the `heisenberg_pseudometric` invariance loop compares,

@@ -5,7 +5,13 @@ import pytest
 
 from coarsegroups import scenarios
 from coarsegroups.groups import GroupSpec, Heisenberg
-from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon, ladder_prefixes
+from coarsegroups.metrics import (
+    Entry12Pseudometric,
+    MaxEntryMetric,
+    WordMetric,
+    is_horizon,
+    ladder_prefixes,
+)
 from coarsegroups.reporting import fmt, report_to_json, report_to_tsv
 from coarsegroups.scenarios import (
     SCENARIOS,
@@ -101,6 +107,27 @@ def _invariance_observed(report):
 def test_invariance_check_passes_for_rho():
     report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
     assert _invariance_observed(report) is True
+
+
+@pytest.mark.parametrize("radius,values", [(2, 5), (8, 17)])
+def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, radius, values):
+    # The left-hand rows start at the identity; every other row is a
+    # right-hand row, built once per value of g[0] in the ball.
+    e = (0, 0, 0)
+    sources = []
+    row = Entry12Pseudometric.distances
+
+    def counting(self, g, hs):
+        sources.append(g)
+        return row(self, g, hs)
+
+    monkeypatch.setattr(Entry12Pseudometric, "distances", counting)
+    report = run_scenario("heisenberg_pseudometric", radius=radius, samples=10)
+    assert _invariance_observed(report) is True
+    ball = GroupSpec.heisenberg().ball(radius)
+    right = [g for g in sources if g != e]
+    assert len({g[0] for g in ball}) == values == len(right) == len({g[0] for g in right})
+    assert sources.count(e) == len(ball)
 
 
 def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
