@@ -61,12 +61,10 @@ def parse_group(text: str) -> GroupSpec:
 def parse_element(spec: GroupSpec, text: str):
     text = text.strip()
     try:
-        if spec.kind == "quotient-by-lattice":
-            # Z/k, the one quotient `parse_group` builds: one pivot row (k,).
-            k = spec.pivot_rows[0][1][0]
+        if spec.kind == "cyclic":
             if "mod" in text:
                 residue, modulus = (p.strip() for p in text.split("mod"))
-                if int(modulus) != k:
+                if int(modulus) != spec.modulus:
                     raise ConfigError(f"modulus mismatch in {text!r}")
                 text = residue
             return spec._reduce((int(text),))
@@ -102,7 +100,7 @@ def parse_metric(spec: GroupSpec, text: str):
             raise ConfigError(f"bad metric {text!r}") from exc
         if k < 2:
             raise ConfigError(f"bad metric {text!r}: k must be at least 2")
-        return QuotientWordMetric(1, [(k,)])
+        return QuotientWordMetric(k)
     raise ConfigError(f"unknown metric {text!r}; use word, maxentry, entry12, quotient:k")
 
 

@@ -6,12 +6,10 @@ element check and coordinate box shared by all kinds; each kind is one
 subclass with its own group law: `FreeAbelian` (Z^n), `Heisenberg` (upper
 unitriangular 3x3 matrices encoded as (a, b, c) with (1,2)=a, (2,3)=b,
 (1,3)=c), `DirectProduct` (the left factor's coordinates followed by the
-right factor's) and `QuotientByLattice` (Z^n modulo an integer lattice,
-reduced against its Hermite normal form).  The cyclic group Z/k is the
-lattice quotient Z/<k>, with elements (0,), ..., (k-1,).  Build them with
-the `GroupSpec` constructors.  All arithmetic is arbitrary-precision and all
-encodings are canonical: equal group elements have identical payloads, so
-natural tuple order is the one element order.
+right factor's) and `Cyclic` (Z/k, with elements (0,), ..., (k-1,)).  Build
+them with the `GroupSpec` constructors.  All arithmetic is
+arbitrary-precision and all encodings are canonical: equal group elements
+have identical payloads, so natural tuple order is the one element order.
 
 Besides `mul`, every kind answers two set-at-a-time hooks: `translates(g,
 hs)`, the list [g*h for h in hs], and `product_set(a, b, cap)`, the set
@@ -22,8 +20,7 @@ unpacked, and `FreeAbelian` of rank 1 overrides `product_set` with plain
 int sums; every other kind inherits the bodies built on `mul`.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
-kind with equal fields, as `cyclic(7)` and `quotient_by_lattice(1, [(7,)])`,
-and never changed once built.
+kind with equal fields, as two `cyclic(7)`, and never changed once built.
 """
 
 from __future__ import annotations
@@ -113,42 +110,6 @@ def shell_key(g) -> tuple:
     return tuple((abs(c), c < 0) for c in g)
 
 
-def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix (nonzero rows)."""
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    result: list[list[int]] = []
-    col = 0
-    while col < ncols and mat:
-        pivots = [r for r in mat if r[col] != 0]
-        if not pivots:
-            col += 1
-            continue
-        # Euclidean elimination in this column.
-        while len([r for r in mat if r[col] != 0]) > 1:
-            nz = sorted((r for r in mat if r[col] != 0), key=lambda r: abs(r[col]))
-            small, rest = nz[0], nz[1:]
-            for r in rest:
-                q = r[col] // small[col]
-                for j in range(ncols):
-                    r[j] -= q * small[j]
-            mat = [r for r in mat if any(r)]
-        pivot_row = next(r for r in mat if r[col] != 0)
-        if pivot_row[col] < 0:
-            pivot_row[:] = [-x for x in pivot_row]
-        # Reduce earlier pivot rows above this column.
-        for r in result:
-            q = r[col] // pivot_row[col]
-            for j in range(ncols):
-                r[j] -= q * pivot_row[j]
-        result.append(pivot_row)
-        mat = [r for r in mat if r is not pivot_row and any(r)]
-        col += 1
-    return result
-
-
 @functools.cache
 def _units(rank: int) -> tuple:
     """The unit vectors of Z^rank, built once per rank: a Z^n spec and its
@@ -204,16 +165,16 @@ class GroupSpec(_Value):
     """A concrete finitely generated group with a fixed generating set.
 
     A spec is a value: specs of one kind with equal fields (generating set,
-    and the rank, factors or lattice rows of the kind) are equal and hash
-    alike, and setting a field raises AttributeError.
+    and the rank, factors or modulus of the kind) are equal and hash alike,
+    and setting a field raises AttributeError.
 
     Every element is a tuple of `rank` ints, on every kind.  The base class
     defines identity(), check_element(g) (TypeError unless g is an
     element) and box(radius): all elements whose coordinates have absolute
     value <= radius, in lexicographic order.  On Z^n and on the Heisenberg
     triple encoding this is exactly the max-entry ball of that radius.
-    Each kind subclass defines mul(g, h) and inv(g); a lattice quotient
-    and a direct product also narrow check_element and box.
+    Each kind subclass defines mul(g, h) and inv(g); Z/k and a direct
+    product also narrow check_element and box.
 
     The set-at-a-time law has two hooks: translates(g, hs) and
     product_set(a, b, cap).  The base bodies call `mul` once per pair;
@@ -241,10 +202,11 @@ class GroupSpec(_Value):
 
     @staticmethod
     def cyclic(modulus: int, generators: tuple | None = None) -> "GroupSpec":
-        """Z/k as the lattice quotient Z/<k>; generators are 1-tuples."""
+        """Z/k; generators are 1-tuples."""
         if modulus < 2:
             raise ValueError("modulus must be at least 2")
-        return GroupSpec.quotient_by_lattice(1, [(modulus,)], generators)
+        gens = generators if generators is not None else ((1,),)
+        return Cyclic(tuple(gens), modulus)
 
     @staticmethod
     def heisenberg(generators: tuple | None = None) -> "GroupSpec":
@@ -259,34 +221,12 @@ class GroupSpec(_Value):
         )
         return DirectProduct(gens, (left, right), left.rank + right.rank)
 
-    @staticmethod
-    def quotient_by_lattice(
-        rank: int,
-        lattice_generators,
-        generators: tuple | None = None,
-    ) -> "GroupSpec":
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        lattice = [[int(c) for c in v] for v in lattice_generators]
-        for v in lattice:
-            if len(v) != rank:
-                raise ValueError("lattice generator has wrong length")
-        pivot_rows = tuple(
-            (next(j for j, x in enumerate(row) if x != 0), tuple(row))
-            for row in hermite_rows(lattice)
-        )
-        if generators is None:
-            reduce = QuotientByLattice((), pivot_rows, rank)._reduce
-            generators = tuple(reduce(u) for u in _units(rank))
-        return QuotientByLattice(tuple(generators), pivot_rows, rank)
-
     def word_distance(self, cap: int):
         """The word distance as one closed-form function of (g, h), or None.
 
         The function returns HORIZON for distances past `cap`.  Only the
-        standard generators have one: the unit vectors of Z^n and of Z^n
-        modulo the empty or a rank-1 lattice (the latter is Z/k, whose
-        elements are 1-tuples), and (1,0,0), (0,1,0) on the Heisenberg
+        standard generators have one: the unit vectors of Z^n, the
+        generator (1,) of Z/k, and (1,0,0), (0,1,0) on the Heisenberg
         group.  Every other kind and generating set reads word distances
         off `spheres()`.  The function for Z itself (rank 1, generator
         (1,)) also carries a row kernel, `distances(g, hs)`, that
@@ -499,46 +439,35 @@ class DirectProduct(GroupSpec):
         return [a + b for a in left for b in right]
 
 
-class QuotientByLattice(GroupSpec):
-    """Z^rank modulo a lattice, given by the (pivot column, row) pairs of
-    the lattice's Hermite normal form."""
+class Cyclic(GroupSpec):
+    """Z/k, k = `modulus` >= 2, with elements (0,), ..., (k-1,)."""
 
-    __slots__ = ("pivot_rows", "rank")
-    kind = "quotient-by-lattice"
+    __slots__ = ("modulus",)
+    rank = 1
+    kind = "cyclic"
 
-    def _reduce(self, vec: tuple) -> tuple:
-        """Canonical representative of the coset of an integer vector."""
-        v = vec
-        for col, row in self.pivot_rows:
-            q = v[col] // row[col]
-            if q:
-                v = [x - q * r for x, r in zip(v, row)]
-        return tuple(v)
+    def _reduce(self, g) -> tuple:
+        """The residue of the integer (x,) as an element."""
+        return (g[0] % self.modulus,)
 
     def check_element(self, g) -> None:
         super().check_element(g)
-        if g != self._reduce(g):
+        if not 0 <= g[0] < self.modulus:
             raise TypeError(f"{g!r} is not an element of {self.kind} group")
 
     def mul(self, g, h):
-        return self._reduce(tuple(map(operator.add, g, h)))
+        return ((g[0] + h[0]) % self.modulus,)
 
     def inv(self, g):
-        return self._reduce(tuple(map(operator.neg, g)))
+        return (-g[0] % self.modulus,)
 
     def box(self, radius: int) -> list:
-        return sorted({self._reduce(v) for v in _cube(radius, self.rank)})
+        return sorted({self._reduce(v) for v in _cube(radius, 1)})
 
     def word_distance(self, cap: int):
-        if self.generating_set != _units(self.rank):
+        if self.generating_set != ((1,),):
             return None
-        if not self.pivot_rows:
-            return _l1_distance(cap, self.rank)
-        if self.rank != 1:
-            return None
-        # Z/k = Z/<k>: the one pivot row is (k,) with k >= 2, since the
-        # generator (1,) is reduced.
-        k = self.pivot_rows[0][1][0]
+        k = self.modulus
 
         def dist(g, h):
             r = (h[0] - g[0]) % k

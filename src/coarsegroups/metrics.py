@@ -190,7 +190,7 @@ class MaxEntryMetric(MetricEvaluator):
 
     def ball(self, n: int) -> frozenset:
         # On Z^n and the Heisenberg triples the coordinates are the entries,
-        # so the ball is the box; reduced lattice cosets are not.
+        # so the ball is the box; residues of Z/k are not.
         if isinstance(self.spec, (FreeAbelian, Heisenberg)):
             return frozenset(self.spec.box(n))
         return super().ball(n)
@@ -208,15 +208,15 @@ class Entry12Pseudometric(MetricEvaluator):
 
 
 class QuotientWordMetric(MetricEvaluator):
-    """Pullback of the quotient word metric along Z^n -> Z^n / lattice.
+    """Pullback of the word metric of Z/|k| along Z -> Z/kZ.
 
-    A pseudometric on the ambient free abelian group: elements of the same
-    coset are at distance zero.
+    A pseudometric on the integers: elements of the same coset are at
+    distance zero.
     """
 
-    def __init__(self, rank: int, lattice_generators, radius_cap: int = 64):
-        self.spec = GroupSpec.free_abelian(rank)
-        self.quotient = GroupSpec.quotient_by_lattice(rank, lattice_generators)
+    def __init__(self, k: int, radius_cap: int = 64):
+        self.spec = GroupSpec.free_abelian(1)
+        self.quotient = GroupSpec.cyclic(abs(k))
         self._word = WordMetric(self.quotient, radius_cap=radius_cap)
 
     def project(self, g):

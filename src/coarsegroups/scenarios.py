@@ -93,8 +93,9 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
     b_n^-1 a_n is n + 1, so it is controlled in the bounded structure of
     the max-entry metric but not in the left bornological structure.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
+    # One pair reads as an `inconclusive` trend under both structures.
+    if N < 2:
+        raise ValueError("N must be at least 2")
     spec = GroupSpec.heisenberg()
     maxentry = MaxEntryMetric(spec)
 
@@ -145,6 +146,9 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
 
 def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: int = 1000) -> None:
     """Left invariance of the (1,2)-entry pseudometric, checked exactly."""
+    # Even a non-invariant metric passes every pair of the radius-1 ball.
+    if radius < 2:
+        raise ValueError("radius must be at least 2")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     spec = GroupSpec.heisenberg()
@@ -198,7 +202,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     if 2 * R < k // 2:
         raise ValueError("twice the truncation radius must be at least k // 2")
     zspec = GroupSpec.free_abelian(1)
-    qm = QuotientWordMetric(1, [(k,)])
+    qm = QuotientWordMetric(k)
     word = WordMetric(zspec, radius_cap=4 * R)
 
     truncation = [(i,) for i in range(-R, R + 1)]
@@ -235,7 +239,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
         domain=LeftBornological(domain_basis),
         codomain=LeftBornological(codomain_basis, depth_cap=k + 2),
         families=[fam_multiples],
-        bounded_samples=[frozenset([cyclic._reduce((r,))]) for r in range(k)],
+        bounded_samples=[frozenset([(r,)]) for r in range(k)],
         domain_truncation=truncation,
         horizon=horizon,
     )
@@ -243,9 +247,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     report.check("projection is proper on the truncation", True, probe_pi.proper_ok, PAPER)
 
     fam_const = EntourageFamily(
-        generator=lambda n: Entourage.of(
-            [(cyclic.identity(), cyclic._reduce((1,)))]
-        ),
+        generator=lambda n: Entourage.of([(cyclic.identity(), (1,))]),
         name="adjacent-residues",
     )
     # The section sends the residue (r,) to the integer (r,).
@@ -275,6 +277,8 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
 
 def powers_of_ten(report: ScenarioReport, depth: int = 3, N: int = 50) -> None:
     """Cover evidence that the powers-of-ten bornology misses the evens."""
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if N < 10:
         raise ValueError("N must be at least 10")
     zspec = GroupSpec.free_abelian(1)
@@ -322,6 +326,8 @@ def aj_family(report: ScenarioReport, J: int = 2, depth: int = 3, seed_length: i
     """
     if J < 2:
         raise ValueError("J must be at least 2")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     zspec = GroupSpec.free_abelian(1)
     seeds = [GeometricSeed(10 + 10 * j, seed_length) for j in range(J + 1)]
 

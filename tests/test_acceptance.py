@@ -160,7 +160,7 @@ def test_bounded_sets_two_sided():
 def test_quotient_diameters():
     with criterion("quotient-truncation-diameters", 5.0):
         for k in (2, 3, 5, 10):
-            qm = QuotientWordMetric(1, [(k,)])
+            qm = QuotientWordMetric(k)
             for R in (k, k + 1, 2 * k, 25):
                 word = WordMetric(Z, radius_cap=4 * R)
                 truncation = [(i,) for i in range(-R, R + 1)]
@@ -193,7 +193,7 @@ def test_word_distance_against_explicit_graphs():
             (H, WordMetric(H), False),
             (H, MaxEntryMetric(H), False),
             (H, Entry12Pseudometric(H), True),
-            (Z, QuotientWordMetric(1, [(7,)]), True),
+            (Z, QuotientWordMetric(7), True),
         ):
             ball = spec.ball(3)
             sample = ball if len(ball) <= 30 else ball[:: len(ball) // 25]

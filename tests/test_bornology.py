@@ -18,7 +18,7 @@ from coarsegroups.bornology import (
     metric_from_basis,
 )
 from coarsegroups.groups import BudgetExceededError, FreeAbelian, GroupSpec
-from coarsegroups.metrics import MaxEntryMetric, WordMetric, is_horizon
+from coarsegroups.metrics import MaxEntryMetric, QuotientWordMetric, WordMetric, is_horizon
 
 from oracles import heis_max_entry_norm, scan_ball
 
@@ -97,9 +97,9 @@ class TestSeeds:
     @pytest.mark.parametrize(
         "spec",
         [
-            GroupSpec.quotient_by_lattice(1, [(7,)]),
+            QuotientWordMetric(7).quotient,
             GroupSpec.cyclic(7),
-            GroupSpec.quotient_by_lattice(1, [(2000,)]),
+            QuotientWordMetric(2000).quotient,
             Z2,
             H,
         ],
@@ -478,13 +478,13 @@ class MaterializedBalls(MetricBallsBasis):
 
 def elements_and_non_elements(spec, reach):
     """Group elements with coordinates in [-reach, reach], and values that
-    are not elements: tuples of the wrong length, unreduced residues of a
-    lattice quotient, and hashable non-tuples."""
+    are not elements: tuples of the wrong length, unreduced residues of
+    Z/k, and hashable non-tuples."""
     coords = st.integers(-reach, reach)
     vector = st.tuples(*[coords] * spec.rank)
     wrong_length = st.lists(coords, max_size=4).filter(lambda v: len(v) != spec.rank)
     non_elements = [wrong_length.map(tuple), st.integers(-3, 3), st.none(), st.text(max_size=2)]
-    if spec.kind == "quotient-by-lattice":
+    if spec.kind == "cyclic":
         non_elements.append(vector.filter(lambda g: g != spec._reduce(g)))
         vector = vector.map(spec._reduce)
     return vector, st.one_of(non_elements)

@@ -57,7 +57,7 @@ class TestParsers:
     def test_groups(self):
         assert parse_group("Z").rank == 1
         assert parse_group("Z^3").rank == 3
-        assert parse_group("Z/7") == GroupSpec.quotient_by_lattice(1, [(7,)])
+        assert parse_group("Z/7") == GroupSpec.cyclic(7)
         assert parse_group("heisenberg").kind == "heisenberg"
         assert parse_group("H").kind == "heisenberg"
 
@@ -219,10 +219,15 @@ class TestExitCodes:
         [
             ("z_quotient_metric", "k=1"),
             ("heisenberg_separation", "N=0"),
+            ("heisenberg_separation", "N=1"),
             ("rho_plus_demo", "truncation_radius=1"),
             # No triple would be sampled.
             ("heisenberg_pseudometric", "samples=0"),
             ("heisenberg_pseudometric", "samples=-3"),
+            # Evidence that checks nothing.
+            ("heisenberg_pseudometric", "radius=1"),
+            ("powers_of_ten", "depth=0"),
+            ("aj_family", "depth=0"),
             # A truncation that cannot reach the quotient diameter k // 2.
             ("z_quotient_metric", "k=7 truncation_radius=1"),
             ("z_quotient_metric", "truncation_radius=0"),

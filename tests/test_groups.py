@@ -11,13 +11,11 @@ from coarsegroups.bornology import Explicit, GeometricSeed
 from coarsegroups.coarse import Entourage
 from coarsegroups.groups import (
     BudgetExceededError,
-    DirectProduct,
+    Cyclic,
     GroupSpec,
-    QuotientByLattice,
-    hermite_rows,
     set_size_cap,
 )
-from coarsegroups.metrics import WordNorm
+from coarsegroups.metrics import QuotientWordMetric, WordNorm
 
 from oracles import (
     bfs_distances,
@@ -36,27 +34,6 @@ H = GroupSpec.heisenberg()
 triples = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)
 )
-
-
-@st.composite
-def lattice_cases(draw):
-    """(rank, lattice generators, vector, lattice coefficients)."""
-    rank = draw(st.sampled_from([2, 3]))
-    coords = st.tuples(*[st.integers(-6, 6)] * rank)
-    lattice = draw(st.lists(coords, min_size=1, max_size=rank))
-    vec = draw(st.tuples(*[st.integers(-30, 30)] * rank))
-    coeffs = draw(st.lists(st.integers(-4, 4), min_size=len(lattice), max_size=len(lattice)))
-    return rank, lattice, vec, coeffs
-
-
-def det(rows):
-    """Integer determinant by cofactor expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum(
-        (-1) ** j * rows[0][j] * det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j in range(len(rows))
-    )
 
 
 class TestIdentity:
@@ -182,48 +159,37 @@ class TestBall:
         assert b == H.ball(3)
 
 
-class TestQuotientByLattice:
-    def test_residues(self):
-        q = GroupSpec.quotient_by_lattice(1, [(5,)])
-        assert sorted(q.ball(10)) == [(0,), (1,), (2,), (3,), (4,)]
-
-    def test_canonical_form_unique(self):
-        q = GroupSpec.quotient_by_lattice(2, [(2, 0), (0, 3)])
-        seen = {q._reduce((a, b)) for a in range(-6, 7) for b in range(-6, 7)}
-        assert len(seen) == 6
-
-    def test_rank2_lattice_group_law(self):
-        q = GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 5)])
-        e = q.identity()
-        for g in q.ball(12):
-            assert q.mul(g, q.inv(g)) == e
-
-    @given(lattice_cases())
+class TestCyclic:
+    @given(
+        st.integers(2, 200),
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**30), 10**30),
+        st.integers(0, 250),
+    )
     @settings(max_examples=300, deadline=None)
-    @example((2, [(0, 4)], (7, -9), [3]))
-    @example((2, [(2, 4)], (5, 11), [-2]))
-    @example((3, [(0, 2, 1), (0, 0, 3)], (4, 5, -7), [1, 2]))
-    @example((2, [(2, 1), (3, 5)], (0, 0), [1, 1]))
-    @example((3, [(1, 2, 3), (0, 2, 1), (1, 1, 1)], (9, -4, 2), [2, -1, 3]))
-    def test_canonical_form_properties(self, case):
-        rank, lattice, vec, coeffs = case
-        q = GroupSpec.quotient_by_lattice(rank, lattice)
-        canon = q._reduce(vec)
-        assert q._reduce(canon) == canon
-        shifted = tuple(
-            x + sum(c * v[j] for c, v in zip(coeffs, lattice)) for j, x in enumerate(vec)
-        )
-        assert q._reduce(shifted) == canon
-        d = abs(det([list(v) for v in lattice])) if len(lattice) == rank else 0
-        if 0 < d <= (24 if rank == 2 else 12):
-            # Every coset has its canonical form inside a box of radius |det|.
-            cube = itertools.product(range(-d, d + 1), repeat=rank)
-            assert len({q._reduce(v) for v in cube}) == d
-            assert len(q.box(d)) == d
+    @example(2, -1, 1, 0)
+    @example(7, -500, 10**30, 7)
+    def test_law_check_and_box_match_python_mod(self, k, x, y, r):
+        c = GroupSpec.cyclic(k)
+        g, h = (x % k,), (y % k,)
+        assert c._reduce((x,)) == g
+        assert c.mul(g, h) == ((x + y) % k,)
+        assert c.inv(g) == (-x % k,)
+        assert c.mul(g, c.inv(g)) == c.identity() == (0,)
+        c.check_element(g)
+        for bad in [(k,), (-1,), (0, 0)] + ([(x,)] if (x,) != g else []):
+            with pytest.raises(TypeError):
+                c.check_element(bad)
+        assert c.box(r) == sorted({(n % k,) for n in range(-r, r + 1)})
 
-    def test_hermite_rows(self):
-        assert hermite_rows([[4], [6]]) == [[2]]
-        assert hermite_rows([[2, 1], [0, 5]]) == [[2, 1], [0, 5]]
+    def test_residues(self):
+        assert GroupSpec.cyclic(5).ball(10) == [(0,), (1,), (2,), (3,), (4,)]
+
+    def test_box_cap(self, monkeypatch):
+        monkeypatch.setenv("COARSE_BALL_CAP", "4")
+        assert GroupSpec.cyclic(3).box(1) == [(0,), (1,), (2,)]
+        with pytest.raises(BudgetExceededError):
+            GroupSpec.cyclic(3).box(2)
 
 
 class TestEnumeration:
@@ -331,9 +297,10 @@ SPHERE_CASES = {
         GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
         GroupSpec.direct_product(Z, GroupSpec.cyclic(3)).box(8),
     ),
+    # Z^2 modulo the lattice 3Z x 5Z.
     "Z2/(3,5)": (
-        GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)]),
-        GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)]).box(8),
+        GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)),
+        GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)).box(8),
     ),
 }
 
@@ -383,7 +350,6 @@ HOOK_CASES = {
     "Z": Z,
     "Z2": Z2,
     "Z/7": GroupSpec.cyclic(7),
-    "Z2/(2,1),(0,3)": GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
     "H": H,
     "HxZ/3": HxC3,
 }
@@ -451,27 +417,27 @@ class TestValueSemantics:
     """Specs, seeds and entourages compare and hash by their fields."""
 
     def test_cyclic_is_the_lattice_quotient(self):
-        a, b = GroupSpec.cyclic(7), GroupSpec.quotient_by_lattice(1, [(7,)])
-        assert a == b and hash(a) == hash(b)
-        assert a.generating_set == ((1,),) and a.pivot_rows == ((0, (7,)),)
-        assert len({a, b, GroupSpec.cyclic(8)}) == 2
+        # Z/<7>, the quotient that `quotient:7` projects to, is `cyclic(7)`.
+        a, b = GroupSpec.cyclic(7), QuotientWordMetric(7).quotient
+        assert a == b and hash(a) == hash(b) and a == Cyclic(((1,),), 7)
+        assert a.generating_set == ((1,),) and a.modulus == 7 and a.rank == 1
+        assert len({a, b, GroupSpec.cyclic(8), GroupSpec.cyclic(7, ((2,),))}) == 3
 
     def test_every_constructor_gives_equal_values(self):
         for make in (
             lambda: GroupSpec.free_abelian(2),
             lambda: GroupSpec.heisenberg(),
             lambda: GroupSpec.direct_product(H, GroupSpec.cyclic(3)),
-            lambda: GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
+            lambda: GroupSpec.cyclic(7),
         ):
             assert make() == make() and hash(make()) == hash(make())
         assert GroupSpec.free_abelian(1) != GroupSpec.free_abelian(1, ((2,), (3,)))
         assert GroupSpec.heisenberg() != GroupSpec.heisenberg(((0, 1, 0), (1, 0, 0)))
 
     def test_equal_fields_of_different_kinds_differ(self):
-        fields = (((1,),), (), 1)
-        assert QuotientByLattice(*fields) != DirectProduct(*fields)
+        assert Cyclic(((1,),), 1) != GroupSpec.free_abelian(1)
+        assert Cyclic(((1,),), 1)._key() == GroupSpec.free_abelian(1)._key()
         assert Explicit(((1,),)) != Entourage(((1,),))
-        assert GroupSpec.free_abelian(1) != GroupSpec.quotient_by_lattice(1, [])
         assert GroupSpec.free_abelian(1) != "Z"
 
     def test_records(self):
@@ -486,13 +452,13 @@ class TestValueSemantics:
         "value, field",
         [
             (GroupSpec.cyclic(7), "generating_set"),
-            (GroupSpec.cyclic(7), "pivot_rows"),
+            (GroupSpec.cyclic(7), "modulus"),
             (GroupSpec.heisenberg(), "generating_set"),
             (GeometricSeed(10, 6), "base"),
             (Explicit(((1,),)), "elements"),
             (Entourage.of([[1, 2]]), "pairs"),
         ],
-        ids=["Z/7-gens", "Z/7-rows", "H-gens", "geom", "explicit", "entourage"],
+        ids=["Z/7-gens", "Z/7-modulus", "H-gens", "geom", "explicit", "entourage"],
     )
     def test_fields_cannot_change(self, value, field):
         # A value keys sets and `cli.shared_basis`: changing a field would
@@ -510,11 +476,13 @@ class TestValueSemantics:
         "value",
         [
             GroupSpec.direct_product(H, GroupSpec.cyclic(3)),
-            GroupSpec.quotient_by_lattice(2, [(2, 1), (0, 3)]),
+            GroupSpec.cyclic(7),
+            # Z^2 modulo the lattice 3Z x 5Z.
+            GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)),
             GeometricSeed(10, 6),
             Entourage.of([[1, 2]]),
         ],
-        ids=["HxZ/3", "Z2/L", "geom", "entourage"],
+        ids=["HxZ/3", "Z/7", "Z2/L", "geom", "entourage"],
     )
     def test_copies_and_pickles_are_equal(self, value):
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

@@ -121,9 +121,10 @@ class TestMetricBall:
     @pytest.mark.parametrize(
         "metric",
         [
-            MaxEntryMetric(GroupSpec.quotient_by_lattice(2, [(3, 0), (0, 5)])),
+            # Z^2 modulo the lattice 3Z x 5Z.
+            MaxEntryMetric(GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5))),
             MaxEntryMetric(GroupSpec.direct_product(Z, GroupSpec.cyclic(3))),
-            QuotientWordMetric(1, [(5,)]),
+            QuotientWordMetric(5),
             Entry12Pseudometric(H),
         ],
         ids=["max-entry-Z2/lattice", "max-entry-ZxZ/3", "quotient-word-Z/5", "entry12-H"],
@@ -162,7 +163,7 @@ class TestWordMetricBall:
 
 class TestQuotientDistance:
     def test_cycle_bfs_oracle(self):
-        qm = QuotientWordMetric(1, [(5,)])
+        qm = QuotientWordMetric(5)
         cyc = qm.quotient
         adjacency = cayley_adjacency(cyc, cyc.ball(10))
         oracle = bfs_distances(adjacency, cyc.identity())
@@ -171,12 +172,12 @@ class TestQuotientDistance:
         assert qm.eval((0,), (3,)) == 2
 
     def test_same_coset(self):
-        qm = QuotientWordMetric(1, [(5,)])
+        qm = QuotientWordMetric(5)
         for k in range(-4, 5):
             assert qm.eval((2,), (2 + 5 * k,)) == 0
 
     def test_adjacent_residues(self):
-        qm = QuotientWordMetric(1, [(5,)])
+        qm = QuotientWordMetric(5)
         assert qm.eval((1,), (2,)) == 1
 
 
@@ -199,8 +200,8 @@ ROW_METRICS = {
     "induced-Z2-cap3": (lambda: InducedMetric(WordNorm(Z2, radius_cap=3)), True),
     "maxentry-H": (lambda: MaxEntryMetric(H), False),
     "entry12-H": (lambda: Entry12Pseudometric(H), False),
-    "quotient-Z/<5>": (lambda: QuotientWordMetric(1, [(5,)]), False),
-    "quotient-Z2-cap1": (lambda: QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=1), True),
+    "quotient-Z/<5>": (lambda: QuotientWordMetric(5), False),
+    "quotient-Z/<5>-cap1": (lambda: QuotientWordMetric(5, radius_cap=1), True),
 }
 
 
@@ -322,18 +323,8 @@ class TestQuotientDiameter:
         st.lists(st.integers(-30, 30), max_size=12),
     )
     def test_rank_one_matches_all_pairs(self, k, radius_cap, xs):
-        qm = QuotientWordMetric(1, [(k,)], radius_cap=radius_cap)
+        qm = QuotientWordMetric(k, radius_cap=radius_cap)
         pts = [(x,) for x in xs]
-        expected = _all_pairs_diameter(qm, pts)
-        assert qm.diameter(pts) == expected == MetricEvaluator.diameter(qm, pts)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(0, 4),
-        st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)), max_size=10),
-    )
-    def test_rank_two_lattice_matches_all_pairs(self, radius_cap, pts):
-        qm = QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=radius_cap)
         expected = _all_pairs_diameter(qm, pts)
         assert qm.diameter(pts) == expected == MetricEvaluator.diameter(qm, pts)
 
@@ -346,7 +337,7 @@ class TestQuotientDiameter:
 
     @pytest.mark.parametrize("pts", [[], [(7,)]])
     def test_empty_and_one_point(self, pts):
-        qm = QuotientWordMetric(1, [(5,)])
+        qm = QuotientWordMetric(5)
         assert qm.diameter(pts) == 0 == MetricEvaluator.diameter(qm, pts)
         assert _all_pairs_diameter(qm, pts) == 0
         wm = WordMetric(Z, radius_cap=1)
@@ -356,9 +347,9 @@ class TestQuotientDiameter:
         "metric,pts",
         [
             (WordMetric(Z, radius_cap=1), [(0,), (-1,), (1,)]),
-            (QuotientWordMetric(2, [(3, 1), (0, 4)], radius_cap=1), [(0, 0), (0, 1), (0, -1)]),
+            (QuotientWordMetric(5, radius_cap=1), [(0,), (1,), (-1,)]),
         ],
-        ids=["word-Z", "quotient-Z2"],
+        ids=["word-Z", "quotient-Z/<5>"],
     )
     def test_horizon_only_in_the_last_pair(self, metric, pts):
         pairs = list(itertools.combinations(pts, 2))
@@ -369,13 +360,13 @@ class TestQuotientDiameter:
 
     def test_horizon_propagates(self):
         # Residues 0 and 4 of Z/9 are at quotient distance 4 > radius_cap.
-        qm = QuotientWordMetric(1, [(9,)], radius_cap=2)
+        qm = QuotientWordMetric(9, radius_cap=2)
         pts = [(0,), (9,), (4,), (1,)]
         assert qm.diameter(pts) is HORIZON
         assert MetricEvaluator.diameter(qm, pts) is HORIZON
 
     def test_same_coset_points_count_once(self):
-        qm = QuotientWordMetric(1, [(5,)])
+        qm = QuotientWordMetric(5)
         assert qm.diameter([(i,) for i in range(-200, 201)]) == 2
 
 
@@ -402,15 +393,13 @@ STANDARD = {f"Z^{n}": GroupSpec.free_abelian(n) for n in (1, 2, 3)}
 STANDARD["H"] = H
 STANDARD.update({f"Z/{k}": GroupSpec.cyclic(k) for k in range(2, 10)})
 STANDARD.update(
-    {f"Z/<{k}>": QuotientWordMetric(1, [(k,)]).quotient for k in (*range(2, 10), *range(-9, -1))}
+    {f"Z/<{k}>": QuotientWordMetric(k).quotient for k in (*range(2, 10), *range(-9, -1))}
 )
 
 FALLBACK = {
     "Z{2,3}": GroupSpec.free_abelian(1, generators=((2,), (3,))),
     "Z/7{2}": GroupSpec.cyclic(7, generators=((2,),)),
     "Z^2{e2,e1}": GroupSpec.free_abelian(2, generators=((0, 1), (1, 0))),
-    "Z/<7>{2}": GroupSpec.quotient_by_lattice(1, [(7,)], generators=((2,),)),
-    "Z^2/<(3,1),(0,4)>": GroupSpec.quotient_by_lattice(2, [(3, 1), (0, 4)]),
     "H{e2,e1}": GroupSpec.heisenberg(generators=((0, 1, 0), (1, 0, 0))),
     "ZxZ/3": GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
 }
@@ -419,7 +408,7 @@ FALLBACK = {
 def _element(spec, coords):
     """An element of `spec` made from a list of at least three ints."""
     g = tuple(coords[: spec.rank])
-    return spec._reduce(g) if spec.kind == "quotient-by-lattice" else g
+    return spec._reduce(g) if spec.kind == "cyclic" else g
 
 
 class TestClosedFormWordDistance:
@@ -427,7 +416,7 @@ class TestClosedFormWordDistance:
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_cyclic_is_the_lattice_quotient(self, k):
-        quotient = QuotientWordMetric(1, [(k,)]).quotient
+        quotient = QuotientWordMetric(k).quotient
         assert GroupSpec.cyclic(k) == quotient
         assert hash(GroupSpec.cyclic(k)) == hash(quotient)
 
@@ -444,7 +433,7 @@ class TestClosedFormWordDistance:
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("sign", [1, -1])
     def test_quotient_word_metric_matches_bfs(self, k, sign):
-        qm = QuotientWordMetric(1, [(sign * k,)])
+        qm = QuotientWordMetric(sign * k)
         oracle = _pairwise_bfs_oracle(qm.quotient)
         for x, y in itertools.product(range(-12, 13), repeat=2):
             expected = oracle[qm.project((x,))][qm.project((y,))]
@@ -469,7 +458,7 @@ class TestClosedFormWordDistance:
             (Z, lambda n: (n,)),
             (GroupSpec.free_abelian(3), lambda n: (n - n // 2, 0, -(n // 2))),
             (GroupSpec.cyclic(13), lambda n: (-n % 13,)),
-            (QuotientWordMetric(1, [(13,)]).quotient, lambda n: (n,)),
+            (QuotientWordMetric(13).quotient, lambda n: (n,)),
             (H, lambda n: (n - n // 2, -(n // 2), 0)),
             # The largest c that a word of length n reaches.
             (H, lambda n: (n // 2, n - n // 2, (n // 2) * (n - n // 2))),
@@ -584,7 +573,7 @@ class TestMetricAxioms:
             (WordMetric(Z2), Z2.ball(3)),
             (MaxEntryMetric(H), H.ball(3)),
             (Entry12Pseudometric(H), H.ball(3)),
-            (QuotientWordMetric(1, [(5,)]), Z.ball(3)),
+            (QuotientWordMetric(5), Z.ball(3)),
         ],
     )
     def test_exhaustive_small_ball(self, metric, ball):

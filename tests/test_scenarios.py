@@ -195,8 +195,17 @@ def test_unknown_parameter_rejected():
 def test_invalid_parameter_value_rejected():
     with pytest.raises(ValueError):
         run_scenario("z_quotient_metric", k=1)
-    with pytest.raises(ValueError):
-        run_scenario("heisenberg_separation", N=0)
+    # Each value below made evidence vacuous or a PAPER assertion FAIL.
+    for name, params in [
+        ("heisenberg_separation", {"N": 0}),
+        ("heisenberg_separation", {"N": 1}),
+        ("heisenberg_pseudometric", {"radius": 0}),
+        ("heisenberg_pseudometric", {"radius": 1}),
+        ("powers_of_ten", {"depth": 0}),
+        ("aj_family", {"depth": 0}),
+    ]:
+        with pytest.raises(ValueError):
+            run_scenario(name, **params)
 
 
 def test_fractions_render_as_p_over_q_in_both_formats():
