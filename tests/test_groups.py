@@ -159,7 +159,9 @@ class TestBall:
         assert b == H.ball(3)
 
 
-class TestCyclic:
+class TestQuotientByLattice:
+    """Z/k is the quotient of Z by the lattice kZ; `_reduce` is its canonical form."""
+
     @given(
         st.integers(2, 200),
         st.integers(-(10**30), 10**30),
@@ -184,6 +186,24 @@ class TestCyclic:
 
     def test_residues(self):
         assert GroupSpec.cyclic(5).ball(10) == [(0,), (1,), (2,), (3,), (4,)]
+
+    def test_canonical_form_unique(self):
+        c = GroupSpec.cyclic(6)
+        seen = {c._reduce((a,)) for a in range(-18, 19)}
+        assert len(seen) == 6
+
+    @given(st.integers(2, 60), st.integers(-(10**6), 10**6), st.integers(-50, 50))
+    @settings(max_examples=300, deadline=None)
+    @example(2, -1, 1)
+    @example(7, -9, -3)
+    def test_canonical_form_properties(self, k, x, coeff):
+        c = GroupSpec.cyclic(k)
+        canon = c._reduce((x,))
+        assert c._reduce(canon) == canon
+        assert c._reduce((x + coeff * k,)) == canon
+        # Every coset has its canonical form inside a box of radius k.
+        assert len({c._reduce((v,)) for v in range(-k, k + 1)}) == k
+        assert len(c.box(k)) == k
 
     def test_box_cap(self, monkeypatch):
         monkeypatch.setenv("COARSE_BALL_CAP", "4")
