@@ -145,7 +145,9 @@ HORIZON = _Horizon()
 def _l1_distance(cap: int, rank: int):
     """The word distance of the unit vectors on Z^n: the L1 norm of h - g,
     HORIZON past `cap`.  On Z (rank 1) it carries the row kernel
-    `dist.distances(g, hs)`, the list [dist(g, h) for h in hs]."""
+    `dist.distances(g, hs)`, the list [dist(g, h) for h in hs], and
+    `dist.diameter(elements)`, the largest distance between two of the
+    elements: max - min of their coordinates (0 for fewer than two)."""
 
     def dist(g, h):
         d = sum(map(abs, map(operator.sub, h, g)))
@@ -157,7 +159,12 @@ def _l1_distance(cap: int, rank: int):
             (x,) = g
             return [d if (d := abs(y - x)) <= cap else HORIZON for (y,) in hs]
 
-        dist.distances = distances
+        def diameter(elements):
+            xs = [x for (x,) in elements]
+            d = max(xs, default=0) - min(xs, default=0)
+            return d if d <= cap else HORIZON
+
+        dist.distances, dist.diameter = distances, diameter
     return dist
 
 
@@ -184,7 +191,7 @@ class GroupSpec(_Value):
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
     size cap of balls, boxes and streams.  Closed-form word distances, and
-    the one row kernel among them (on Z), come from `word_distance(cap)`.
+    the row and diameter kernels of Z, come from `word_distance(cap)`.
     """
 
     __slots__ = ("generating_set",)

@@ -11,7 +11,9 @@ row per point, and the Heisenberg invariance check compares rows.
 `Entry12Pseudometric` overrides `distances` with one comprehension, and
 `WordMetric` on Z binds the row kernel of its closed form
 (`GroupSpec.word_distance`); every other metric inherits the body built on
-`eval`.
+`eval`.  `WordMetric` on Z also binds the closed-form diameter, max - min
+of the coordinates; every other metric, the word metric of Z/k included,
+keeps the row-per-point `diameter`.
 """
 
 from __future__ import annotations
@@ -165,7 +167,8 @@ class WordMetric(InducedMetric):
     (`GroupSpec.word_distance`), `eval` is that function and no table is
     built; otherwise `InducedMetric` reads the breadth-first `WordNorm` table.
     A closed form that carries a row kernel (Z with the generator (1,))
-    is also bound as `distances`, so a diameter makes no call per pair.
+    is also bound as `distances`, and its `diameter` (max - min) as
+    `diameter`, so a diameter visits each point once.
     """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
@@ -175,7 +178,7 @@ class WordMetric(InducedMetric):
         else:
             self.spec, self.eval = spec, closed
             if hasattr(closed, "distances"):
-                self.distances = closed.distances
+                self.distances, self.diameter = closed.distances, closed.diameter
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.

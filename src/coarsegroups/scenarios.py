@@ -28,7 +28,7 @@ from .coarse import (
     coarse_map_probe,
     controlled_probe,
 )
-from .groups import GroupSpec
+from .groups import HORIZON, GroupSpec
 from .metrics import (
     MaxEntryMetric,
     Entry12Pseudometric,
@@ -202,7 +202,8 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     if 2 * R < k // 2:
         raise ValueError("twice the truncation radius must be at least k // 2")
     zspec = GroupSpec.free_abelian(1)
-    qm = QuotientWordMetric(k)
+    # k // 2, the largest distance in Z/k, keeps quotient distances off HORIZON.
+    qm = QuotientWordMetric(k, radius_cap=k // 2)
     word = WordMetric(zspec, radius_cap=4 * R)
 
     truncation = [(i,) for i in range(-R, R + 1)]
@@ -399,9 +400,8 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
     for prefix in ladder_prefixes(truncation, 3):
         best_at = [0] * (C_MAX + 1)
         for x in prefix:
-            for y in prefix:
-                a = d1.eval(x, y)
-                if not is_horizon(a) and a <= C_MAX:
+            for y, a in zip(prefix, d1.distances(x, prefix)):
+                if a is not HORIZON and a <= C_MAX:
                     b = d2.eval(x, y)
                     if not is_horizon(b) and b > best_at[a]:
                         best_at[a] = b

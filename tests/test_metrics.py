@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsegroups import groups, metrics
@@ -205,17 +205,18 @@ ROW_METRICS = {
 }
 
 
-def _row_hook_owner(metric):
-    """Where the `distances` body that `metric` runs is defined: the code of
-    a row kernel bound on the instance, else the class that defines it."""
-    if "distances" in vars(metric):
-        return metric.distances.__code__
-    return next(c for c in type(metric).__mro__ if "distances" in vars(c))
+def _hook_owner(metric, name="distances"):
+    """Where the `name` body that `metric` runs is defined: the code of a
+    kernel bound on the instance, else the class that defines it."""
+    if name in vars(metric):
+        return getattr(metric, name).__code__
+    return next(c for c in type(metric).__mro__ if name in vars(c))
 
 
-def _nested_row_kernels(*modules):
-    """The code of every function named `distances` nested in a function or
-    method of `modules`: the row kernels a metric can bind per instance."""
+def _nested_row_kernels(*modules, name="distances"):
+    """The code of every function called `name` nested in a function or
+    method of `modules`: the row (or, with name="diameter", diameter)
+    kernels a metric can bind per instance."""
     functions = []
     for module in modules:
         for _, obj in inspect.getmembers(module):
@@ -227,7 +228,7 @@ def _nested_row_kernels(*modules):
     while stack:
         for const in stack.pop().co_consts:
             if inspect.iscode(const):
-                if const.co_name == "distances":
+                if const.co_name == name:
                     found.add(const)
                 stack.append(const)
     return found
@@ -249,16 +250,32 @@ class TestDistances:
             assert m.distances(g, []) == []
         assert (HORIZON in seen) == horizon
 
+    @pytest.mark.parametrize("make,horizon", ROW_METRICS.values(), ids=ROW_METRICS.keys())
+    def test_diameter_matches_all_pairs(self, make, horizon):
+        m = make()
+        ball = list(m.spec.ball(2))
+        expected = _all_pairs_diameter(m, ball)
+        assert (expected is HORIZON) == horizon
+        for pts in (ball, ball[::-1], ball + ball, iter(ball)):
+            assert m.diameter(pts) == expected
+        assert m.diameter([]) == 0 == m.diameter(ball[:1])
+
     def test_every_override_is_parametrized(self):
-        defined = {
-            cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if "distances" in vars(cls)
-        }
-        kernels = _nested_row_kernels(metrics, groups)
-        covered = {_row_hook_owner(make()) for make, _ in ROW_METRICS.values()}
-        assert MetricEvaluator in defined and Entry12Pseudometric in defined
-        z_row = _row_hook_owner(ROW_METRICS["word-Z"][0]())
-        assert kernels == {z_row}
-        assert defined | kernels <= covered, sorted(map(str, (defined | kernels) - covered))
+        # Each `distances` and each `diameter` body that a metric can run,
+        # defined on a class or bound per instance, runs for some metric of
+        # ROW_METRICS; the one kernel of each is the one of Z.
+        for name, overrides in [
+            ("distances", {MetricEvaluator, Entry12Pseudometric}),
+            ("diameter", {MetricEvaluator, QuotientWordMetric}),
+        ]:
+            defined = {
+                cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if name in vars(cls)
+            }
+            kernels = _nested_row_kernels(metrics, groups, name=name)
+            covered = {_hook_owner(make(), name) for make, _ in ROW_METRICS.values()}
+            assert overrides <= defined, name
+            assert kernels == {_hook_owner(ROW_METRICS["word-Z"][0](), name)}, name
+            assert defined | kernels <= covered, sorted(map(str, (defined | kernels) - covered))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -275,6 +292,33 @@ class TestDistances:
         wm = WordMetric(Z, radius_cap=cap)
         assert "distances" in vars(wm)
         assert wm.distances((x,), hs) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.lists(st.integers(-12, 12) | st.sampled_from([-1, 1]), max_size=12),
+    )
+    @example(3, [])
+    @example(0, [5, 5, 5])
+    @example(2, [1, -1, 1])
+    def test_z_diameter_matches_the_bfs_oracle(self, cap, xs):
+        # Sets drawn with duplicates and the generators ±1, passed as a
+        # list and as a one-pass generator.
+        adjacency = cayley_adjacency(Z, [(i,) for i in range(-12, 13)])
+        pts = [(x,) for x in xs]
+        rows = {g: bfs_distances(adjacency, g) for g in pts}
+        d = max((rows[g][h] for g in pts for h in pts), default=0)
+        expected = d if d <= cap else HORIZON
+        wm = WordMetric(Z, radius_cap=cap)
+        assert "diameter" in vars(wm)
+        assert wm.diameter(pts) == expected
+        assert wm.diameter(g for g in pts) == expected
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, 64])
+    def test_z_diameter_at_the_cap(self, cap):
+        wm = WordMetric(Z, radius_cap=cap)
+        assert wm.diameter([(3,), (3 + cap,), (3,)]) == cap
+        assert wm.diameter([(0,), (-cap - 1,)]) is HORIZON
 
     def test_entry12_invariance_rows_match_the_matrix_oracle(self):
         # The two rows the `heisenberg_pseudometric` invariance loop compares,

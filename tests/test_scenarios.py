@@ -177,9 +177,41 @@ def _smith_rows_per_c(R):
     return rows
 
 
-@pytest.mark.parametrize("R", range(4, 13))
+@pytest.mark.parametrize("R", [*range(4, 13), 24, 96])
 def test_smith_rows_match_the_per_c_loop(R):
     assert run_scenario("smith_uniqueness_probe", R=R).rows == _smith_rows_per_c(R)
+
+
+def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
+    # At R=12 the ladder prefixes of the 25 points hold 8, 16 and 25.
+    rows = []
+
+    class RowCountingWordMetric(WordMetric):
+        def __init__(self, spec, radius_cap=64):
+            super().__init__(spec, radius_cap)
+            row = self.distances
+
+            def distances(g, hs):
+                rows.append((spec.generating_set, len(hs)))
+                return row(g, hs)
+
+            self.distances = distances
+
+    monkeypatch.setattr(scenarios, "WordMetric", RowCountingWordMetric)
+    report = run_scenario("smith_uniqueness_probe", R=12)
+    assert report.rows == _smith_rows_per_c(12)
+    assert rows == [(((1,),), n) for n in [8] * 8 + [16] * 16 + [25] * 25]
+
+
+@pytest.mark.parametrize("k,R", [(129, 100), (130, 100), (1000, 300)])
+def test_z_quotient_metric_passes_past_the_default_radius_cap(k, R):
+    # Quotient distances reach k // 2, past the default radius_cap 64 of
+    # QuotientWordMetric once k >= 130.
+    report = run_scenario("z_quotient_metric", k=k, truncation_radius=R)
+    failed = [a.description for a in report.assertions if not a.passed]
+    assert report.all_passed, failed
+    diameters = [a.observed for a in report.assertions if a.description.startswith("quotient diameter")]
+    assert diameters == [k // 2] * 2
 
 
 def test_unknown_scenario_rejected():
