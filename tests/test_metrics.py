@@ -205,7 +205,7 @@ ROW_METRICS = {
 }
 
 
-def _hook_owner(metric, name="distances"):
+def _hook_owner(metric, name):
     """Where the `name` body that `metric` runs is defined: the code of a
     kernel bound on the instance, else the class that defines it."""
     if name in vars(metric):
@@ -213,10 +213,10 @@ def _hook_owner(metric, name="distances"):
     return next(c for c in type(metric).__mro__ if name in vars(c))
 
 
-def _nested_row_kernels(*modules, name="distances"):
+def _nested_row_kernels(name, *modules):
     """The code of every function called `name` nested in a function or
-    method of `modules`: the row (or, with name="diameter", diameter)
-    kernels a metric can bind per instance."""
+    method of `modules`: the row (`distances`) or `diameter` kernels a
+    metric can bind per instance."""
     functions = []
     for module in modules:
         for _, obj in inspect.getmembers(module):
@@ -271,7 +271,7 @@ class TestDistances:
             defined = {
                 cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if name in vars(cls)
             }
-            kernels = _nested_row_kernels(metrics, groups, name=name)
+            kernels = _nested_row_kernels(name, metrics, groups)
             covered = {_hook_owner(make(), name) for make, _ in ROW_METRICS.values()}
             assert overrides <= defined, name
             assert kernels == {_hook_owner(ROW_METRICS["word-Z"][0](), name)}, name
