@@ -174,6 +174,9 @@ def coarse_map_probe(
 
     Bornologous: every supplied family controlled in the domain structure
     must map, pairwise, to a family with bounded trend in the codomain.
+    Families whose domain trend is not bounded are skipped and counted; a
+    probe that checked no family is not bornologous, and its witness
+    ("bornologous", "no family checked", skipped) says so.
     Proper: for every bounded sample, its preimage B within the sampled
     domain truncation, measured as the entourage B x {anchor} (B x B is
     controlled exactly when B x {x} is), must not overflow (None) under
@@ -182,15 +185,20 @@ def coarse_map_probe(
     witnesses = []
 
     bornologous_ok = True
+    skipped = 0
     for fam in families:
         entourages = [fam.generator(n) for n in range(1, horizon + 1)]
         if _ladder_verdict(domain, entourages).trend != "bounded":
+            skipped += 1
             continue
         images = [Entourage.of((f(x), f(y)) for x, y in e.pairs) for e in entourages]
         cod_verdict = _ladder_verdict(codomain, images)
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
             witnesses.append(("bornologous", fam.name, cod_verdict))
+    if skipped == len(families):
+        bornologous_ok = False
+        witnesses.append(("bornologous", "no family checked", skipped))
 
     proper_ok = True
     domain_truncation = sorted(set(domain_truncation))

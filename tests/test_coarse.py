@@ -271,6 +271,31 @@ class TestMapProbes:
         )
         assert report.bornologous_ok and report.proper_ok
 
+    def test_no_family_checked_is_not_bornologous(self):
+        # The one family grows in the domain, so it is skipped and nothing
+        # is checked: that is a verdict of its own, not a pass. The bounded
+        # family next to it is the positive control.
+        growing = EntourageFamily(generator=lambda n: Entourage.of([((0,), (n,))]), name="growing")
+        bounded = EntourageFamily(generator=lambda n: Entourage.of([((n,), (n + 1,))]))
+        structure = BoundedByMetric(WordMetric(Z))
+
+        def probe(families):
+            return coarse_map_probe(
+                lambda g: g,
+                domain=structure,
+                codomain=structure,
+                families=families,
+                bounded_samples=[],
+                domain_truncation=[],
+                horizon=4,
+            )
+
+        report = probe([growing])
+        assert not report.bornologous_ok
+        assert report.witnesses == [("bornologous", "no family checked", 1)]
+        report = probe([growing, bounded])
+        assert report.bornologous_ok and report.witnesses == []
+
     def test_collapse_map_fails_properness(self):
         fam = EntourageFamily(
             generator=lambda n: Entourage.of([((0,), (1,))]),

@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 
 import pytest
 
@@ -109,11 +110,8 @@ def test_invariance_check_passes_for_rho():
     assert _invariance_observed(report) is True
 
 
-@pytest.mark.parametrize("radius,values", [(2, 5), (8, 17)])
-def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, radius, values):
-    # The left-hand rows start at the identity; every other row is a
-    # right-hand row, built once per value of g[0] in the ball.
-    e = (0, 0, 0)
+def _count_row_sources(monkeypatch) -> list:
+    """The source g of every `Entry12Pseudometric.distances` row, as it is built."""
     sources = []
     row = Entry12Pseudometric.distances
 
@@ -122,12 +120,26 @@ def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, rad
         return row(self, g, hs)
 
     monkeypatch.setattr(Entry12Pseudometric, "distances", counting)
+    return sources
+
+
+@pytest.mark.parametrize("radius,values", [(2, 5), (5, 11), (8, 17)])
+def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, radius, values):
+    # The left-hand rows start at the identity; every other row is a
+    # right-hand row, built once per value of g[0] in the ball. From
+    # _FORK_PAIRS pairs on a forked child checks the second half of the left
+    # rows, out of this counter's sight, so the parent counts its own half;
+    # test_one_wrong_left_row_fails_only_the_invariance_check shows that the
+    # child's half is checked.
+    e = (0, 0, 0)
+    sources = _count_row_sources(monkeypatch)
     report = run_scenario("heisenberg_pseudometric", radius=radius, samples=10)
     assert _invariance_observed(report) is True
     ball = GroupSpec.heisenberg().ball(radius)
     right = [g for g in sources if g != e]
     assert len({g[0] for g in ball}) == values == len(right) == len({g[0] for g in right})
-    assert sources.count(e) == len(ball)
+    forked = len(ball) ** 2 >= scenarios._FORK_PAIRS
+    assert sources.count(e) == (len(ball) // 2 if forked else len(ball))
 
 
 def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
@@ -151,6 +163,98 @@ def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
     failed = [a.description for a in report.assertions if not a.passed]
     assert failed == ["|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"]
     assert len(report.assertions) == 4
+
+
+INVARIANCE = "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"
+# Radius 5 is the smallest ball whose invariance check forks; the parent
+# checks the left rows of BALL5[:HALF5], the child those of BALL5[HALF5:].
+BALL5 = GroupSpec.heisenberg().ball(5)
+HALF5 = len(BALL5) // 2
+# The first and last rows of the parent's half, then of the child's.
+ROWS = pytest.mark.parametrize(
+    "index", [0, HALF5 - 1, HALF5, -1], ids=["parent-first", "parent-last", "child-first", "last"]
+)
+
+
+def _patch_left_row(monkeypatch, g, wrong):
+    """Replace the left-hand row of g, from e over g^-1 times the ball, by `wrong(row)`."""
+    spec = GroupSpec.heisenberg()
+    e = spec.identity()
+    points = spec.translates(spec.inv(g), BALL5)
+    row = Entry12Pseudometric.distances
+
+    def patched(self, x, hs):
+        out = row(self, x, hs)
+        return wrong(out) if x == e and hs == points else out
+
+    monkeypatch.setattr(Entry12Pseudometric, "distances", patched)
+
+
+def _open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _assert_nothing_left(fds):
+    """No child process is left unreaped, and no pipe end open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+def test_radius_5_is_the_smallest_ball_that_forks():
+    assert len(GroupSpec.heisenberg().ball(4)) ** 2 < scenarios._FORK_PAIRS <= len(BALL5) ** 2
+
+
+@ROWS
+def test_one_wrong_left_row_fails_only_the_invariance_check(monkeypatch, index):
+    fds = _open_fds()
+    _patch_left_row(monkeypatch, BALL5[index], lambda out: [d + 1 for d in out])
+    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert [a.description for a in report.assertions if not a.passed] == [INVARIANCE]
+    _assert_nothing_left(fds)
+
+
+class RowError(Exception):
+    pass
+
+
+@ROWS
+def test_an_exception_in_a_left_row_is_the_serial_one(monkeypatch, index):
+    fds = _open_fds()
+
+    def fail(out):
+        raise RowError(f"row {index}")
+
+    _patch_left_row(monkeypatch, BALL5[index], fail)
+    with pytest.raises(RowError) as forked:
+        run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    _assert_nothing_left(fds)
+    monkeypatch.setattr(scenarios, "_FORK_PAIRS", len(BALL5) ** 2 + 1)
+    with pytest.raises(RowError) as serial:
+        run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert type(forked.value) is type(serial.value) is RowError
+    assert str(forked.value) == str(serial.value) == f"row {index}"
+
+
+def _refuse_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("fork", [None, _refuse_fork], ids=["no-fork", "fork-raises"])
+def test_invariance_check_runs_serially_without_fork(monkeypatch, fork):
+    # Every left row is then counted in this process, and the report is the
+    # forked one.
+    expected = report_to_json(run_scenario("heisenberg_pseudometric", radius=5, samples=10))
+    fds = _open_fds()
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    sources = _count_row_sources(monkeypatch)
+    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert report_to_json(report) == expected
+    assert sources.count((0, 0, 0)) == len(BALL5)
+    _assert_nothing_left(fds)
 
 
 def _smith_rows_per_c(R):
