@@ -59,16 +59,16 @@ def classify_trend(values: list) -> str:
     return "inconclusive"
 
 
-def ladder_prefixes(items: list, steps: int = 3) -> list[list]:
-    """Nested prefixes of a truncation, ordered small-magnitude-first.
+def ladder_prefixes(items: list) -> list[list]:
+    """Three nested prefixes of a truncation, ordered small-magnitude-first.
 
     Successive prefixes behave like growing balls around the identity.
     """
     ordered = sorted(items, key=lambda g: (shell_key(g), g))
     n = len(ordered)
     if n == 0:
-        return [[] for _ in range(steps)]
-    cuts = sorted({max(1, (n * (i + 1)) // steps) for i in range(steps)})
+        return [[], [], []]
+    cuts = sorted({max(1, (n * i) // 3) for i in (1, 2, 3)})
     return [ordered[:c] for c in cuts]
 
 
@@ -214,13 +214,14 @@ class QuotientWordMetric(MetricEvaluator):
     """Pullback of the word metric of Z/|k| along Z -> Z/kZ.
 
     A pseudometric on the integers: elements of the same coset are at
-    distance zero.
+    distance zero. No distance is HORIZON: the cap is |k| // 2, the largest
+    distance in Z/|k|.
     """
 
-    def __init__(self, k: int, radius_cap: int = 64):
+    def __init__(self, k: int):
         self.spec = GroupSpec.free_abelian(1)
         self.quotient = GroupSpec.cyclic(abs(k))
-        self._word = WordMetric(self.quotient, radius_cap=radius_cap)
+        self._word = WordMetric(self.quotient, radius_cap=abs(k) // 2)
 
     def project(self, g):
         return self.quotient._reduce(g)

@@ -416,6 +416,13 @@ class TestDistance:
         ) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    @pytest.mark.parametrize("k,h", [(131, 65), (200, 100)])
+    def test_quotient_is_exact_past_radius_64(self, capsys, k, h):
+        # The largest distance of Z/k, k // 2, is past the CLI's radius 64.
+        argv = ["distance", "--group", "Z", "--metric", f"quotient:{k}", "0", str(h)]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (f"{h}\n", "")
+
     def test_closed_form_word_distance_builds_no_ball(self, capsys, monkeypatch):
         # Read off the breadth-first table, this distance needs a ball of
         # radius 10 (221 elements), past the cap: exit 3.

@@ -201,7 +201,6 @@ ROW_METRICS = {
     "maxentry-H": (lambda: MaxEntryMetric(H), False),
     "entry12-H": (lambda: Entry12Pseudometric(H), False),
     "quotient-Z/<5>": (lambda: QuotientWordMetric(5), False),
-    "quotient-Z/<5>-cap1": (lambda: QuotientWordMetric(5, radius_cap=1), True),
 }
 
 
@@ -361,13 +360,9 @@ class TestQuotientDiameter:
     """
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(2, 9),
-        st.integers(0, 5),
-        st.lists(st.integers(-30, 30), max_size=12),
-    )
-    def test_rank_one_matches_all_pairs(self, k, radius_cap, xs):
-        qm = QuotientWordMetric(k, radius_cap=radius_cap)
+    @given(st.integers(2, 9), st.lists(st.integers(-30, 30), max_size=12))
+    def test_rank_one_matches_all_pairs(self, k, xs):
+        qm = QuotientWordMetric(k)
         pts = [(x,) for x in xs]
         expected = _all_pairs_diameter(qm, pts)
         assert qm.diameter(pts) == expected == MetricEvaluator.diameter(qm, pts)
@@ -391,9 +386,9 @@ class TestQuotientDiameter:
         "metric,pts",
         [
             (WordMetric(Z, radius_cap=1), [(0,), (-1,), (1,)]),
-            (QuotientWordMetric(5, radius_cap=1), [(0,), (1,), (-1,)]),
+            (WordMetric(GroupSpec.cyclic(9), radius_cap=2), [(2,), (0,), (4,)]),
         ],
-        ids=["word-Z", "quotient-Z/<5>"],
+        ids=["word-Z", "word-Z/9"],
     )
     def test_horizon_only_in_the_last_pair(self, metric, pts):
         pairs = list(itertools.combinations(pts, 2))
@@ -403,11 +398,11 @@ class TestQuotientDiameter:
         assert metric.diameter(pts) is HORIZON
 
     def test_horizon_propagates(self):
-        # Residues 0 and 4 of Z/9 are at quotient distance 4 > radius_cap.
-        qm = QuotientWordMetric(9, radius_cap=2)
-        pts = [(0,), (9,), (4,), (1,)]
-        assert qm.diameter(pts) is HORIZON
-        assert MetricEvaluator.diameter(qm, pts) is HORIZON
+        # Residues 0 and 4 of Z/9 are at distance 4 > radius_cap, and 0 and 1
+        # at distance 1: the diameter is HORIZON, not the largest number.
+        wm = WordMetric(GroupSpec.cyclic(9), radius_cap=2)
+        pts = [(0,), (4,), (1,)]
+        assert wm.diameter(pts) is HORIZON is _all_pairs_diameter(wm, pts)
 
     def test_same_coset_points_count_once(self):
         qm = QuotientWordMetric(5)
@@ -713,13 +708,13 @@ class TestTrendRule:
 class TestLadder:
     def test_prefixes_nested_and_deterministic(self):
         items = Z.ball(20)
-        ladder = ladder_prefixes(items, 3)
+        ladder = ladder_prefixes(items)
         assert len(ladder) == 3
         for a, b in zip(ladder, ladder[1:]):
             assert set(a) <= set(b)
-        assert ladder == ladder_prefixes(list(reversed(items)), 3)
+        assert ladder == ladder_prefixes(list(reversed(items)))
 
     def test_small_magnitude_first(self):
-        ladder = ladder_prefixes(Z.ball(9), 3)
+        ladder = ladder_prefixes(Z.ball(9))
         assert (0,) in ladder[0]
         assert max(abs(g[0]) for g in ladder[0]) < max(abs(g[0]) for g in ladder[-1])

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import signal
 
 import pytest
 
@@ -214,6 +215,25 @@ def test_one_wrong_left_row_fails_only_the_invariance_check(monkeypatch, index):
     _assert_nothing_left(fds)
 
 
+def test_a_killed_child_leaves_the_serial_report(monkeypatch):
+    # The child SIGKILLs itself on its first row; the parent reads that
+    # status as no answer and checks the child's half itself.
+    expected = report_to_json(run_scenario("heisenberg_pseudometric", radius=5, samples=10))
+    fds = _open_fds()
+    parent = os.getpid()
+
+    def kill_in_child(out):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return out
+
+    _patch_left_row(monkeypatch, BALL5[HALF5], kill_in_child)
+    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert report_to_json(report) == expected
+    assert _invariance_observed(report) is True
+    _assert_nothing_left(fds)
+
+
 class RowError(Exception):
     pass
 
@@ -267,7 +287,7 @@ def _smith_rows_per_c(R):
     rows = []
     for C in range(1, 5):
         values = []
-        for prefix in ladder_prefixes(truncation, 3):
+        for prefix in ladder_prefixes(truncation):
             best = 0
             for x in prefix:
                 for y in prefix:
@@ -310,7 +330,7 @@ def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
 @pytest.mark.parametrize("k,R", [(129, 100), (130, 100), (1000, 300)])
 def test_z_quotient_metric_passes_past_the_default_radius_cap(k, R):
     # Quotient distances reach k // 2, past the default radius_cap 64 of
-    # QuotientWordMetric once k >= 130.
+    # WordMetric once k >= 130; QuotientWordMetric caps at k // 2.
     report = run_scenario("z_quotient_metric", k=k, truncation_radius=R)
     failed = [a.description for a in report.assertions if not a.passed]
     assert report.all_passed, failed
