@@ -11,13 +11,17 @@ them with the `GroupSpec` constructors.  All arithmetic is
 arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
 
-Besides `mul`, every kind answers two set-at-a-time hooks: `translates(g,
-hs)`, the list [g*h for h in hs], and `product_set(a, b, cap)`, the set
+Besides `mul`, every kind answers three set-at-a-time hooks: `translates(g,
+hs)`, the list [g*h for h in hs]; `translate_coordinates(g, hs, i)`, the
+list [(g*h)[i] for h in hs]; and `product_set(a, b, cap)`, the set
 {x*y : x in a, y in b}, which raises once it holds more than `cap`
 elements.  Generated bornologies and chain metrics build their sets
-through `product_set`.  `Heisenberg` overrides `translates` with its law
-unpacked, and `FreeAbelian` of rank 1 overrides `product_set` with plain
-int sums; every other kind inherits the bodies built on `mul`.
+through `product_set`, and the Heisenberg invariance check reads
+coordinate 0 through `translate_coordinates`.  `Heisenberg` overrides
+`translates` with its law unpacked and `translate_coordinates` with plain
+sums on its additive coordinates 0 and 1, and `FreeAbelian` of rank 1
+overrides `product_set` with plain int sums; every other kind inherits
+the bodies built on `mul`.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
 kind with equal fields, as two `cyclic(7)`, and never changed once built.
@@ -183,10 +187,11 @@ class GroupSpec(_Value):
     Each kind subclass defines mul(g, h) and inv(g); Z/k and a direct
     product also narrow check_element and box.
 
-    The set-at-a-time law has two hooks: translates(g, hs) and
-    product_set(a, b, cap).  The base bodies call `mul` once per pair;
-    `Heisenberg` overrides translates and `FreeAbelian` of rank 1
-    overrides product_set, each without a method call per pair.
+    The set-at-a-time law has three hooks: translates(g, hs),
+    translate_coordinates(g, hs, i) and product_set(a, b, cap).  The base
+    bodies call `mul` once per pair; `Heisenberg` overrides translates,
+    and translate_coordinates on coordinates 0 and 1, and `FreeAbelian`
+    of rank 1 overrides product_set, each without a method call per pair.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -261,6 +266,11 @@ class GroupSpec(_Value):
         """[g*h for h in hs], in the order of `hs`."""
         mul = self.mul
         return [mul(g, h) for h in hs]
+
+    def translate_coordinates(self, g, hs, i: int) -> list:
+        """[(g*h)[i] for h in hs], in the order of `hs`."""
+        mul = self.mul
+        return [mul(g, h)[i] for h in hs]
 
     def product_set(self, a, b, cap: int) -> set:
         """{x*y : x in a, y in b}; past `cap` elements, raises after one row x*b."""
@@ -366,6 +376,13 @@ class Heisenberg(GroupSpec):
     def translates(self, g, hs) -> list:
         a, b, c = g
         return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
+
+    def translate_coordinates(self, g, hs, i: int) -> list:
+        # Coordinates 0 and 1 add; any other index goes through the law.
+        if i not in (0, 1):
+            return super().translate_coordinates(g, hs, i)
+        x = g[i]
+        return [x + h[i] for h in hs]
 
     def word_distance(self, cap: int):
         if self.generating_set == ((1, 0, 0), (0, 1, 0)):

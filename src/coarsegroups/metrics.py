@@ -39,11 +39,12 @@ def classify_trend(values: list) -> str:
 
     "growing" when the values strictly increase at every step and the last
     increment is at least the first; "bounded" when the last two values are
-    equal; "inconclusive" otherwise.  Overflow markers (None) count as
-    larger than any number.
+    equal; "inconclusive" otherwise.  Overflow markers (None or HORIZON)
+    count as larger than any number.
     """
     if len(values) < 2:
         return "inconclusive"
+    values = [None if v is HORIZON else v for v in values]
     numeric = [v for v in values if v is not None]
     if any(v is None for v in values):
         if all(v is None for v in values[-2:]):

@@ -8,7 +8,6 @@ the underlying statement quantifies over the whole group.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 
@@ -84,41 +83,6 @@ def _identity(x):
     return x
 
 
-# From this many pairs on, a row check splits its rows across two processes.
-# A bare fork plus reap costs about 2 ms. The heisenberg_pseudometric check
-# (medians of 9 calls in each of two runs, 2-core host, Python 3.11) took
-# 2.9 ms serially and 3.3-4.5 ms forked at radius 4 (18,225 pairs),
-# 13.7-14.1 ms and 11.6-15.3 ms at radius 5 (89,401 pairs), and 625-634 ms
-# and 340-587 ms at radius 8.
-_FORK_PAIRS = 1 << 16
-
-
-def _all_rows(ok, rows: list, pairs: int) -> bool:
-    """`all(map(ok, rows))`; from _FORK_PAIRS pairs on, a forked child checks
-    the second half of the rows and exits 0 only if all of them pass. The
-    parent re-runs that half on any other status, so the verdict, and any
-    exception, is the serial one.
-    """
-    fork = getattr(os, "fork", None)
-    if pairs < _FORK_PAIRS or fork is None:
-        return all(map(ok, rows))
-    half = len(rows) // 2
-    try:
-        pid = fork()
-    except OSError:
-        return all(map(ok, rows))
-    if pid == 0:
-        try:
-            os._exit(0 if all(map(ok, rows[half:])) else 1)
-        finally:
-            os._exit(1)
-    try:
-        first = all(map(ok, rows[:half]))
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return first and (status == 0 or all(map(ok, rows[half:])))
-
-
 # -- scenarios --------------------------------------------------------
 
 
@@ -191,14 +155,14 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     rho = Entry12Pseudometric(spec)
     ball = spec.ball(radius)
 
-    # Row g compares rho(e, g^-1 h) with rho(g, h) for every h in the ball.
-    # rho(g, h) depends on g only through g[0]: one right-hand row per value.
-    e = spec.identity()
+    # Row g compares rho(e, g^-1 h) = |(g^-1 h)[0]| with rho(g, h) for every
+    # h in the ball; the left row needs only coordinate 0 of g^-1 h, the one
+    # entry rho reads.  rho(g, h) depends on g only through g[0]: one
+    # right-hand row per value.
     right = {a: rho.distances(g, ball) for a, g in {g[0]: g for g in ball}.items()}
-    invariance_ok = _all_rows(
-        lambda g: rho.distances(e, spec.translates(spec.inv(g), ball)) == right[g[0]],
-        ball,
-        len(ball) ** 2,
+    invariance_ok = all(
+        list(map(abs, spec.translate_coordinates(spec.inv(g), ball, 0))) == right[g[0]]
+        for g in ball
     )
     report.check(
         "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball",

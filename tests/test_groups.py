@@ -376,7 +376,8 @@ HOOK_CASES = {
 
 
 class TestSetHooks:
-    """`translates` and `product_set` agree with `mul` on every kind."""
+    """`translates`, `translate_coordinates` and `product_set` agree with
+    `mul` on every kind."""
 
     @staticmethod
     def inputs(spec):
@@ -390,6 +391,21 @@ class TestSetHooks:
         for g in ball:
             assert spec.translates(g, box) == [spec.mul(g, h) for h in box]
             assert spec.translates(g, []) == []
+
+    @pytest.mark.parametrize("name", list(HOOK_CASES))
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_translate_coordinates_is_translates_in_order(self, name, data):
+        # Every coordinate, counted from either end, on every kind, so the
+        # Heisenberg override and the law it defers to for c both run.
+        spec = HOOK_CASES[name]
+        ball, box = self.inputs(spec)
+        g = data.draw(st.sampled_from(ball))
+        hs = data.draw(st.sampled_from([box, box[: len(box) // 3], []]))
+        for i in range(-spec.rank, spec.rank):
+            expected = [t[i] for t in spec.translates(g, hs)]
+            assert spec.translate_coordinates(g, hs, i) == expected
+            assert spec.translate_coordinates(g, [], i) == []
 
     @pytest.mark.parametrize("name", list(HOOK_CASES))
     def test_product_set_is_the_mul_comprehension(self, name):

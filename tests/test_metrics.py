@@ -704,6 +704,16 @@ class TestTrendRule:
         assert classify_trend([1, 2, None]) == "growing"
         assert classify_trend([None, None, None]) == "inconclusive"
 
+    def test_horizon_is_an_overflow_marker(self):
+        # HORIZON reads exactly as None: never a value equal to itself, and
+        # never one to subtract.
+        for values in ([5, HORIZON, HORIZON, HORIZON], [1, 2, HORIZON], [3, HORIZON, 4]):
+            nones = [None if v is HORIZON else v for v in values]
+            assert classify_trend(values) == classify_trend(nones)
+        assert classify_trend([5, HORIZON, HORIZON, HORIZON]) == "inconclusive"
+        assert classify_trend([1, 2, HORIZON]) == "growing"
+        assert classify_trend([1, None, HORIZON]) == "inconclusive"
+
 
 class TestLadder:
     def test_prefixes_nested_and_deterministic(self):

@@ -1,7 +1,5 @@
 import inspect
 import json
-import os
-import signal
 
 import pytest
 
@@ -111,36 +109,38 @@ def test_invariance_check_passes_for_rho():
     assert _invariance_observed(report) is True
 
 
-def _count_row_sources(monkeypatch) -> list:
-    """The source g of every `Entry12Pseudometric.distances` row, as it is built."""
-    sources = []
+def _count_rows(monkeypatch) -> tuple[list, list]:
+    """The source g of every `Entry12Pseudometric.distances` row, and the
+    (g, i) of every Heisenberg `translate_coordinates` row, as each is built."""
+    right, left = [], []
     row = Entry12Pseudometric.distances
+    hook = Heisenberg.translate_coordinates
 
-    def counting(self, g, hs):
-        sources.append(g)
+    def counting_row(self, g, hs):
+        right.append(g)
         return row(self, g, hs)
 
-    monkeypatch.setattr(Entry12Pseudometric, "distances", counting)
-    return sources
+    def counting_hook(self, g, hs, i):
+        left.append((g, i))
+        return hook(self, g, hs, i)
+
+    monkeypatch.setattr(Entry12Pseudometric, "distances", counting_row)
+    monkeypatch.setattr(Heisenberg, "translate_coordinates", counting_hook)
+    return right, left
 
 
 @pytest.mark.parametrize("radius,values", [(2, 5), (5, 11), (8, 17)])
 def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, radius, values):
-    # The left-hand rows start at the identity; every other row is a
-    # right-hand row, built once per value of g[0] in the ball. From
-    # _FORK_PAIRS pairs on a forked child checks the second half of the left
-    # rows, out of this counter's sight, so the parent counts its own half;
-    # test_one_wrong_left_row_fails_only_the_invariance_check shows that the
-    # child's half is checked.
-    e = (0, 0, 0)
-    sources = _count_row_sources(monkeypatch)
+    # The right-hand rows are built once per value of g[0] in the ball; the
+    # left-hand rows are one hook row of coordinate 0 from g^-1 per ball
+    # element g, in ball order, all of them in this process.
+    right, left = _count_rows(monkeypatch)
     report = run_scenario("heisenberg_pseudometric", radius=radius, samples=10)
     assert _invariance_observed(report) is True
-    ball = GroupSpec.heisenberg().ball(radius)
-    right = [g for g in sources if g != e]
+    spec = GroupSpec.heisenberg()
+    ball = spec.ball(radius)
     assert len({g[0] for g in ball}) == values == len(right) == len({g[0] for g in right})
-    forked = len(ball) ** 2 >= scenarios._FORK_PAIRS
-    assert sources.count(e) == (len(ball) // 2 if forked else len(ball))
+    assert left == [(spec.inv(g), 0) for g in ball]
 
 
 def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
@@ -151,130 +151,51 @@ def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
     assert _invariance_observed(report) is False
 
 
-def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
-    # A wrong first coordinate of g^-1 h turns the invariance check, and only
-    # it, to FAIL: the ball, the axioms and the witnesses do not use translates.
-    def wrong_translates(self, g, hs):
-        a, b, c = g
-        return [(a + a2 + b * b2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
+INVARIANCE = "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"
 
-    monkeypatch.setattr(Heisenberg, "translates", wrong_translates)
+
+def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
+    # A wrong first coordinate of g^-1 h, the a + a' + b * b' of a wrong law,
+    # turns the invariance check, and only it, to FAIL: the ball, the axioms
+    # and the witnesses do not use the hook.
+    hook = Heisenberg.translate_coordinates
+
+    def wrong_coordinate_0(self, g, hs, i):
+        out = hook(self, g, hs, i)
+        return [x + g[1] * h[1] for x, h in zip(out, hs)] if i == 0 else out
+
+    monkeypatch.setattr(Heisenberg, "translate_coordinates", wrong_coordinate_0)
     report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
     assert _invariance_observed(report) is False
     failed = [a.description for a in report.assertions if not a.passed]
-    assert failed == ["|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"]
+    assert failed == [INVARIANCE]
     assert len(report.assertions) == 4
 
 
-INVARIANCE = "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"
-# Radius 5 is the smallest ball whose invariance check forks; the parent
-# checks the left rows of BALL5[:HALF5], the child those of BALL5[HALF5:].
 BALL5 = GroupSpec.heisenberg().ball(5)
-HALF5 = len(BALL5) // 2
-# The first and last rows of the parent's half, then of the child's.
-ROWS = pytest.mark.parametrize(
-    "index", [0, HALF5 - 1, HALF5, -1], ids=["parent-first", "parent-last", "child-first", "last"]
+
+
+@pytest.mark.parametrize(
+    "index", [0, len(BALL5) // 2, -1], ids=["first", "middle", "last"]
 )
-
-
-def _patch_left_row(monkeypatch, g, wrong):
-    """Replace the left-hand row of g, from e over g^-1 times the ball, by `wrong(row)`."""
-    spec = GroupSpec.heisenberg()
-    e = spec.identity()
-    points = spec.translates(spec.inv(g), BALL5)
-    row = Entry12Pseudometric.distances
-
-    def patched(self, x, hs):
-        out = row(self, x, hs)
-        return wrong(out) if x == e and hs == points else out
-
-    monkeypatch.setattr(Entry12Pseudometric, "distances", patched)
-
-
-def _open_fds() -> list:
-    return sorted(os.listdir("/proc/self/fd"))
-
-
-def _assert_nothing_left(fds):
-    """No child process is left unreaped, and no pipe end open."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds
-
-
-def test_radius_5_is_the_smallest_ball_that_forks():
-    assert len(GroupSpec.heisenberg().ball(4)) ** 2 < scenarios._FORK_PAIRS <= len(BALL5) ** 2
-
-
-@ROWS
 def test_one_wrong_left_row_fails_only_the_invariance_check(monkeypatch, index):
-    fds = _open_fds()
-    _patch_left_row(monkeypatch, BALL5[index], lambda out: [d + 1 for d in out])
+    # Coordinate 0 of g^-1 h, off by one on the row of one ball element g.
+    spec = GroupSpec.heisenberg()
+    source = spec.inv(BALL5[index])
+    hook = Heisenberg.translate_coordinates
+    hits = []
+
+    def one_wrong_row(self, g, hs, i):
+        out = hook(self, g, hs, i)
+        if g != source:
+            return out
+        hits.append(g)
+        return [x + 1 for x in out]
+
+    monkeypatch.setattr(Heisenberg, "translate_coordinates", one_wrong_row)
     report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
     assert [a.description for a in report.assertions if not a.passed] == [INVARIANCE]
-    _assert_nothing_left(fds)
-
-
-def test_a_killed_child_leaves_the_serial_report(monkeypatch):
-    # The child SIGKILLs itself on its first row; the parent reads that
-    # status as no answer and checks the child's half itself.
-    expected = report_to_json(run_scenario("heisenberg_pseudometric", radius=5, samples=10))
-    fds = _open_fds()
-    parent = os.getpid()
-
-    def kill_in_child(out):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return out
-
-    _patch_left_row(monkeypatch, BALL5[HALF5], kill_in_child)
-    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
-    assert report_to_json(report) == expected
-    assert _invariance_observed(report) is True
-    _assert_nothing_left(fds)
-
-
-class RowError(Exception):
-    pass
-
-
-@ROWS
-def test_an_exception_in_a_left_row_is_the_serial_one(monkeypatch, index):
-    fds = _open_fds()
-
-    def fail(out):
-        raise RowError(f"row {index}")
-
-    _patch_left_row(monkeypatch, BALL5[index], fail)
-    with pytest.raises(RowError) as forked:
-        run_scenario("heisenberg_pseudometric", radius=5, samples=10)
-    _assert_nothing_left(fds)
-    monkeypatch.setattr(scenarios, "_FORK_PAIRS", len(BALL5) ** 2 + 1)
-    with pytest.raises(RowError) as serial:
-        run_scenario("heisenberg_pseudometric", radius=5, samples=10)
-    assert type(forked.value) is type(serial.value) is RowError
-    assert str(forked.value) == str(serial.value) == f"row {index}"
-
-
-def _refuse_fork():
-    raise OSError("fork refused")
-
-
-@pytest.mark.parametrize("fork", [None, _refuse_fork], ids=["no-fork", "fork-raises"])
-def test_invariance_check_runs_serially_without_fork(monkeypatch, fork):
-    # Every left row is then counted in this process, and the report is the
-    # forked one.
-    expected = report_to_json(run_scenario("heisenberg_pseudometric", radius=5, samples=10))
-    fds = _open_fds()
-    if fork is None:
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", fork)
-    sources = _count_row_sources(monkeypatch)
-    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
-    assert report_to_json(report) == expected
-    assert sources.count((0, 0, 0)) == len(BALL5)
-    _assert_nothing_left(fds)
+    assert hits == [source]
 
 
 def _smith_rows_per_c(R):
