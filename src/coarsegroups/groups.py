@@ -350,7 +350,8 @@ class FreeAbelian(GroupSpec):
             return super().product_set(a, b, cap)
         ys = [y for (y,) in b]
         if len(a) * len(ys) <= cap:
-            return {(x + y,) for (x,) in a for y in ys}
+            # Sums repeat on progressions: wrap each distinct sum once.
+            return {(s,) for s in {x + y for (x,) in a for y in ys}}
         return _union_rows(([(x + y,) for y in ys] for (x,) in a), cap)
 
     def word_distance(self, cap: int):

@@ -432,6 +432,20 @@ class TestSetHooks:
                 assert spec.product_set(ball, box, cap) == full
         assert spec.product_set([], box, 0) == set()
 
+    @pytest.mark.parametrize("k", [1, 5, 130])
+    def test_z_product_set_on_repeated_sums(self, k):
+        # The z_quotient_metric shape: a seed {k*i} and its sumset, where
+        # most sums repeat (a box barely repeats any).  Under the cap and at
+        # every cap past the distinct sums, it is the mul comprehension.
+        seed = [(k * i,) for i in range(-12, 13)]
+        for a, b in [(seed, seed), (Z.product_set(seed, seed, len(seed) ** 2), seed)]:
+            full = {Z.mul(x, y) for x in a for y in b}
+            assert len(full) < len(a) * len(b) // 5
+            for cap in (len(full), len(full) + 1, len(a) * len(b)):
+                assert Z.product_set(a, b, cap) == full
+            with pytest.raises(BudgetExceededError):
+                Z.product_set(a, b, len(full) - 1)
+
     def test_heisenberg_translates_match_matrix_oracle(self):
         box = H.box(2)[::-1]
         for g in H.box(2):

@@ -175,27 +175,63 @@ def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
 BALL5 = GroupSpec.heisenberg().ball(5)
 
 
-@pytest.mark.parametrize(
-    "index", [0, len(BALL5) // 2, -1], ids=["first", "middle", "last"]
-)
-def test_one_wrong_left_row_fails_only_the_invariance_check(monkeypatch, index):
-    # Coordinate 0 of g^-1 h, off by one on the row of one ball element g.
-    spec = GroupSpec.heisenberg()
-    source = spec.inv(BALL5[index])
+def _run_place(g) -> tuple[int, int]:
+    """g's place in its g[0] run of the sorted BALL5, and the run's length."""
+    run = [h for h in BALL5 if h[0] == g[0]]
+    return run.index(g), len(run)
+
+
+def _patch_one_row(monkeypatch, g, change) -> list:
+    """Apply `change` to the hook row of g^-1 only; the returned list gets
+    one entry each time that row is built."""
+    source = GroupSpec.heisenberg().inv(g)
     hook = Heisenberg.translate_coordinates
     hits = []
 
-    def one_wrong_row(self, g, hs, i):
-        out = hook(self, g, hs, i)
-        if g != source:
+    def one_changed_row(self, h, hs, i):
+        out = hook(self, h, hs, i)
+        if h != source:
             return out
-        hits.append(g)
-        return [x + 1 for x in out]
+        hits.append(h)
+        return change(out)
 
-    monkeypatch.setattr(Heisenberg, "translate_coordinates", one_wrong_row)
+    monkeypatch.setattr(Heisenberg, "translate_coordinates", one_changed_row)
+    return hits
+
+
+@pytest.mark.parametrize(
+    "g,place,run_length",
+    [
+        (BALL5[0], 0, 1),
+        (BALL5[len(BALL5) // 2], 20, 41),
+        (BALL5[-1], 0, 1),
+        ((0, -5, 0), 0, 41),
+    ],
+    ids=["first", "middle", "last", "run-start"],
+)
+def test_one_wrong_left_row_fails_only_the_invariance_check(monkeypatch, g, place, run_length):
+    # Coordinate 0 of g^-1 h, off by one on the row of one ball element g:
+    # a run of one, a later row of a long g[0] run (which differs from the
+    # row matched before it) and the first row of a long run.
+    assert _run_place(g) == (place, run_length)
+    hits = _patch_one_row(monkeypatch, g, lambda row: [x + 1 for x in row])
     report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
     assert [a.description for a in report.assertions if not a.passed] == [INVARIANCE]
-    assert hits == [source]
+    assert hits == [GroupSpec.heisenberg().inv(g)]
+
+
+def test_a_negated_left_row_passes_the_invariance_check(monkeypatch):
+    # Positive control: a row in the middle of its g[0] run, negated, differs
+    # from the row matched before it but has the same abs, so it passes.  A
+    # signed comparison of rows would turn the check to FAIL.
+    g = (0, 0, 0)
+    assert _run_place(g) == (20, 41)
+    row = GroupSpec.heisenberg().translate_coordinates(g, BALL5, 0)
+    assert [-x for x in row] != row
+    hits = _patch_one_row(monkeypatch, g, lambda row: [-x for x in row])
+    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert all(a.passed for a in report.assertions)
+    assert hits == [g]
 
 
 def _smith_rows_per_c(R):
