@@ -1,5 +1,8 @@
 import inspect
 import json
+import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -232,6 +235,76 @@ def test_a_negated_left_row_passes_the_invariance_check(monkeypatch):
     report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
     assert all(a.passed for a in report.assertions)
     assert hits == [g]
+
+
+AXIOMS = "pseudometric axioms on sampled triples"
+WITNESS = "distinct elements at pseudodistance 0"
+
+
+@pytest.mark.parametrize(
+    "broken,failed",
+    [
+        (lambda g, h: h[0] - g[0], [AXIOMS]),
+        (lambda g, h: (g[0] - h[0]) ** 2, [AXIOMS]),
+        (lambda g, h: abs(g[0] - h[0]) + (g == h), [AXIOMS]),
+        (lambda g, h: abs(g[0] - h[0]) + 1, [AXIOMS, WITNESS]),
+    ],
+    ids=["symmetry", "triangle", "diagonal", "diagonal-only"],
+)
+def test_a_broken_pseudometric_fails_the_axioms_check(monkeypatch, broken, failed):
+    # At the default radius and samples: a signed entry12 breaks only
+    # symmetry, its square only the triangle inequality, and a 1 added on the
+    # diagonal the diagonal and, through triples (x, y, x) with y[0] == x[0]
+    # and y != x, the triangle inequality.  A 1 added everywhere breaks only
+    # the diagonal among the axioms, and the zero-distance witness with it.
+    # The invariance check reads `distances` rows and does not see `eval`.
+    monkeypatch.setattr(Entry12Pseudometric, "eval", lambda self, g, h: broken(g, h))
+    report = run_scenario("heisenberg_pseudometric")
+    assert [a.description for a in report.assertions if not a.passed] == failed
+
+
+@pytest.mark.parametrize(
+    "samples", [1, scenarios.BLOCK - 1, scenarios.BLOCK, scenarios.BLOCK + 1, 1000]
+)
+def test_the_axioms_check_evaluates_every_drawn_triple_once(monkeypatch, samples):
+    # The triples are the 3 * samples points of one `choices` stream, in
+    # blocks or not; each takes d(x, y), d(y, x), d(x, z), d(y, z) and
+    # d(x, x), and the witness takes one more evaluation.
+    calls = []
+    ev = Entry12Pseudometric.eval
+
+    def counting_eval(self, g, h):
+        calls.append((g, h))
+        return ev(self, g, h)
+
+    monkeypatch.setattr(Entry12Pseudometric, "eval", counting_eval)
+    report = run_scenario("heisenberg_pseudometric", radius=2, samples=samples)
+    assert report.all_passed
+    assert len(calls) == 5 * samples + 1
+    points = random.Random(12).choices(GroupSpec.heisenberg().ball(2), k=3 * samples)
+    xs, ys, zs = points[0::3], points[1::3], points[2::3]
+    expected = Counter([((1, 0, 0), (1, 0, 5))])
+    for pairs in (zip(xs, ys), zip(ys, xs), zip(xs, zs), zip(ys, zs), zip(xs, xs)):
+        expected.update(pairs)
+    assert Counter(calls) == expected
+
+
+def test_the_axiom_sample_memory_stays_bounded_in_samples():
+    # 150,000 points drawn at once take more than the bound for their list
+    # alone; blocks of BLOCK triples stay far below it.
+    bound = 256 * 1024
+    ball = GroupSpec.heisenberg().ball(2)
+    tracemalloc.start()
+    try:
+        random.Random(12).choices(ball, k=3 * 50_000)
+        one_shot = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        report = run_scenario("heisenberg_pseudometric", radius=2, samples=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_passed
+    assert one_shot > bound > peak
 
 
 def _smith_rows_per_c(R):
