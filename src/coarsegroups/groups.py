@@ -12,16 +12,16 @@ arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
 
 Besides `mul`, every kind answers three set-at-a-time hooks: `translates(g,
-hs)`, the list [g*h for h in hs]; `translate_coordinates(g, hs, i)`, the
-list [(g*h)[i] for h in hs]; and `product_set(a, b, cap)`, the set
-{x*y : x in a, y in b}, which raises once it holds more than `cap`
-elements.  Generated bornologies and chain metrics build their sets
-through `product_set`, and the Heisenberg invariance check reads
-coordinate 0 through `translate_coordinates`.  `Heisenberg` overrides
-`translates` with its law unpacked and `translate_coordinates` with plain
-sums on its additive coordinates 0 and 1, and `FreeAbelian` of rank 1
-overrides `product_set` with plain int sums; every other kind inherits
-the bodies built on `mul`.
+hs)`, the list [g*h for h in hs]; `coordinate_rows(gs, hs, i)`, which
+yields [(g*h)[i] for h in hs] for each g in `gs`; and `product_set(a, b,
+cap)`, the set {x*y : x in a, y in b}, which raises once it holds more
+than `cap` elements.  Generated bornologies and chain metrics build their
+sets through `product_set`, and the Heisenberg invariance check reads
+coordinate 0 through `coordinate_rows`.  `Heisenberg` overrides
+`translates` with its law unpacked and `coordinate_rows` on its additive
+coordinates 0 and 1 with one row of sums per run of equal g[i], and
+`FreeAbelian` of rank 1 overrides `product_set` with plain int sums; every
+other kind inherits the bodies built on `mul`.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
 kind with equal fields, as two `cyclic(7)`, and never changed once built.
@@ -188,10 +188,10 @@ class GroupSpec(_Value):
     product also narrow check_element and box.
 
     The set-at-a-time law has three hooks: translates(g, hs),
-    translate_coordinates(g, hs, i) and product_set(a, b, cap).  The base
+    coordinate_rows(gs, hs, i) and product_set(a, b, cap).  The base
     bodies call `mul` once per pair; `Heisenberg` overrides translates,
-    and translate_coordinates on coordinates 0 and 1, and `FreeAbelian`
-    of rank 1 overrides product_set, each without a method call per pair.
+    and coordinate_rows on coordinates 0 and 1, and `FreeAbelian` of rank
+    1 overrides product_set, each without a method call per pair.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -267,10 +267,12 @@ class GroupSpec(_Value):
         mul = self.mul
         return [mul(g, h) for h in hs]
 
-    def translate_coordinates(self, g, hs, i: int) -> list:
-        """[(g*h)[i] for h in hs], in the order of `hs`."""
+    def coordinate_rows(self, gs, hs, i: int) -> Iterator[list]:
+        """Yield [(g*h)[i] for h in hs] for each g in `gs`, in order.  A kind
+        may yield one list for several g's: never mutate a yielded row."""
         mul = self.mul
-        return [mul(g, h)[i] for h in hs]
+        for g in gs:
+            yield [mul(g, h)[i] for h in hs]
 
     def product_set(self, a, b, cap: int) -> set:
         """{x*y : x in a, y in b}; past `cap` elements, raises after one row x*b."""
@@ -378,12 +380,17 @@ class Heisenberg(GroupSpec):
         a, b, c = g
         return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
 
-    def translate_coordinates(self, g, hs, i: int) -> list:
-        # Coordinates 0 and 1 add; any other index goes through the law.
-        if i not in (0, 1):
-            return super().translate_coordinates(g, hs, i)
-        x = g[i]
-        return [x + h[i] for h in hs]
+    def coordinate_rows(self, gs, hs, i: int) -> Iterator[list]:
+        # Coordinates 0 and 1 add, so a row depends on g[i] alone: one row
+        # per run of equal g[i].  Coordinate 2 goes through the law.
+        if i not in (0, 1, -3, -2):
+            yield from super().coordinate_rows(gs, hs, i)
+            return
+        col = [h[i] for h in hs]
+        for x, run in itertools.groupby(gs, operator.itemgetter(i)):
+            row = [x + y for y in col]
+            for _ in run:
+                yield row
 
     def word_distance(self, cap: int):
         if self.generating_set == ((1, 0, 0), (0, 1, 0)):

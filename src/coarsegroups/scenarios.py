@@ -168,8 +168,7 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     right = {a: rho.distances(g, ball) for a, g in {g[0]: g for g in ball}.items()}
     matched = {}
     invariance_ok = True
-    for g in ball:
-        left = spec.translate_coordinates(spec.inv(g), ball, 0)
+    for g, left in zip(ball, spec.coordinate_rows(map(spec.inv, ball), ball, 0)):
         if left != matched.get(g[0]):
             if list(map(abs, left)) != right[g[0]]:
                 invariance_ok = False

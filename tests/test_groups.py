@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -376,8 +377,8 @@ HOOK_CASES = {
 
 
 class TestSetHooks:
-    """`translates`, `translate_coordinates` and `product_set` agree with
-    `mul` on every kind."""
+    """`translates`, `coordinate_rows` and `product_set` agree with `mul` on
+    every kind."""
 
     @staticmethod
     def inputs(spec):
@@ -396,16 +397,25 @@ class TestSetHooks:
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_translate_coordinates_is_translates_in_order(self, name, data):
-        # Every coordinate, counted from either end, on every kind, so the
-        # Heisenberg override and the law it defers to for c both run.
+        # Each row `coordinate_rows` yields is coordinate i of `translates`,
+        # for every coordinate counted from either end on every kind, so the
+        # Heisenberg rows shared by a run of equal g[i] and the law it defers
+        # to for c both run.  Six distinct picks hold two with equal g[i]
+        # wherever a ball(2) coordinate takes at most five values.  The g's
+        # come sorted by g[i], each twice (adjacent repeats, of one element
+        # and of distinct ones), as drawn twice over (repeats apart), and
+        # empty.
         spec = HOOK_CASES[name]
         ball, box = self.inputs(spec)
-        g = data.draw(st.sampled_from(ball))
+        size = min(6, len(ball))
+        picks = data.draw(st.lists(st.sampled_from(ball), min_size=size, max_size=10, unique=True))
         hs = data.draw(st.sampled_from([box, box[: len(box) // 3], []]))
+        translates = {g: spec.translates(g, hs) for g in picks}
         for i in range(-spec.rank, spec.rank):
-            expected = [t[i] for t in spec.translates(g, hs)]
-            assert spec.translate_coordinates(g, hs, i) == expected
-            assert spec.translate_coordinates(g, [], i) == []
+            for gs in (sorted(picks + picks, key=itemgetter(i)), picks + picks, []):
+                expected = [[t[i] for t in translates[g]] for g in gs]
+                # The g's may come from any iterable, read once, as a map.
+                assert list(spec.coordinate_rows(iter(gs), hs, i)) == expected
 
     @pytest.mark.parametrize("name", list(HOOK_CASES))
     def test_product_set_is_the_mul_comprehension(self, name):
@@ -452,6 +462,20 @@ class TestSetHooks:
             m = heis_to_matrix(g)
             expected = [heis_from_matrix(matmul3(m, heis_to_matrix(h))) for h in box]
             assert H.translates(g, box) == expected
+
+    def test_heisenberg_coordinate_rows_match_matrix_oracle(self):
+        # In box order, rising, and reversed, falling, the g's come in runs
+        # of equal g[0] (25 long) and of equal g[1] (5 long).  Every row,
+        # shared or not, is the oracle's, on all six indices.
+        box = H.box(2)
+        for gs in (box, box[::-1]):
+            products = [
+                [heis_from_matrix(matmul3(heis_to_matrix(g), heis_to_matrix(h))) for h in box]
+                for g in gs
+            ]
+            for i in range(-3, 3):
+                expected = [[p[i] for p in row] for row in products]
+                assert list(H.coordinate_rows(gs, box, i)) == expected
 
     def test_heisenberg_product_set_matches_matrix_oracle(self):
         a, b = H.ball(2), H.box(1)

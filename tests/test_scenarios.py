@@ -112,38 +112,47 @@ def test_invariance_check_passes_for_rho():
     assert _invariance_observed(report) is True
 
 
-def _count_rows(monkeypatch) -> tuple[list, list]:
-    """The source g of every `Entry12Pseudometric.distances` row, and the
-    (g, i) of every Heisenberg `translate_coordinates` row, as each is built."""
-    right, left = [], []
+def _count_rows(monkeypatch) -> tuple[list, list, list]:
+    """The source g of every `Entry12Pseudometric.distances` row; the (gs, i)
+    of every Heisenberg `coordinate_rows` call, with its g's as a list; and
+    every row that hook yielded, as yielded."""
+    right, calls, rows = [], [], []
     row = Entry12Pseudometric.distances
-    hook = Heisenberg.translate_coordinates
+    hook = Heisenberg.coordinate_rows
 
     def counting_row(self, g, hs):
         right.append(g)
         return row(self, g, hs)
 
-    def counting_hook(self, g, hs, i):
-        left.append((g, i))
-        return hook(self, g, hs, i)
+    def counting_hook(self, gs, hs, i):
+        gs = list(gs)
+        calls.append((gs, i))
+        for left in hook(self, gs, hs, i):
+            rows.append(left)
+            yield left
 
     monkeypatch.setattr(Entry12Pseudometric, "distances", counting_row)
-    monkeypatch.setattr(Heisenberg, "translate_coordinates", counting_hook)
-    return right, left
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", counting_hook)
+    return right, calls, rows
 
 
 @pytest.mark.parametrize("radius,values", [(2, 5), (5, 11), (8, 17)])
 def test_invariance_check_builds_one_right_hand_row_per_entry12(monkeypatch, radius, values):
-    # The right-hand rows are built once per value of g[0] in the ball; the
-    # left-hand rows are one hook row of coordinate 0 from g^-1 per ball
-    # element g, in ball order, all of them in this process.
-    right, left = _count_rows(monkeypatch)
+    # The right-hand rows are built once per value of g[0] in the ball.  The
+    # left-hand rows come from one hook call on coordinate 0 of g^-1 for
+    # every ball element g, in ball order, all of them in this process; the
+    # hook yields one row per ball element but builds one list per value of
+    # g[0], shared by its run.  `rows` keeps every row alive, so their ids
+    # are distinct exactly when the lists are.
+    right, calls, rows = _count_rows(monkeypatch)
     report = run_scenario("heisenberg_pseudometric", radius=radius, samples=10)
     assert _invariance_observed(report) is True
     spec = GroupSpec.heisenberg()
     ball = spec.ball(radius)
     assert len({g[0] for g in ball}) == values == len(right) == len({g[0] for g in right})
-    assert left == [(spec.inv(g), 0) for g in ball]
+    assert calls == [([spec.inv(g) for g in ball], 0)]
+    assert len(rows) == len(ball)
+    assert len({id(left) for left in rows}) == values
 
 
 def test_invariance_check_fails_for_a_non_invariant_metric(monkeypatch):
@@ -159,15 +168,17 @@ INVARIANCE = "|entry12 of g^-1 h| equals |entry12(g) - entry12(h)| on the ball"
 
 def test_invariance_check_fails_for_a_wrong_translates(monkeypatch):
     # A wrong first coordinate of g^-1 h, the a + a' + b * b' of a wrong law,
-    # turns the invariance check, and only it, to FAIL: the ball, the axioms
-    # and the witnesses do not use the hook.
-    hook = Heisenberg.translate_coordinates
+    # in the row of every g, turns the invariance check, and only it, to
+    # FAIL: the ball, the axioms and the witnesses do not use the hook.  Each
+    # wrong row is a new list; the hook's shared rows are left as they are.
+    hook = Heisenberg.coordinate_rows
 
-    def wrong_coordinate_0(self, g, hs, i):
-        out = hook(self, g, hs, i)
-        return [x + g[1] * h[1] for x, h in zip(out, hs)] if i == 0 else out
+    def wrong_coordinate_0(self, gs, hs, i):
+        gs = list(gs)
+        for g, out in zip(gs, hook(self, gs, hs, i)):
+            yield [x + g[1] * h[1] for x, h in zip(out, hs)] if i == 0 else out
 
-    monkeypatch.setattr(Heisenberg, "translate_coordinates", wrong_coordinate_0)
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", wrong_coordinate_0)
     report = run_scenario("heisenberg_pseudometric", radius=2, samples=10)
     assert _invariance_observed(report) is False
     failed = [a.description for a in report.assertions if not a.passed]
@@ -185,20 +196,26 @@ def _run_place(g) -> tuple[int, int]:
 
 
 def _patch_one_row(monkeypatch, g, change) -> list:
-    """Apply `change` to the hook row of g^-1 only; the returned list gets
-    one entry each time that row is built."""
+    """Yield `change` of the hook row of g^-1 in its place, and every other
+    row as the hook yields it; the returned list gets one entry each time
+    that row is yielded.  `change` builds a new list, so the row it reads,
+    which the hook may share with the rest of its run, stays as it is."""
     source = GroupSpec.heisenberg().inv(g)
-    hook = Heisenberg.translate_coordinates
+    hook = Heisenberg.coordinate_rows
     hits = []
 
-    def one_changed_row(self, h, hs, i):
-        out = hook(self, h, hs, i)
-        if h != source:
-            return out
-        hits.append(h)
-        return change(out)
+    def one_changed_row(self, gs, hs, i):
+        gs = list(gs)
+        for h, out in zip(gs, hook(self, gs, hs, i)):
+            if h == source:
+                hits.append(h)
+                kept = list(out)
+                changed = change(out)
+                assert changed is not out and out == kept
+                out = changed
+            yield out
 
-    monkeypatch.setattr(Heisenberg, "translate_coordinates", one_changed_row)
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", one_changed_row)
     return hits
 
 
@@ -229,12 +246,57 @@ def test_a_negated_left_row_passes_the_invariance_check(monkeypatch):
     # signed comparison of rows would turn the check to FAIL.
     g = (0, 0, 0)
     assert _run_place(g) == (20, 41)
-    row = GroupSpec.heisenberg().translate_coordinates(g, BALL5, 0)
+    [row] = GroupSpec.heisenberg().coordinate_rows([g], BALL5, 0)
     assert [-x for x in row] != row
     hits = _patch_one_row(monkeypatch, g, lambda row: [-x for x in row])
     report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
     assert all(a.passed for a in report.assertions)
     assert hits == [g]
+
+
+def _first_row_for_every_g(self, gs, hs, i):
+    # Wrong sharing: the row of the first g, for every g.
+    row = None
+    for g in gs:
+        row = row or [g[i] + h[i] for h in hs]
+        yield row
+
+
+def _rows_one_g_late(self, gs, hs, i):
+    # Wrong sharing: at each change of g[i] the old row is yielded once more,
+    # so the first g of every run after the first gets its predecessor's row.
+    x = row = None
+    for g in gs:
+        if g[i] != x:
+            late, x, row = row, g[i], [g[i] + h[i] for h in hs]
+            yield late or row
+        else:
+            yield row
+
+
+@pytest.mark.parametrize(
+    "wrong", [_first_row_for_every_g, _rows_one_g_late], ids=["first-row", "one-g-late"]
+)
+def test_wrongly_shared_rows_fail_only_the_invariance_check(monkeypatch, wrong):
+    # Each left row depends on g only through g[0], so sharing one row
+    # across a run of equal g[0] is right; sharing it any further, or
+    # switching rows a g late, hands some g the row of another g[0].
+    ball = BALL5
+    gs = [GroupSpec.heisenberg().inv(g) for g in ball]
+    rows = list(wrong(None, gs, ball, 0))
+    assert rows != list(GroupSpec.heisenberg().coordinate_rows(gs, ball, 0))
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", wrong)
+    report = run_scenario("heisenberg_pseudometric", radius=5, samples=10)
+    assert [a.description for a in report.assertions if not a.passed] == [INVARIANCE]
+
+
+@pytest.mark.parametrize("radius", [5, 8])
+def test_unshared_rows_give_the_same_report(monkeypatch, radius):
+    # Positive control for the two wrong hooks above: the base body, one
+    # `mul` per pair and one new list per g, gives the same report bytes.
+    shared = report_to_json(run_scenario("heisenberg_pseudometric", radius=radius))
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", GroupSpec.coordinate_rows)
+    assert report_to_json(run_scenario("heisenberg_pseudometric", radius=radius)) == shared
 
 
 AXIOMS = "pseudometric axioms on sampled triples"
