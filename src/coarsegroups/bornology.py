@@ -254,7 +254,7 @@ def member(basis: BornologyBasis, query, depth: int) -> MembershipVerdict:
 
 
 def member_depth(basis: BornologyBasis, query, depth_cap: int):
-    """Minimal prefix depth covering the query, or None past the cap.
+    """Minimal prefix depth covering the query, or HORIZON past the cap.
 
     Unlike `member`, no singleton axiom applies: this is the raw cover
     depth used as the observed quantity in controlledness probes.
@@ -264,7 +264,7 @@ def member_depth(basis: BornologyBasis, query, depth_cap: int):
         remaining -= remaining & b
         if not remaining:
             return idx
-    return None
+    return HORIZON
 
 
 # -- metric reconstruction --------------------------------------------

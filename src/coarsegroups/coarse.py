@@ -16,7 +16,6 @@ from .metrics import (
     HORIZON,
     MetricEvaluator,
     classify_trend,
-    is_horizon,
     ladder_prefixes,
 )
 
@@ -70,14 +69,8 @@ class BoundedByMetric:
         self.metric = metric
 
     def value_of(self, e: Entourage):
-        best = 0
-        for x, y in e.pairs:
-            d = self.metric.eval(x, y)
-            if is_horizon(d):
-                return None
-            if d > best:
-                best = d
-        return best
+        row = [self.metric.eval(x, y) for x, y in e.pairs]
+        return HORIZON if HORIZON in row else max(row, default=0)
 
 
 class LeftBornological:
@@ -95,7 +88,7 @@ class LeftBornological:
 class ControlledVerdict:
     def __init__(self, structure: str, per_index: list, trend: str):
         self.structure = structure
-        self.per_index = per_index  # (index, observed quantity or None on depth overflow)
+        self.per_index = per_index  # (index, observed quantity or HORIZON on overflow)
         self.trend = trend
 
 
@@ -112,7 +105,7 @@ def controlled_probe(family: EntourageFamily, structure, horizon: int) -> Contro
     """Observe the family's per-index quantity for indices 1..horizon.
 
     The quantity is the max distance (metric structures) or the minimal
-    shadow cover depth (bornological structures, None on overflow); the
+    shadow cover depth (bornological structures), HORIZON on overflow; the
     trend is classified by the shared ladder rule.
     """
     return _ladder_verdict(structure, map(family.generator, range(1, horizon + 1)))
@@ -122,11 +115,10 @@ def controlled_probe(family: EntourageFamily, structure, horizon: int) -> Contro
 
 
 class BoundedSetReport:
-    def __init__(self, diam, radii: dict, two_sided_ok: bool, horizon_hit: bool = False):
+    def __init__(self, diam, radii: dict, two_sided_ok: bool):
         self.diam = diam
         self.radii = radii
         self.two_sided_ok = two_sided_ok
-        self.horizon_hit = horizon_hit
 
 
 def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
@@ -144,7 +136,7 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
     for x in B:
         row = m.distances(x, B)
         if HORIZON in row:
-            return BoundedSetReport(diam=HORIZON, radii={}, two_sided_ok=False, horizon_hit=True)
+            return BoundedSetReport(diam=HORIZON, radii={}, two_sided_ok=False)
         radii[x] = max(row)
     diam = max(radii.values())
     ok = all(diam <= 2 * r and r <= diam for r in radii.values())
@@ -179,8 +171,8 @@ def coarse_map_probe(
     ("bornologous", "no family checked", skipped) says so.
     Proper: for every bounded sample, its preimage B within the sampled
     domain truncation, measured as the entourage B x {anchor} (B x B is
-    controlled exactly when B x {x} is), must not overflow (None) under
-    the domain structure.
+    controlled exactly when B x {x} is), must not overflow (HORIZON)
+    under the domain structure.
     """
     witnesses = []
 
@@ -208,7 +200,7 @@ def coarse_map_probe(
         if not preimage:
             continue
         anchor = preimage[0]
-        if domain.value_of(Entourage.of((x, anchor) for x in preimage)) is None:
+        if domain.value_of(Entourage.of((x, anchor) for x in preimage)) is HORIZON:
             proper_ok = False
             witnesses.append(("proper", sorted(sample), preimage))
 

@@ -30,28 +30,21 @@ from .groups import (
 )
 
 
-def is_horizon(value) -> bool:
-    return value is HORIZON
-
-
 def classify_trend(values: list) -> str:
     """Conservative trend rule over a ladder of observed values.
 
     "growing" when the values strictly increase at every step and the last
     increment is at least the first; "bounded" when the last two values are
-    equal; "inconclusive" otherwise.  Overflow markers (None or HORIZON)
-    count as larger than any number.
+    equal; "inconclusive" otherwise.  The overflow marker HORIZON counts
+    as larger than any number: a ladder holding it is "growing" when it is
+    the last value alone and the numbers before it strictly increase.
     """
     if len(values) < 2:
         return "inconclusive"
-    values = [None if v is HORIZON else v for v in values]
-    numeric = [v for v in values if v is not None]
-    if any(v is None for v in values):
-        if all(v is None for v in values[-2:]):
-            return "inconclusive"
-        if numeric == sorted(set(numeric)):
-            return "growing"
-        return "inconclusive"
+    if HORIZON in values:
+        head = values[:-1]
+        ok = values[-1] is HORIZON and HORIZON not in head and head == sorted(set(head))
+        return "growing" if ok else "inconclusive"
     if values[-1] == values[-2]:
         return "bounded"
     increments = [b - a for a, b in zip(values, values[1:])]
@@ -255,11 +248,5 @@ def rho_plus_truncated(base: MetricEvaluator, x, y, truncation):
     spec = base.spec
     if spec.identity() not in truncation:
         raise ValueError("truncation must contain the identity")
-    best = 0
-    for g in truncation:
-        d = base.eval(spec.mul(g, x), spec.mul(g, y))
-        if is_horizon(d):
-            return HORIZON
-        if d > best:
-            best = d
-    return best
+    row = [base.eval(spec.mul(g, x), spec.mul(g, y)) for g in truncation]
+    return HORIZON if HORIZON in row else max(row)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .metrics import is_horizon
+from .groups import HORIZON
 from .scenarios import ScenarioReport
 
 
@@ -21,10 +21,8 @@ def _is_fraction(value) -> bool:
 
 def fmt(value) -> str:
     """Render an exact value as stable text: integers plain, rationals p/q."""
-    if is_horizon(value):
+    if value is HORIZON:
         return "HORIZON"
-    if value is None:
-        return "-"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -37,7 +35,7 @@ def fmt(value) -> str:
 
 
 def _jsonable(value):
-    if is_horizon(value):
+    if value is HORIZON:
         return "HORIZON"
     if _is_fraction(value) or isinstance(value, (tuple, frozenset)):
         return fmt(value)

@@ -29,13 +29,12 @@ from .coarse import (
     coarse_map_probe,
     controlled_probe,
 )
-from .groups import HORIZON, GroupSpec
+from .groups import GroupSpec
 from .metrics import (
     MaxEntryMetric,
     Entry12Pseudometric,
     QuotientWordMetric,
     WordMetric,
-    is_horizon,
     ladder_prefixes,
     max_entry_distance,
     rho_plus_truncated,
@@ -412,16 +411,18 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
         report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
 
     # One pass per prefix: the largest d2 seen at each d1 value 0..C_MAX,
-    # from which each C row is a running maximum.
+    # from which each C row is a running maximum.  Neither metric reads
+    # HORIZON here (d1 <= 2R under its cap 4R, d2 <= 2 where d1 <= 4); one
+    # that did would raise on the comparison rather than be dropped.
     C_MAX = 4
     ladder = []
     for prefix in ladder_prefixes(truncation):
         best_at = [0] * (C_MAX + 1)
         for x in prefix:
             for y, a in zip(prefix, d1.distances(x, prefix)):
-                if a is not HORIZON and a <= C_MAX:
+                if a <= C_MAX:
                     b = d2.eval(x, y)
-                    if not is_horizon(b) and b > best_at[a]:
+                    if b > best_at[a]:
                         best_at[a] = b
         ladder.append(list(itertools.accumulate(best_at, max)))
     stabilized = True

@@ -28,11 +28,11 @@ from coarsegroups.coarse import (
 )
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
+    HORIZON,
     Entry12Pseudometric,
     MaxEntryMetric,
     QuotientWordMetric,
     WordMetric,
-    is_horizon,
     max_entry_distance,
     rho_plus_truncated,
 )
@@ -153,7 +153,7 @@ def test_bounded_sets_two_sided():
             for _ in range(1000):
                 B = rng.sample(pool, rng.randint(1, min(10, len(pool))))
                 report = bounded_set_check(B, metric)
-                assert not report.horizon_hit
+                assert report.diam is not HORIZON
                 assert report.two_sided_ok
 
 
@@ -211,8 +211,8 @@ def test_metric_from_basis_matches_word_metric():
         universe = [(i,) for i in range(-50, 51)]
         for _ in range(1000):
             subset = rng.sample(universe, rng.randint(1, 12))
-            chain_finite = not is_horizon(chain.diameter(subset))
-            word_finite = not is_horizon(word.diameter(subset))
+            chain_finite = chain.diameter(subset) is not HORIZON
+            word_finite = word.diameter(subset) is not HORIZON
             assert chain_finite == word_finite
 
 

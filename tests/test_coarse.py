@@ -20,7 +20,7 @@ from coarsegroups.coarse import (
     translate,
 )
 from coarsegroups.groups import GroupSpec
-from coarsegroups.metrics import HORIZON, MaxEntryMetric, MetricEvaluator, WordMetric, is_horizon
+from coarsegroups.metrics import HORIZON, MaxEntryMetric, MetricEvaluator, WordMetric
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -185,10 +185,10 @@ class TestBoundedSetCheck:
             report = bounded_set_check(B, m)
             diam, radii = bounded_set_oracle(B, m)
             assert (report.diam, report.radii) == (diam, radii)
-            assert report.horizon_hit == (diam is HORIZON)
+            assert (report.diam is HORIZON) == (diam is HORIZON)
             two_sided = diam is not HORIZON and all(r <= diam <= 2 * r for r in radii.values())
             assert report.two_sided_ok == two_sided
-            horizons += report.horizon_hit
+            horizons += report.diam is HORIZON
         # Each word metric's radius cap puts some sets past the horizon and
         # leaves others inside it; the max-entry metric has no cap.
         assert 0 < horizons < 60 if name != "H-maxentry" else horizons == 0
@@ -200,9 +200,9 @@ class TestBoundedSetCheck:
         B = [(1, 2), (0, 0), (1, -2)]
         assert bounded_set_oracle(B, m) == (HORIZON, {})
         report = bounded_set_check(B, m)
-        assert report.horizon_hit and report.diam is HORIZON and report.radii == {}
+        assert report.diam is HORIZON and report.radii == {}
         assert not report.two_sided_ok
-        assert not bounded_set_check(B[1:], m).horizon_hit
+        assert bounded_set_check(B[1:], m).diam is not HORIZON
 
     @pytest.mark.parametrize("n", [1, 2, 7, 20])
     def test_one_row_per_point(self, n):
@@ -229,7 +229,7 @@ class TestBoundedSetCheck:
     def test_horizon(self):
         m = WordMetric(Z, radius_cap=3)
         report = bounded_set_check([(0,), (10,)], m)
-        assert report.horizon_hit
+        assert report.diam is HORIZON
         assert not report.two_sided_ok
 
     def test_empty_rejected(self):
@@ -312,6 +312,30 @@ class TestMapProbes:
         )
         assert not report.proper_ok
         assert any(kind == "proper" for kind, *_ in report.witnesses)
+
+    def test_collapse_map_fails_properness_through_a_bornological_overflow(self):
+        # The collapse pulls {0} back to all of [-30, 30], whose left shadow
+        # the first 4 minimal basis sets do not cover: its depth is HORIZON.
+        # The identity pulls it back to {0}, covered at depth 1.
+        fam = EntourageFamily(generator=lambda n: Entourage.of([((0,), (1,))]))
+
+        def probe(f):
+            return coarse_map_probe(
+                f,
+                domain=LeftBornological(MinimalBasis(Z), depth_cap=4),
+                codomain=BoundedByMetric(WordMetric(Z)),
+                families=[fam],
+                bounded_samples=[{(0,)}],
+                domain_truncation=Z.ball(30),
+                horizon=4,
+            )
+
+        collapse = probe(lambda g: (0,))
+        assert not collapse.proper_ok
+        assert [kind for kind, *_ in collapse.witnesses] == ["proper"]
+        identity = probe(lambda g: g)
+        assert identity.proper_ok and identity.bornologous_ok
+        assert identity.witnesses == []
 
     def test_closeness_of_close_maps(self):
         verdict = closeness_probe(

@@ -19,7 +19,6 @@ from coarsegroups.metrics import (
     WordMetric,
     WordNorm,
     classify_trend,
-    is_horizon,
     ladder_prefixes,
     max_entry_distance,
     rho_plus_truncated,
@@ -56,7 +55,7 @@ class TestWordDistance:
 
     def test_horizon_marker(self):
         wm = WordMetric(Z, radius_cap=3)
-        assert is_horizon(wm.eval((0,), (10,)))
+        assert wm.eval((0,), (10,)) is HORIZON
         assert wm.eval((0,), (3,)) == 3
 
     def test_bfs_oracle_on_grid(self):
@@ -138,7 +137,7 @@ class TestMetricBall:
         # Membership reads |a|; only iterating the ball needs `ball(n)`.
         basis = MetricBallsBasis(Entry12Pseudometric(H))
         assert member_depth(basis, [(3, 100, -7), (-1, 0, 9)], depth_cap=5) == 3
-        assert member_depth(basis, [(6, 0, 0)], depth_cap=5) is None
+        assert member_depth(basis, [(6, 0, 0)], depth_cap=5) is HORIZON
         ball = basis.sets(2)[-1]
         assert (2, -50, 50) in ball and (3, 0, 0) not in ball
         message = "^Entry12Pseudometric has no ball on a heisenberg group$"
@@ -701,18 +700,21 @@ class TestTrendRule:
         assert classify_trend([2]) == "inconclusive"
 
     def test_overflow_markers(self):
-        assert classify_trend([1, 2, None]) == "growing"
-        assert classify_trend([None, None, None]) == "inconclusive"
+        assert classify_trend([1, 2, HORIZON]) == "growing"
+        assert classify_trend([1, HORIZON]) == "growing"
+        assert classify_trend([HORIZON, HORIZON, HORIZON]) == "inconclusive"
 
     def test_horizon_is_an_overflow_marker(self):
-        # HORIZON reads exactly as None: never a value equal to itself, and
-        # never one to subtract.
-        for values in ([5, HORIZON, HORIZON, HORIZON], [1, 2, HORIZON], [3, HORIZON, 4]):
-            nones = [None if v is HORIZON else v for v in values]
-            assert classify_trend(values) == classify_trend(nones)
+        # HORIZON is larger than any number: never a value equal to itself,
+        # never one to subtract, and never followed by a number.
         assert classify_trend([5, HORIZON, HORIZON, HORIZON]) == "inconclusive"
+        assert classify_trend([1, HORIZON, HORIZON]) == "inconclusive"
+        assert classify_trend([3, HORIZON, 4]) == "inconclusive"
+        assert classify_trend([HORIZON, 1, 2]) == "inconclusive"
+        # The numbers before the overflow must strictly increase.
+        assert classify_trend([2, 2, HORIZON]) == "inconclusive"
+        assert classify_trend([3, 1, HORIZON]) == "inconclusive"
         assert classify_trend([1, 2, HORIZON]) == "growing"
-        assert classify_trend([1, None, HORIZON]) == "inconclusive"
 
 
 class TestLadder:

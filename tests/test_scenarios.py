@@ -9,10 +9,10 @@ import pytest
 from coarsegroups import scenarios
 from coarsegroups.groups import GroupSpec, Heisenberg
 from coarsegroups.metrics import (
+    HORIZON,
     Entry12Pseudometric,
     MaxEntryMetric,
     WordMetric,
-    is_horizon,
     ladder_prefixes,
 )
 from coarsegroups.reporting import fmt, report_to_json, report_to_tsv
@@ -384,9 +384,9 @@ def _smith_rows_per_c(R):
             for x in prefix:
                 for y in prefix:
                     a = d1.eval(x, y)
-                    if not is_horizon(a) and a <= C:
+                    if a is not HORIZON and a <= C:
                         b = d2.eval(x, y)
-                        if not is_horizon(b):
+                        if b is not HORIZON:
                             best = max(best, b)
             values.append(best)
         rows.append({"C": C, "ladder_max_d2": values})
@@ -473,13 +473,10 @@ def test_fractions_render_as_p_over_q_in_both_formats():
 def test_fmt_values():
     from fractions import Fraction
 
-    from coarsegroups.metrics import HORIZON
-
     assert fmt(3) == "3"
     assert fmt(Fraction(3, 2)) == "3/2"
     assert fmt(Fraction(4, 2)) == "2"
     assert fmt(HORIZON) == "HORIZON"
-    assert fmt(None) == "-"
     assert fmt(True) == "true"
     assert fmt((1, 2)) == "(1, 2)"
 
