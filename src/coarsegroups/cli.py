@@ -7,9 +7,10 @@ parse errors, 3 resource budget exceeded.
 are read directly; the argument parsers are built on the first help or
 error, and then shared.  So is, for `member`, one basis per bornology and
 cap setting, at most `SHARED_BASES` of them; answers are byte-identical to
-a fresh process's.  Any other line that starts with a subcommand name is
-parsed by that subcommand's parser alone.  No `distance` call builds a
-word-norm table: every group the CLI names has a closed-form word distance.
+a fresh process's, and a rejected line touches no shared basis.  Any other
+line that starts with a subcommand name is parsed by that subcommand's
+parser alone.  No `distance` call builds a word-norm table: every group the
+CLI names has a closed-form word distance.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def parse_int_set(text: str) -> frozenset:
     raise ConfigError(f"cannot parse set {text!r}; use {{a,b,c}} or evens:lo..hi")
 
 
-# The most bases `parse_bornology` keeps at once; the least recently used
+# The most bases `shared_basis` keeps at once; the least recently used
 # goes first.  The `queries` benchmark workload names six bornologies.
 SHARED_BASES = 8
 
@@ -160,11 +161,6 @@ def shared_basis(description, ball_cap: int, set_cap: int):
     if description == "minimal":
         return MinimalBasis(zspec)
     return GeneratedBasis(zspec, description)
-
-
-def parse_bornology(text: str):
-    """The process's shared basis for the bornology `text` names."""
-    return shared_basis(bornology_description(text), ball_size_cap(), set_size_cap())
 
 
 def check_caps() -> None:
@@ -274,10 +270,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_member(args) -> int:
-    basis = parse_bornology(args.bornology)
+    description = bornology_description(args.bornology)
     query = parse_int_set(args.set)
     if args.depth < 1:
         raise ConfigError(f"--depth must be at least 1, got {args.depth}")
+    basis = shared_basis(description, ball_size_cap(), set_size_cap())
     verdict = member(basis, query, args.depth)
     if not verdict.is_member:
         print(f"not covered at depth {verdict.depth_examined}")

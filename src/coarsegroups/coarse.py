@@ -86,8 +86,7 @@ class LeftBornological:
 
 
 class ControlledVerdict:
-    def __init__(self, structure: str, per_index: list, trend: str):
-        self.structure = structure
+    def __init__(self, per_index: list, trend: str):
         self.per_index = per_index  # (index, observed quantity or HORIZON on overflow)
         self.trend = trend
 
@@ -96,9 +95,7 @@ def _ladder_verdict(structure, entourages) -> ControlledVerdict:
     """Observe each entourage of a ladder and classify the trend."""
     per_index = [(n, structure.value_of(e)) for n, e in enumerate(entourages, start=1)]
     trend = classify_trend([v for _, v in per_index])
-    return ControlledVerdict(
-        structure=type(structure).__name__, per_index=per_index, trend=trend
-    )
+    return ControlledVerdict(per_index=per_index, trend=trend)
 
 
 def controlled_probe(family: EntourageFamily, structure, horizon: int) -> ControlledVerdict:

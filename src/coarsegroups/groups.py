@@ -11,17 +11,16 @@ them with the `GroupSpec` constructors.  All arithmetic is
 arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
 
-Besides `mul`, every kind answers three set-at-a-time hooks: `translates(g,
-hs)`, the list [g*h for h in hs]; `coordinate_rows(gs, hs, i)`, which
-yields [(g*h)[i] for h in hs] for each g in `gs`; and `product_set(a, b,
-cap)`, the set {x*y : x in a, y in b}, which raises once it holds more
-than `cap` elements.  Generated bornologies and chain metrics build their
-sets through `product_set`, and the Heisenberg invariance check reads
-coordinate 0 through `coordinate_rows`.  `Heisenberg` overrides
-`translates` with its law unpacked and `coordinate_rows` on its additive
-coordinates 0 and 1 with one row of sums per run of equal g[i], and
-`FreeAbelian` of rank 1 overrides `product_set` with plain int sums; every
-other kind inherits the bodies built on `mul`.
+Besides `mul`, every kind answers two set-at-a-time hooks:
+`coordinate_rows(gs, hs, i)`, which yields [(g*h)[i] for h in hs] for each
+g in `gs`; and `product_set(a, b, cap)`, the set {x*y : x in a, y in b},
+which raises once it holds more than `cap` elements.  Generated
+bornologies and chain metrics build their sets through `product_set`, and
+the Heisenberg invariance check reads coordinate 0 through
+`coordinate_rows`.  `Heisenberg` overrides `coordinate_rows` on its
+additive coordinates 0 and 1 with one row of sums per run of equal g[i],
+and `FreeAbelian` of rank 1 overrides `product_set` with plain int sums;
+every other kind inherits the bodies built on `mul`.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
 kind with equal fields, as two `cyclic(7)`, and never changed once built.
@@ -187,11 +186,11 @@ class GroupSpec(_Value):
     Each kind subclass defines mul(g, h) and inv(g); Z/k and a direct
     product also narrow check_element and box.
 
-    The set-at-a-time law has three hooks: translates(g, hs),
-    coordinate_rows(gs, hs, i) and product_set(a, b, cap).  The base
-    bodies call `mul` once per pair; `Heisenberg` overrides translates,
-    and coordinate_rows on coordinates 0 and 1, and `FreeAbelian` of rank
-    1 overrides product_set, each without a method call per pair.
+    The set-at-a-time law has two hooks: coordinate_rows(gs, hs, i) and
+    product_set(a, b, cap).  The base bodies call `mul` once per pair;
+    `Heisenberg` overrides coordinate_rows on coordinates 0 and 1, and
+    `FreeAbelian` of rank 1 overrides product_set, each without a method
+    call per pair.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -262,11 +261,6 @@ class GroupSpec(_Value):
     def box(self, radius: int) -> list:
         return list(_cube(radius, self.rank))
 
-    def translates(self, g, hs) -> list:
-        """[g*h for h in hs], in the order of `hs`."""
-        mul = self.mul
-        return [mul(g, h) for h in hs]
-
     def coordinate_rows(self, gs, hs, i: int) -> Iterator[list]:
         """Yield [(g*h)[i] for h in hs] for each g in `gs`, in order.  A kind
         may yield one list for several g's: never mutate a yielded row."""
@@ -276,9 +270,10 @@ class GroupSpec(_Value):
 
     def product_set(self, a, b, cap: int) -> set:
         """{x*y : x in a, y in b}; past `cap` elements, raises after one row x*b."""
+        mul = self.mul
         if len(a) * len(b) <= cap:
-            return {p for x in a for p in self.translates(x, b)}
-        return _union_rows((self.translates(x, b) for x in a), cap)
+            return {mul(x, y) for x in a for y in b}
+        return _union_rows(([mul(x, y) for y in b] for x in a), cap)
 
     def symmetric_generators(self) -> tuple:
         """Each generator followed by its inverse, first occurrences only."""
@@ -375,10 +370,6 @@ class Heisenberg(GroupSpec):
     def inv(self, g):
         a, b, c = g
         return (-a, -b, a * b - c)
-
-    def translates(self, g, hs) -> list:
-        a, b, c = g
-        return [(a + a2, b + b2, c + c2 + a * b2) for a2, b2, c2 in hs]
 
     def coordinate_rows(self, gs, hs, i: int) -> Iterator[list]:
         # Coordinates 0 and 1 add, so a row depends on g[i] alone: one row

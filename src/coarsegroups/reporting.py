@@ -10,7 +10,6 @@ import json
 import sys
 
 from .groups import HORIZON
-from .scenarios import ScenarioReport
 
 
 def _is_fraction(value) -> bool:
@@ -35,9 +34,7 @@ def fmt(value) -> str:
 
 
 def _jsonable(value):
-    if value is HORIZON:
-        return "HORIZON"
-    if _is_fraction(value) or isinstance(value, (tuple, frozenset)):
+    if value is HORIZON or _is_fraction(value) or isinstance(value, (tuple, frozenset)):
         return fmt(value)
     if isinstance(value, list):
         return [_jsonable(v) for v in value]
@@ -46,7 +43,7 @@ def _jsonable(value):
     return value
 
 
-def report_to_json(report: ScenarioReport) -> str:
+def report_to_json(report) -> str:
     payload = {
         "scenario": report.name,
         "parameters": _jsonable(report.parameters),
@@ -67,7 +64,7 @@ def report_to_json(report: ScenarioReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def report_to_tsv(report: ScenarioReport) -> str:
+def report_to_tsv(report) -> str:
     lines = ["section\tkey\texpected\tobserved\tprovenance\tpass"]
     lines.append(f"scenario\t{report.name}\t\t\t\t")
     for key in report.parameters:

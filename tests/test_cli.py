@@ -14,14 +14,14 @@ from coarsegroups import cli
 from coarsegroups.bornology import GeneratedBasis, GeometricSeed, MinimalBasis, member
 from coarsegroups.cli import (
     ConfigError,
+    bornology_description,
     main,
-    parse_bornology,
     parse_element,
     parse_group,
     parse_int_set,
     parse_metric,
 )
-from coarsegroups.groups import GroupSpec
+from coarsegroups.groups import GroupSpec, ball_size_cap, set_size_cap
 from coarsegroups.metrics import (
     Entry12Pseudometric,
     MaxEntryMetric,
@@ -694,24 +694,51 @@ class TestSharedBases:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         assert capsys.readouterr().out == "member (cover indices: 1)\n" * 2
 
+    @staticmethod
+    def shared(text):
+        """The process's shared basis for the bornology `text` names."""
+        return cli.shared_basis(bornology_description(text), ball_size_cap(), set_size_cap())
+
     def test_one_basis_per_bornology(self):
-        assert parse_bornology("geom:10,6") is parse_bornology(" geom: 10, 6 ")
-        assert parse_bornology("minimal") is parse_bornology("minimal")
-        assert parse_bornology("explicit:{2,4}") is parse_bornology("explicit:{4, 2}")
-        assert parse_bornology("geom:10,6") is not parse_bornology("geom:10,5")
+        shared = self.shared
+        assert shared("geom:10,6") is shared(" geom: 10, 6 ")
+        assert shared("minimal") is shared("minimal")
+        assert shared("explicit:{2,4}") is shared("explicit:{4, 2}")
+        assert shared("geom:10,6") is not shared("geom:10,5")
 
     def test_at_most_eight_bases(self):
         texts = [f"geom:{base},3" for base in range(2, 11)]
         assert len(texts) == 9
-        bases = [parse_bornology(text) for text in texts]
+        bases = [self.shared(text) for text in texts]
         assert len({id(b) for b in bases}) == 9
         assert cli.shared_basis.cache_info().currsize == cli.SHARED_BASES == 8
 
     def test_parse_errors_cache_nothing(self):
         for text in ["geom:1,6", "geom:10", "bogus", "explicit:{x}"]:
             with pytest.raises(ConfigError):
-                parse_bornology(text)
+                self.shared(text)
         assert cli.shared_basis.cache_info().currsize == 0
+
+    def test_rejected_lines_evict_no_warm_basis(self, capsys):
+        # Eight warm bases fill the cache; geom:2,3 is the least recently
+        # used.  Each rejected line names a new bornology, so a basis looked
+        # up before the line is validated would evict geom:2,3.
+        def query(base, text="{0}", depth="1"):
+            argv = ["--bornology", f"geom:{base},3", "--set", text, "--depth", depth]
+            return main(["member", *argv])
+
+        for base in range(2, 10):
+            assert query(base) == 0
+        warm = cli.shared_basis.cache_info()
+        assert warm.currsize == cli.SHARED_BASES == 8
+        assert query(11, text="{x}") == 2
+        assert query(12, depth="0") == 2
+        assert cli.shared_basis.cache_info() == warm
+        assert query(2) == 0
+        after = cli.shared_basis.cache_info()
+        assert (after.hits, after.misses) == (warm.hits + 1, warm.misses)
+        out = capsys.readouterr().out
+        assert out == "member (cover indices: 1)\n" * 9
 
 
 def _dispatch_sweep(config):

@@ -377,27 +377,18 @@ HOOK_CASES = {
 
 
 class TestSetHooks:
-    """`translates`, `coordinate_rows` and `product_set` agree with `mul` on
-    every kind."""
+    """`coordinate_rows` and `product_set` agree with `mul` on every kind."""
 
     @staticmethod
     def inputs(spec):
-        # The box is reversed so that `translates` cannot pass by sorting.
+        # The box is reversed so that `coordinate_rows` cannot pass by sorting.
         return spec.ball(2), spec.box(2)[::-1]
-
-    @pytest.mark.parametrize("name", list(HOOK_CASES))
-    def test_translates_is_mul_in_order(self, name):
-        spec = HOOK_CASES[name]
-        ball, box = self.inputs(spec)
-        for g in ball:
-            assert spec.translates(g, box) == [spec.mul(g, h) for h in box]
-            assert spec.translates(g, []) == []
 
     @pytest.mark.parametrize("name", list(HOOK_CASES))
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_translate_coordinates_is_translates_in_order(self, name, data):
-        # Each row `coordinate_rows` yields is coordinate i of `translates`,
+        # Each row `coordinate_rows` yields is coordinate i of g*h by `mul`,
         # for every coordinate counted from either end on every kind, so the
         # Heisenberg rows shared by a run of equal g[i] and the law it defers
         # to for c both run.  Six distinct picks hold two with equal g[i]
@@ -410,7 +401,7 @@ class TestSetHooks:
         size = min(6, len(ball))
         picks = data.draw(st.lists(st.sampled_from(ball), min_size=size, max_size=10, unique=True))
         hs = data.draw(st.sampled_from([box, box[: len(box) // 3], []]))
-        translates = {g: spec.translates(g, hs) for g in picks}
+        translates = {g: [spec.mul(g, h) for h in hs] for g in picks}
         for i in range(-spec.rank, spec.rank):
             for gs in (sorted(picks + picks, key=itemgetter(i)), picks + picks, []):
                 expected = [[t[i] for t in translates[g]] for g in gs]
@@ -455,13 +446,6 @@ class TestSetHooks:
                 assert Z.product_set(a, b, cap) == full
             with pytest.raises(BudgetExceededError):
                 Z.product_set(a, b, len(full) - 1)
-
-    def test_heisenberg_translates_match_matrix_oracle(self):
-        box = H.box(2)[::-1]
-        for g in H.box(2):
-            m = heis_to_matrix(g)
-            expected = [heis_from_matrix(matmul3(m, heis_to_matrix(h))) for h in box]
-            assert H.translates(g, box) == expected
 
     def test_heisenberg_coordinate_rows_match_matrix_oracle(self):
         # In box order, rising, and reversed, falling, the g's come in runs

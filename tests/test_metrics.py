@@ -328,7 +328,7 @@ class TestDistances:
             ginv = matinv_unitriangular(heis_to_matrix(g))
             left = [abs(matmul3(ginv, heis_to_matrix(h))[0][1]) for h in ball]
             right = [abs(heis_to_matrix(g)[0][1] - heis_to_matrix(h)[0][1]) for h in ball]
-            assert rho.distances(e, H.translates(H.inv(g), ball)) == left, g
+            assert rho.distances(e, [H.mul(H.inv(g), h) for h in ball]) == left, g
             assert rho.distances(g, ball) == right, g
             assert left == right, g
 

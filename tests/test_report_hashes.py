@@ -7,6 +7,8 @@ for an intended change of a report, together with the frozen values in
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -102,3 +104,22 @@ def test_report_bytes_frozen(name, params, all_pass, json_sha, tsv_sha):
     assert report.all_passed is all_pass
     assert _sha256(report_to_json(report)) == json_sha
     assert _sha256(report_to_tsv(report)) == tsv_sha
+
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def test_frozen_hashes_match_the_benchmark_freeze():
+    # The benchmark's correctness check reads the same hashes from
+    # perfbench/expected.json, its case ids `name` or `name.<setting>`: a
+    # refreeze of one table alone fails here.
+    cases = json.loads(EXPECTED.read_text(encoding="utf-8"))["cases"]
+    names = {name for name, *_ in FROZEN} | {case.split(".")[0] for case in cases}
+    for name in sorted(names):
+        frozen = sorted(tuple(row[2:]) for row in FROZEN if row[0] == name)
+        expected = sorted(
+            (c["all_pass"], c["json_sha256"], c["tsv_sha256"])
+            for case, c in cases.items()
+            if case == name or case.startswith(name + ".")
+        )
+        assert frozen == expected, name

@@ -436,7 +436,7 @@ def test_unknown_scenario_rejected():
 
 
 def test_unknown_parameter_rejected():
-    with pytest.raises(KeyError):
+    with pytest.raises(TypeError):
         run_scenario("powers_of_ten", radius=3)
 
 

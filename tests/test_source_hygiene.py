@@ -71,6 +71,19 @@ def test_cli_import_loads_no_excluded_module():
     assert [m for m in COLD_IMPORT_EXCLUDED if m in loaded] == []
 
 
+def test_reporting_import_loads_no_scenarios():
+    # `reporting` serializes any report; the scenarios, and the `coarse`
+    # and `random` they import, stay unloaded until a subcommand runs one.
+    code = "import sys, coarsegroups.reporting; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = proc.stdout.split()
+    assert "coarsegroups.reporting" in loaded
+    assert "coarsegroups.scenarios" not in loaded
+
+
 # Canonical command lines are read without argparse; help and errors need it.
 CLI_LINES = {
     "run": ("run heisenberg_separation --param N=20 --format json", 0, False),
