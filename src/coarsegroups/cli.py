@@ -46,14 +46,10 @@ def parse_group(text: str) -> GroupSpec:
         return GroupSpec.heisenberg()
     if text == "Z":
         return GroupSpec.free_abelian(1)
-    if text.startswith("Z^"):
+    build = {"Z^": GroupSpec.free_abelian, "Z/": GroupSpec.cyclic}.get(text[:2])
+    if build is not None:
         try:
-            return GroupSpec.free_abelian(int(text[2:]))
-        except ValueError as exc:
-            raise ConfigError(f"bad group {text!r}") from exc
-    if text.startswith("Z/"):
-        try:
-            return GroupSpec.cyclic(int(text[2:]))
+            return build(int(text[2:]))
         except ValueError as exc:
             raise ConfigError(f"bad group {text!r}") from exc
     raise ConfigError(f"unknown group {text!r}; use Z, Z^n, Z/k, or heisenberg")
@@ -84,14 +80,10 @@ def parse_metric(spec: GroupSpec, text: str):
     text = text.strip()
     if text == "word":
         return WordMetric(spec)
-    if text == "maxentry":
+    if text in ("maxentry", "entry12"):
         if spec.kind != "heisenberg":
-            raise ConfigError("maxentry requires the heisenberg group")
-        return MaxEntryMetric(spec)
-    if text == "entry12":
-        if spec.kind != "heisenberg":
-            raise ConfigError("entry12 requires the heisenberg group")
-        return Entry12Pseudometric(spec)
+            raise ConfigError(f"{text} requires the heisenberg group")
+        return MaxEntryMetric(spec) if text == "maxentry" else Entry12Pseudometric(spec)
     if text.startswith("quotient:"):
         if spec.kind != "free-abelian" or spec.rank != 1:
             raise ConfigError("quotient:k requires the group Z")

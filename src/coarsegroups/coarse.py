@@ -1,9 +1,9 @@
 """Entourages as finite relations, their shadows, and controlledness probes.
 
 An entourage is a finite set of ordered element pairs.  Infinite unions
-from the source constructions are replaced by indexed entourage families
-probed at horizons; controlledness of a family shows up as a bounded or
-growing trend of per-index observed quantities.
+from the source constructions are replaced by indexed entourage families,
+functions `n -> Entourage` probed at n = 1..horizon; controlledness shows
+up as a bounded or growing trend of the per-index observed quantities.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ def translate(spec: GroupSpec, g, e: Entourage) -> Entourage:
     return Entourage(frozenset((spec.mul(g, x), spec.mul(g, y)) for x, y in e.pairs))
 
 
-class EntourageFamily:
-    """A pure indexed sequence of entourages; a probe draws indices 1..horizon."""
-
-    def __init__(self, generator: Callable[[int], Entourage], name: str = ""):
-        self.generator = generator
-        self.name = name
-
-
 # -- structures -------------------------------------------------------
 # A structure measures how controlled an entourage is: `value_of(e)`.
 
@@ -87,25 +79,24 @@ class LeftBornological:
 
 class ControlledVerdict:
     def __init__(self, per_index: list, trend: str):
-        self.per_index = per_index  # (index, observed quantity or HORIZON on overflow)
+        self.per_index = per_index  # index n's observed quantity at n - 1, HORIZON on overflow
         self.trend = trend
 
 
 def _ladder_verdict(structure, entourages) -> ControlledVerdict:
     """Observe each entourage of a ladder and classify the trend."""
-    per_index = [(n, structure.value_of(e)) for n, e in enumerate(entourages, start=1)]
-    trend = classify_trend([v for _, v in per_index])
-    return ControlledVerdict(per_index=per_index, trend=trend)
+    values = [structure.value_of(e) for e in entourages]
+    return ControlledVerdict(per_index=values, trend=classify_trend(values))
 
 
-def controlled_probe(family: EntourageFamily, structure, horizon: int) -> ControlledVerdict:
-    """Observe the family's per-index quantity for indices 1..horizon.
+def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVerdict:
+    """Observe the quantity of `family(n)` for indices n = 1..horizon.
 
     The quantity is the max distance (metric structures) or the minimal
     shadow cover depth (bornological structures), HORIZON on overflow; the
     trend is classified by the shared ladder rule.
     """
-    return _ladder_verdict(structure, map(family.generator, range(1, horizon + 1)))
+    return _ladder_verdict(structure, map(family, range(1, horizon + 1)))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -176,7 +167,7 @@ def coarse_map_probe(
     bornologous_ok = True
     skipped = 0
     for fam in families:
-        entourages = [fam.generator(n) for n in range(1, horizon + 1)]
+        entourages = [fam(n) for n in range(1, horizon + 1)]
         if _ladder_verdict(domain, entourages).trend != "bounded":
             skipped += 1
             continue
@@ -184,7 +175,7 @@ def coarse_map_probe(
         cod_verdict = _ladder_verdict(codomain, images)
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
-            witnesses.append(("bornologous", fam.name, cod_verdict))
+            witnesses.append(("bornologous", fam, cod_verdict))
     if skipped == len(families):
         bornologous_ok = False
         witnesses.append(("bornologous", "no family checked", skipped))

@@ -26,15 +26,13 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, frozenset):
-        return "{" + ", ".join(fmt(v) for v in sorted(value)) + "}"
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(fmt(v) for v in value) + ")"
     return str(value)
 
 
 def _jsonable(value):
-    if value is HORIZON or _is_fraction(value) or isinstance(value, (tuple, frozenset)):
+    if value is HORIZON or _is_fraction(value) or isinstance(value, tuple):
         return fmt(value)
     if isinstance(value, list):
         return [_jsonable(v) for v in value]

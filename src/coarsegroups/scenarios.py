@@ -23,7 +23,6 @@ from .bornology import (
 from .coarse import (
     BoundedByMetric,
     Entourage,
-    EntourageFamily,
     LeftBornological,
     closeness_probe,
     coarse_map_probe,
@@ -120,11 +119,12 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
     )
 
     horizon = min(N, 10)
-    family = EntourageFamily(
-        generator=lambda n: Entourage.of([(heisenberg_pair(n)[1], heisenberg_pair(n)[0])]),
-        name="near-diagonal-pairs",
-    )
-    metric_verdict = controlled_probe(family, BoundedByMetric(maxentry), horizon)
+
+    def near_diagonal_pairs(n):
+        a, b = heisenberg_pair(n)
+        return Entourage.of([(b, a)])
+
+    metric_verdict = controlled_probe(near_diagonal_pairs, BoundedByMetric(maxentry), horizon)
     report.check(
         "trend under the bounded structure of the max-entry metric",
         "bounded",
@@ -133,7 +133,7 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
     )
     basis = MetricBallsBasis(maxentry)
     born_verdict = controlled_probe(
-        family, LeftBornological(basis, depth_cap=horizon + 2), horizon
+        near_diagonal_pairs, LeftBornological(basis, depth_cap=horizon + 2), horizon
     )
     report.check(
         "trend under the left bornological structure",
@@ -162,13 +162,14 @@ def heisenberg_pseudometric(report: ScenarioReport, radius: int = 4, samples: in
     # Row g compares rho(e, g^-1 h) = |(g^-1 h)[0]| with rho(g, h) for every
     # h in the ball; the left row needs only coordinate 0 of g^-1 h, the one
     # entry rho reads.  rho(g, h) depends on g only through g[0]: one
-    # right-hand row per value.  Equal rows have equal abs, so a left row
-    # equal to the last one matched for its g[0] passes without the abs pass.
+    # right-hand row per value.  A kind may yield one row object for a run of
+    # g's, never mutated, so the very row last matched for its g[0] skips the
+    # abs pass.
     right = {a: rho.distances(g, ball) for a, g in {g[0]: g for g in ball}.items()}
     matched = {}
     invariance_ok = True
     for g, left in zip(ball, spec.coordinate_rows(map(spec.inv, ball), ball, 0)):
-        if left != matched.get(g[0]):
+        if left is not matched.get(g[0]):
             if list(map(abs, left)) != right[g[0]]:
                 invariance_ok = False
                 break
@@ -248,15 +249,14 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     cyclic = qm.quotient
     codomain_basis = MinimalBasis(cyclic)
 
-    fam_multiples = EntourageFamily(
-        generator=lambda n: Entourage.of([((0,), (k * n,))]),
-        name="coset-jumps",
-    )
+    def coset_jumps(n):
+        return Entourage.of([((0,), (k * n,))])
+
     probe_pi = coarse_map_probe(
         qm.project,
         domain=LeftBornological(domain_basis),
         codomain=LeftBornological(codomain_basis, depth_cap=k + 2),
-        families=[fam_multiples],
+        families=[coset_jumps],
         bounded_samples=[frozenset([(r,)]) for r in range(k)],
         domain_truncation=truncation,
         horizon=horizon,
@@ -264,16 +264,15 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     report.check("projection is bornologous", True, probe_pi.bornologous_ok, PAPER)
     report.check("projection is proper on the truncation", True, probe_pi.proper_ok, PAPER)
 
-    fam_const = EntourageFamily(
-        generator=lambda n: Entourage.of([(cyclic.identity(), (1,))]),
-        name="adjacent-residues",
-    )
+    def adjacent_residues(n):
+        return Entourage.of([(cyclic.identity(), (1,))])
+
     # The section sends the residue (r,) to the integer (r,).
     probe_section = coarse_map_probe(
         _identity,
         domain=LeftBornological(codomain_basis, depth_cap=k + 2),
         codomain=LeftBornological(domain_basis),
-        families=[fam_const],
+        families=[adjacent_residues],
         bounded_samples=[frozenset([(i,) for i in range(-k, k + 1)])],
         domain_truncation=list(cyclic.box(k)),
         horizon=horizon,
@@ -389,13 +388,7 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
     report.check("norm of 1 in the {2, 3} generating set", 2, d2.eval((0,), (1,)), DERIVED)
 
     truncation = [(i,) for i in range(-R, R + 1)]
-    families = [
-        EntourageFamily(
-            generator=lambda n, c=c: Entourage.of([((n,), (n + c,))]),
-            name=f"step-{c}",
-        )
-        for c in (1, 2, 3)
-    ]
+    families = [lambda n, c=c: Entourage.of([((n,), (n + c,))]) for c in (1, 2, 3)]
     samples = [frozenset((i,) for i in range(-4, 5))]
     for direction, dom, cod in (("forward", d1, d2), ("backward", d2, d1)):
         probe = coarse_map_probe(

@@ -279,6 +279,23 @@ class TestExitCodes:
         assert main(["distance", "--group", "Z^0", "--metric", "word", "0", "0"]) == 2
         assert capsys.readouterr().err == "error: bad group 'Z^0'\n"
 
+    @pytest.mark.parametrize(
+        "group,metric,message",
+        [
+            ("Z^abc", "word", "bad group 'Z^abc'"),
+            ("Z^0", "word", "bad group 'Z^0'"),
+            ("Z/1", "word", "bad group 'Z/1'"),
+            ("Z^", "word", "bad group 'Z^'"),
+            ("Q", "word", "unknown group 'Q'; use Z, Z^n, Z/k, or heisenberg"),
+            ("Z", "maxentry", "maxentry requires the heisenberg group"),
+            ("Z", "entry12", "entry12 requires the heisenberg group"),
+        ],
+    )
+    def test_group_and_metric_errors_word_for_word(self, capsys, group, metric, message):
+        assert main(["distance", "--group", group, "--metric", metric, "0", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("var", ["COARSE_BALL_CAP", "COARSE_SET_CAP"])
     @pytest.mark.parametrize("value", ["abc", "1.5"])
     @pytest.mark.parametrize(

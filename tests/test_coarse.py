@@ -8,7 +8,6 @@ from coarsegroups.bornology import MetricBallsBasis, MinimalBasis
 from coarsegroups.coarse import (
     BoundedByMetric,
     Entourage,
-    EntourageFamily,
     LeftBornological,
     bounded_set_check,
     closeness_probe,
@@ -66,28 +65,25 @@ class TestShadows:
 
 class TestControlledProbe:
     def test_bounded_family_under_word_metric(self):
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of(((i,), (i + 2,)) for i in range(-n, n)),
-            name="shift-by-2",
-        )
-        verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=6)
+        def shift_by_2(n):
+            return Entourage.of(((i,), (i + 2,)) for i in range(-n, n))
+
+        verdict = controlled_probe(shift_by_2, BoundedByMetric(WordMetric(Z)), horizon=6)
         assert verdict.trend == "bounded"
-        assert all(v == 2 for _, v in verdict.per_index)
+        assert all(v == 2 for v in verdict.per_index)
 
     def test_growing_family(self):
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of([((0,), (n,))]),
-        )
+        def fam(n):
+            return Entourage.of([((0,), (n,))])
+
         verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
         assert verdict.trend == "growing"
 
     def test_near_diagonal_heisenberg_left_shadow_grows(self):
         # max-entry-close pairs whose left shadows need ever deeper covers
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of(
-                ((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)
-            ),
-        )
+        def fam(n):
+            return Entourage.of(((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1))
+
         basis = MetricBallsBasis(MaxEntryMetric(H))
         metric_verdict = controlled_probe(
             fam, BoundedByMetric(MaxEntryMetric(H)), horizon=6
@@ -99,14 +95,14 @@ class TestControlledProbe:
         assert shadow_verdict.trend == "growing"
 
 
-def counting_family(calls: list, generator, name: str = "") -> EntourageFamily:
+def counting_family(calls: list, generator):
     """A family that appends each index it is asked for to `calls`."""
 
     def counted(n):
         calls.append(n)
         return generator(n)
 
-    return EntourageFamily(generator=counted, name=name)
+    return counted
 
 
 class TestProbeIndices:
@@ -118,7 +114,8 @@ class TestProbeIndices:
         fam = counting_family(calls, lambda n: Entourage.of([((0,), (n,))]))
         verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon)
         assert calls == list(range(1, horizon + 1))
-        assert [n for n, _ in verdict.per_index] == calls
+        # d(0, n) = n: position n - 1 holds index n's value.
+        assert verdict.per_index == calls
 
     @pytest.mark.parametrize("horizon", [2, 5])
     def test_coarse_map_probe(self, horizon):
@@ -239,10 +236,9 @@ class TestBoundedSetCheck:
 
 class TestMapProbes:
     def test_identity_map_is_coarse(self):
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of(((i,), (i + 1,)) for i in range(-n, n)),
-            name="adjacent",
-        )
+        def fam(n):
+            return Entourage.of(((i,), (i + 1,)) for i in range(-n, n))
+
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
             lambda g: g,
@@ -256,9 +252,9 @@ class TestMapProbes:
         assert report.bornologous_ok and report.proper_ok
 
     def test_doubling_is_bornologous_not_surjective_issue(self):
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of(((i,), (i + 1,)) for i in range(-n, n)),
-        )
+        def fam(n):
+            return Entourage.of(((i,), (i + 1,)) for i in range(-n, n))
+
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
             lambda g: (2 * g[0],),
@@ -275,8 +271,12 @@ class TestMapProbes:
         # The one family grows in the domain, so it is skipped and nothing
         # is checked: that is a verdict of its own, not a pass. The bounded
         # family next to it is the positive control.
-        growing = EntourageFamily(generator=lambda n: Entourage.of([((0,), (n,))]), name="growing")
-        bounded = EntourageFamily(generator=lambda n: Entourage.of([((n,), (n + 1,))]))
+        def growing(n):
+            return Entourage.of([((0,), (n,))])
+
+        def bounded(n):
+            return Entourage.of([((n,), (n + 1,))])
+
         structure = BoundedByMetric(WordMetric(Z))
 
         def probe(families):
@@ -296,10 +296,39 @@ class TestMapProbes:
         report = probe([growing, bounded])
         assert report.bornologous_ok and report.witnesses == []
 
+    def test_squaring_is_not_bornologous(self):
+        # Adjacent pairs (n, n + 1) map to (n^2, (n + 1)^2), at distance
+        # 2n + 1: bounded in the domain, growing in the image, so the family
+        # is its own witness.  The identity is the positive control.
+        def adjacent(n):
+            return Entourage.of([((n,), (n + 1,))])
+
+        structure = BoundedByMetric(WordMetric(Z, radius_cap=10**4))
+
+        def probe(f):
+            return coarse_map_probe(
+                f,
+                domain=structure,
+                codomain=structure,
+                families=[adjacent],
+                bounded_samples=[],
+                domain_truncation=[],
+                horizon=6,
+            )
+
+        report = probe(lambda g: (g[0] ** 2,))
+        assert not report.bornologous_ok
+        [(kind, family, verdict)] = report.witnesses
+        assert (kind, family) == ("bornologous", adjacent)
+        assert verdict.per_index == [3, 5, 7, 9, 11, 13]
+        assert verdict.trend == "growing"
+        identity = probe(lambda g: g)
+        assert identity.bornologous_ok and identity.witnesses == []
+
     def test_collapse_map_fails_properness(self):
-        fam = EntourageFamily(
-            generator=lambda n: Entourage.of([((0,), (1,))]),
-        )
+        def fam(n):
+            return Entourage.of([((0,), (1,))])
+
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
         report = coarse_map_probe(
             lambda g: (0,),
@@ -317,7 +346,8 @@ class TestMapProbes:
         # The collapse pulls {0} back to all of [-30, 30], whose left shadow
         # the first 4 minimal basis sets do not cover: its depth is HORIZON.
         # The identity pulls it back to {0}, covered at depth 1.
-        fam = EntourageFamily(generator=lambda n: Entourage.of([((0,), (1,))]))
+        def fam(n):
+            return Entourage.of([((0,), (1,))])
 
         def probe(f):
             return coarse_map_probe(

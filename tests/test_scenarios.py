@@ -12,6 +12,7 @@ from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
     MaxEntryMetric,
+    MetricEvaluator,
     WordMetric,
     ladder_prefixes,
 )
@@ -299,6 +300,34 @@ def test_unshared_rows_give_the_same_report(monkeypatch, radius):
     assert report_to_json(run_scenario("heisenberg_pseudometric", radius=radius)) == shared
 
 
+class _UncomparableRow(list):
+    """A row that raises if compared as a whole; its items read as usual."""
+
+    def __eq__(self, other):
+        raise AssertionError("a left row was compared as a whole")
+
+    __ne__ = __eq__
+
+
+@pytest.mark.parametrize("radius", [5, 8])
+def test_shared_rows_are_matched_by_identity(monkeypatch, radius):
+    # The hook yields one row object for a run of equal g[0]; the invariance
+    # check knows that row by identity and never compares it item by item.
+    # Each row is rewrapped once, so the sharing stays as the hook made it.
+    shared = report_to_json(run_scenario("heisenberg_pseudometric", radius=radius))
+    hook = Heisenberg.coordinate_rows
+
+    def uncomparable_rows(self, gs, hs, i):
+        last = wrapped = None
+        for row in hook(self, gs, hs, i):
+            if row is not last:
+                last, wrapped = row, _UncomparableRow(row)
+            yield wrapped
+
+    monkeypatch.setattr(Heisenberg, "coordinate_rows", uncomparable_rows)
+    assert report_to_json(run_scenario("heisenberg_pseudometric", radius=radius)) == shared
+
+
 AXIOMS = "pseudometric axioms on sampled triples"
 WITNESS = "distinct elements at pseudodistance 0"
 
@@ -417,6 +446,26 @@ def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
     report = run_scenario("smith_uniqueness_probe", R=12)
     assert report.rows == _smith_rows_per_c(12)
     assert rows == [(((1,),), n) for n in [8] * 8 + [16] * 16 + [25] * 25]
+
+
+class _SquaresMetric(MetricEvaluator):
+    """|x^2 - y^2| on Z: the shift of (2, 9) by g is at |7 * (11 + 2g)|, not 7."""
+
+    def __init__(self, spec, radius_cap=None):
+        super().__init__(spec)
+
+    def eval(self, g, h):
+        return abs(g[0] ** 2 - h[0] ** 2)
+
+
+def test_rho_plus_base_check_fails_for_a_non_invariant_metric(monkeypatch):
+    # Only the first assertion reads the Z metric; the other four use the
+    # Heisenberg max-entry metric and still pass.
+    monkeypatch.setattr(scenarios, "WordMetric", _SquaresMetric)
+    report = run_scenario("rho_plus_demo")
+    failed = [a.description for a in report.assertions if not a.passed]
+    assert failed == ["truncated sup equals the base for a left-invariant metric"]
+    assert len(report.assertions) == 5
 
 
 @pytest.mark.parametrize("k,R", [(129, 100), (130, 100), (1000, 300)])
