@@ -13,7 +13,8 @@ row per point, and the Heisenberg invariance check compares rows.
 (`GroupSpec.word_distance`); every other metric inherits the body built on
 `eval`.  `WordMetric` on Z also binds the closed-form diameter, max - min
 of the coordinates; every other metric, the word metric of Z/k included,
-keeps the row-per-point `diameter`.
+keeps the row-per-point `diameter`.  `prefix_rows` walks the nested
+`ladder_prefixes` in one pass, each pair in one order: it needs symmetry.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ def ladder_prefixes(items: list) -> list[list]:
         return [[], [], []]
     cuts = sorted({max(1, (n * i) // 3) for i in (1, 2, 3)})
     return [ordered[:c] for c in cuts]
+
+
+def prefix_rows(metric, items):
+    """One pass over `ladder_prefixes(items)`: for each point g in order,
+    (g, before, metric.distances(g, before), closes), with before the points
+    ahead of g and closes true where g ends a prefix.  Each pair is read once,
+    in one order, so the rows up to a close cover that prefix (less its zero
+    diagonal) only for a symmetric metric, such as a word metric.
+    """
+    prefixes = ladder_prefixes(items)
+    ordered, cuts = prefixes[-1], {len(p) for p in prefixes}
+    for i, g in enumerate(ordered):
+        before = ordered[:i]
+        yield g, before, metric.distances(g, before), i + 1 in cuts
 
 
 # -- norms ------------------------------------------------------------

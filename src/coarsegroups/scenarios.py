@@ -34,8 +34,8 @@ from .metrics import (
     Entry12Pseudometric,
     QuotientWordMetric,
     WordMetric,
-    ladder_prefixes,
     max_entry_distance,
+    prefix_rows,
     rho_plus_truncated,
 )
 
@@ -403,21 +403,22 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
         report.check(f"identity is bornologous ({direction})", True, probe.bornologous_ok, DERIVED)
         report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
 
-    # One pass per prefix: the largest d2 seen at each d1 value 0..C_MAX,
-    # from which each C row is a running maximum.  Neither metric reads
-    # HORIZON here (d1 <= 2R under its cap 4R, d2 <= 2 where d1 <= 4); one
-    # that did would raise on the comparison rather than be dropped.
+    # One pass over the nested prefixes, each pair read once (d1 and d2 are
+    # word metrics, so symmetric): best_at is the largest d2 at each d1 value
+    # 0..C_MAX, and a prefix's per-C row is its running maximum at the close.
+    # Neither reads HORIZON here (d1 <= 2R under its cap 4R, d2 <= 2 where
+    # d1 <= 4); one that did would raise on the comparison, not be dropped.
     C_MAX = 4
     ladder = []
-    for prefix in ladder_prefixes(truncation):
-        best_at = [0] * (C_MAX + 1)
-        for x in prefix:
-            for y, a in zip(prefix, d1.distances(x, prefix)):
-                if a <= C_MAX:
-                    b = d2.eval(x, y)
-                    if b > best_at[a]:
-                        best_at[a] = b
-        ladder.append(list(itertools.accumulate(best_at, max)))
+    best_at = [0] * (C_MAX + 1)
+    for x, before, row, closes in prefix_rows(d1, truncation):
+        for y, a in zip(before, row):
+            if a <= C_MAX:
+                b = d2.eval(x, y)
+                if b > best_at[a]:
+                    best_at[a] = b
+        if closes:
+            ladder.append(list(itertools.accumulate(best_at, max)))
     stabilized = True
     for C in range(1, C_MAX + 1):
         values = [row[C] for row in ladder]

@@ -21,6 +21,7 @@ from coarsegroups.metrics import (
     classify_trend,
     ladder_prefixes,
     max_entry_distance,
+    prefix_rows,
     rho_plus_truncated,
 )
 
@@ -730,3 +731,58 @@ class TestLadder:
         ladder = ladder_prefixes(Z.ball(9))
         assert (0,) in ladder[0]
         assert max(abs(g[0]) for g in ladder[0]) < max(abs(g[0]) for g in ladder[-1])
+
+
+class _Ascent(MetricEvaluator):
+    """max(0, h - g) on Z: not symmetric, so one order of a pair can read 0."""
+
+    def eval(self, g, h):
+        return max(0, h[0] - g[0])
+
+
+class TestPrefixRows:
+    @staticmethod
+    def one_pass_maxima(metric, items):
+        best, out = 0, []
+        for _, _, row, closes in prefix_rows(metric, items):
+            best = max([best, *row])
+            if closes:
+                out.append(best)
+        return out
+
+    @staticmethod
+    def all_pairs_maxima(metric, items):
+        return [max(metric.eval(g, h) for g in p for h in p) for p in ladder_prefixes(items)]
+
+    def test_agrees_with_all_pairs_only_for_a_symmetric_metric(self):
+        # Shell order 0, 1, -1, ..., 9, -9 cuts at 6, 12 and 19 points.  The
+        # first prefix ends on 3: the one pass reads the pair (-2, 3) only as
+        # d(3, -2), which the ascent puts at 0, not as d(-2, 3) = 5.
+        items = Z.ball(9)
+        word = WordMetric(Z)
+        assert self.one_pass_maxima(word, items) == self.all_pairs_maxima(word, items) == [5, 11, 18]
+        ascent = _Ascent(Z)
+        assert self.all_pairs_maxima(ascent, items) == [5, 11, 18]
+        assert self.one_pass_maxima(ascent, items) == [4, 10, 18]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
+    def test_closes_are_the_last_points_of_the_prefixes(self, n):
+        items = [(i,) for i in range(n)]
+        rows = list(prefix_rows(WordMetric(Z), items))
+        ladder = ladder_prefixes(items)
+        closes = [g for g, _, _, closes in rows if closes]
+        assert closes == ([] if n == 0 else [p[-1] for p in ladder])
+        assert len(closes) == min(n, 3)
+        assert [g for g, _, _, _ in rows] == ladder[-1]
+        for i, (g, before, row, _) in enumerate(rows):
+            assert before == ladder[-1][:i]
+            assert row == [abs(g[0] - h[0]) for h in before]
+
+    def test_output_does_not_depend_on_the_input_order(self):
+        items = Z.ball(7)
+        shuffled = items[:]
+        random.Random(3).shuffle(shuffled)
+        word = WordMetric(Z)
+        expected = list(prefix_rows(word, items))
+        assert list(prefix_rows(word, shuffled)) == expected
+        assert list(prefix_rows(word, reversed(items))) == expected

@@ -428,7 +428,10 @@ def test_smith_rows_match_the_per_c_loop(R):
 
 
 def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
-    # At R=12 the ladder prefixes of the 25 points hold 8, 16 and 25.
+    # At R=12 the ladder prefixes of the 25 points hold 8, 16 and 25.  One
+    # pass takes one d1 row per point, against the points before it: 300
+    # distances, each unordered pair once, where a pass per prefix read
+    # every pair in both orders (8^2 + 16^2 + 25^2 = 945).
     rows = []
 
     class RowCountingWordMetric(WordMetric):
@@ -445,7 +448,7 @@ def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
     monkeypatch.setattr(scenarios, "WordMetric", RowCountingWordMetric)
     report = run_scenario("smith_uniqueness_probe", R=12)
     assert report.rows == _smith_rows_per_c(12)
-    assert rows == [(((1,),), n) for n in [8] * 8 + [16] * 16 + [25] * 25]
+    assert rows == [(((1,),), n) for n in range(25)]
 
 
 class _SquaresMetric(MetricEvaluator):
@@ -456,6 +459,56 @@ class _SquaresMetric(MetricEvaluator):
 
     def eval(self, g, h):
         return abs(g[0] ** 2 - h[0] ** 2)
+
+
+def _smith_with_d2(monkeypatch, metric_class):
+    """The Smith scenario and its all-pairs oracle at R=12, with d2 swapped for
+    `metric_class` on the {2, 3} generating set and d1 left the word metric."""
+    word = WordMetric
+
+    def swap_d2(spec, radius_cap=64):
+        if spec.generating_set == ((2,), (3,)):
+            return metric_class(spec)
+        return word(spec, radius_cap)
+
+    monkeypatch.setattr(scenarios, "WordMetric", swap_d2)
+    monkeypatch.setitem(globals(), "WordMetric", swap_d2)
+    return run_scenario("smith_uniqueness_probe", R=12), _smith_rows_per_c(12)
+
+
+def _stabilizes(report):
+    verdicts = {a.description: a.passed for a in report.assertions}
+    return verdicts["per-C max of the second metric stabilizes"]
+
+
+def test_smith_ladder_grows_with_a_growing_second_metric(monkeypatch):
+    # Positive control for the accumulation across prefix closes: with the
+    # word metrics every per-C row reads [2, 2, 2], so a ladder that repeated
+    # its last value would pass the frozen hashes.  |x^2 - y^2| is symmetric
+    # and grows with the prefix.
+    report, oracle = _smith_with_d2(monkeypatch, _SquaresMetric)
+    assert report.rows == oracle
+    assert report.rows[0] == {"C": 1, "ladder_max_d2": [7, 15, 23]}
+    for row in report.rows:
+        assert len(set(row["ladder_max_d2"])) == 3
+    assert _stabilizes(report) is False
+
+
+class _PeakMetric(MetricEvaluator):
+    """|x - y| * (25 - |x| - |y|) on Z: symmetric, largest near 0, and not
+    negative while |x|, |y| <= 12."""
+
+    def eval(self, g, h):
+        return abs(g[0] - h[0]) * (25 - abs(g[0]) - abs(h[0]))
+
+
+def test_smith_ladder_keeps_a_maximum_from_the_first_prefix(monkeypatch):
+    # A ladder that restarted at each close would read only the pairs new to
+    # the prefix, which here are the smaller ones.
+    report, oracle = _smith_with_d2(monkeypatch, _PeakMetric)
+    assert report.rows == oracle
+    assert report.rows[0] == {"C": 1, "ladder_max_d2": [24, 24, 24]}
+    assert _stabilizes(report) is True
 
 
 def test_rho_plus_base_check_fails_for_a_non_invariant_metric(monkeypatch):
