@@ -19,8 +19,10 @@ bornologies and chain metrics build their sets through `product_set`, and
 the Heisenberg invariance check reads coordinate 0 through
 `coordinate_rows`.  `Heisenberg` overrides `coordinate_rows` on its
 additive coordinates 0 and 1 with one row of sums per run of equal g[i],
-and `FreeAbelian` of rank 1 overrides `product_set` with plain int sums;
-every other kind inherits the bodies built on `mul`.
+and `FreeAbelian` of rank 1 overrides `product_set` with int sums: a
+big-int bit mask, one shift-or per element, when the sums span fewer
+values than there are pairs and no more than the cap, plain sums per pair
+otherwise.  Every other kind inherits the bodies built on `mul`.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
 kind with equal fields, as two `cyclic(7)`, and never changed once built.
@@ -190,7 +192,9 @@ class GroupSpec(_Value):
     product_set(a, b, cap).  The base bodies call `mul` once per pair;
     `Heisenberg` overrides coordinate_rows on coordinates 0 and 1, and
     `FreeAbelian` of rank 1 overrides product_set, each without a method
-    call per pair.
+    call per pair.  Rank 1 ORs shifted bit masks, one per element, when the
+    sums span fewer values than there are pairs and at most `cap`, and
+    sums plain ints per pair otherwise.
 
     Word balls, the element stream and word-norm tables all come from the
     one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
@@ -345,16 +349,45 @@ class FreeAbelian(GroupSpec):
     def product_set(self, a, b, cap: int) -> set:
         if self.rank != 1:
             return super().product_set(a, b, cap)
-        ys = [y for (y,) in b]
-        if len(a) * len(ys) <= cap:
+        xs, ys = [x for (x,) in a], [y for (y,) in b]
+        pairs = len(xs) * len(ys)
+        if pairs:
+            lo = min(xs) + min(ys)
+            width = max(xs) + max(ys) - lo + 1
+            if width < pairs and width <= cap:
+                # Fewer possible sums than pairs, and no more than the cap
+                # allows elements, so this product cannot raise.
+                return {(lo + i,) for i in _sum_offsets(xs, ys)}
+        if pairs <= cap:
             # Sums repeat on progressions: wrap each distinct sum once.
-            return {(s,) for s in {x + y for (x,) in a for y in ys}}
-        return _union_rows(([(x + y,) for y in ys] for (x,) in a), cap)
+            return {(s,) for s in {x + y for x in xs for y in ys}}
+        return _union_rows(([(x + y,) for y in ys] for x in xs), cap)
 
     def word_distance(self, cap: int):
         if self.generating_set == _units(self.rank):
             return _l1_distance(cap, self.rank)
         return None
+
+
+def _sum_offsets(xs: list, ys: list) -> Iterator[int]:
+    """Yield s - min(xs) - min(ys) for each distinct sum s = x + y, rising:
+    the set bits of the longer list's bit mask OR-ed in once per element of
+    the shorter, shifted by that element's offset from the shorter list's
+    minimum, and read back with one `str.find` per sum, not a step per bit."""
+    if len(xs) < len(ys):
+        xs, ys = ys, xs
+    x0, x1, y0 = min(xs), max(xs), min(ys)
+    row = bytearray(b"0") * (x1 - x0 + 1)
+    for x in xs:
+        row[x1 - x] = 49  # "1" at the bit x - x0, counted from the right
+    mask, acc = int(row, 2), 0
+    for y in ys:
+        acc |= mask << (y - y0)
+    bits = bin(acc)[:1:-1]
+    i = bits.find("1")
+    while i >= 0:
+        yield i
+        i = bits.find("1", i + 1)
 
 
 class Heisenberg(GroupSpec):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarsegroups import groups
 from coarsegroups.bornology import (
     ChainMetric,
     Explicit,
@@ -57,25 +58,29 @@ def mul_product_sets():
 @contextlib.contextmanager
 def counted_product_rows():
     """Inside the block, each call of the rank-1 `FreeAbelian.product_set`
-    appends a list to the yielded list, and each row x*b that the call
-    iterates to appends len(b) to that call's list."""
+    appends a list to the yielded list, and each row x*b that the call's
+    row-at-a-time loop sums appends len(x*b) to that call's list.  Rows are
+    counted where `groups._union_rows` consumes them, so reading `a` for
+    its span, or taking the one comprehension or the bit mask, counts no
+    row."""
     calls = []
-    product_set = FreeAbelian.product_set
+    product_set, union_rows = FreeAbelian.product_set, groups._union_rows
 
     def counted(spec, a, b, cap):
-        rows = []
-        calls.append(rows)
+        calls.append([])
+        return product_set(spec, a, b, cap)
 
-        class CountedRows(frozenset):
-            def __iter__(self):
-                for x in frozenset.__iter__(self):
-                    rows.append(len(b))
-                    yield x
+    def counted_rows(rows, cap):
+        def each(rows):
+            for row in rows:
+                calls[-1].append(len(row))
+                yield row
 
-        return product_set(spec, CountedRows(a), b, cap)
+        return union_rows(each(rows), cap)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(FreeAbelian, "product_set", counted)
+        m.setattr(groups, "_union_rows", counted_rows)
         yield calls
 
 
@@ -319,11 +324,22 @@ class TestStreams:
         assert len(basis._levels) == 2
         assert reads.count("COARSE_SET_CAP") == 1
 
-    # The five `geom:b,L` bornologies of the `queries` benchmark workload.
-    @pytest.mark.parametrize("base,length", [(10, 6), (2, 8), (3, 5), (5, 4), (4, 6)])
-    def test_generated_levels_match_the_mul_comprehension(self, base, length):
+    # The five `geom:b,L` bornologies of the `queries` benchmark workload, and
+    # the seed {5i : |i| <= 81} of `z_quotient_metric` at R=200, whose
+    # sumsets (163 x 163 pairs into 325 sums, and so on) take the bit mask.
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            *(
+                pytest.param(GeometricSeed(base, length), id=f"{base}-{length}")
+                for base, length in [(10, 6), (2, 8), (3, 5), (5, 4), (4, 6)]
+            ),
+            pytest.param(Explicit(tuple((5 * i,) for i in range(-81, 82))), id="5i-81"),
+        ],
+    )
+    def test_generated_levels_match_the_mul_comprehension(self, seed):
         def levels():
-            basis = GeneratedBasis(Z, [GeometricSeed(base, length)], depth_cap=4)
+            basis = GeneratedBasis(Z, [seed], depth_cap=4)
             basis.sets(10**6)
             return basis._levels
 

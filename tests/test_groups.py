@@ -2,12 +2,14 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coarsegroups import groups
 from coarsegroups.bornology import Explicit, GeometricSeed
 from coarsegroups.coarse import Entourage
 from coarsegroups.groups import (
@@ -34,6 +36,22 @@ H = GroupSpec.heisenberg()
 
 triples = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)
+)
+# Integer lists for rank-1 sumsets: progressions (dense, so most sums
+# repeat), sparse spreads far wider than their size, and small lists with
+# repeats; each may be empty or a singleton, and may hold negatives.  The
+# sparse spread stays within 2 * 10^5, so that a bit mask built where it
+# should not be stays small; test_sparse_z_product_set_builds_no_mask
+# covers the wide spans.
+int_lists = st.one_of(
+    st.builds(
+        lambda start, step, n: [start + step * i for i in range(n)],
+        st.integers(-60, 60),
+        st.integers(1, 7),
+        st.integers(0, 40),
+    ),
+    st.lists(st.integers(-(10**5), 10**5), max_size=12),
+    st.lists(st.integers(-30, 30), max_size=30),
 )
 
 
@@ -446,6 +464,76 @@ class TestSetHooks:
                 assert Z.product_set(a, b, cap) == full
             with pytest.raises(BudgetExceededError):
                 Z.product_set(a, b, len(full) - 1)
+
+    @given(
+        xs=int_lists,
+        ys=int_lists,
+        kinds=st.tuples(st.sampled_from([list, frozenset]), st.sampled_from([list, frozenset])),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(xs=[0, 1, 2], ys=[0, 3], kinds=(list, list))  # width == pairs
+    @example(xs=[0, 1, 2], ys=[0, 2], kinds=(list, list))  # width == pairs - 1
+    @example(xs=[0, 1, 5, 6], ys=[0, 1, 2], kinds=(list, frozenset))
+    @example(xs=[-7], ys=[-3], kinds=(list, list))
+    @example(xs=[], ys=[4, 5, 6], kinds=(frozenset, list))
+    @example(xs=[5 * i for i in range(-81, 82)], ys=[5 * i for i in range(-81, 82)], kinds=(list, list))
+    def test_z_product_set_is_the_mul_comprehension_on_both_paths(self, xs, ys, kinds):
+        # Every cap around the distinct sums, the pairs and the span of the
+        # sums: the bit mask runs where the width is below both the pairs
+        # and the cap, the comprehension or the row loop elsewhere, and all
+        # must give the mul comprehension or raise exactly past the cap.
+        a, b = kinds[0]((x,) for x in xs), kinds[1]((y,) for y in ys)
+        full = {Z.mul(x, y) for x in a for y in b}
+        pairs = len(a) * len(b)
+        width = max(xs) - min(xs) + max(ys) - min(ys) + 1 if pairs else 0
+        for cap in {len(full) - 1, len(full), pairs, width - 1, width, width + 1} - {-1}:
+            if len(full) > cap:
+                with pytest.raises(BudgetExceededError, match=f"exceeded size cap {cap}$"):
+                    Z.product_set(a, b, cap)
+            else:
+                assert Z.product_set(a, b, cap) == full
+
+    @pytest.mark.parametrize(
+        "xs,ys,cap,masked",
+        [
+            ([0, 1, 2], [0, 3], 100, False),  # width 6 == pairs 6
+            ([0, 1, 2], [0, 2], 100, True),  # width 5 == pairs - 1
+            ([0, 1, 5, 6], [0, 1, 2], 9, True),  # width 9 == cap
+            ([0, 1, 5, 6], [0, 1, 2], 8, False),  # width 9 == cap + 1: the row loop
+            ([0, 1, 2, 3], [0, 1, 2], 5, False),  # 6 sums past a cap of 5: raises
+            ([10**i for i in range(9)], [10**i for i in range(9)], 10**9, False),
+            ([7], [7], 100, False),
+            ([], [1, 2], 100, False),
+        ],
+        ids=["width=pairs", "width=pairs-1", "width=cap", "width=cap+1", "past-cap", "sparse", "singletons", "empty"],
+    )
+    def test_z_product_set_takes_the_mask_only_below_pairs_and_cap(self, xs, ys, cap, masked, monkeypatch):
+        calls = []
+        offsets = groups._sum_offsets
+        monkeypatch.setattr(groups, "_sum_offsets", lambda *lists: calls.append(lists) or offsets(*lists))
+        a, b = [(x,) for x in xs], [(y,) for y in ys]
+        full = {Z.mul(x, y) for x in a for y in b}
+        if len(full) > cap:
+            with pytest.raises(BudgetExceededError):
+                Z.product_set(a, b, cap)
+        else:
+            assert Z.product_set(a, b, cap) == full
+        assert bool(calls) is masked
+
+    def test_sparse_z_product_set_builds_no_mask(self):
+        # {0, 1, 10, ..., 10^8}: 100 pairs whose sums span 2 * 10^8 values,
+        # under a cap that would admit that many.  A mask of that span would
+        # take hundreds of MiB to build and read; the pair loop takes a few
+        # KiB.
+        seed = [(0,)] + [(10**i,) for i in range(9)]
+        tracemalloc.start()
+        try:
+            out = Z.product_set(seed, seed, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == {Z.mul(x, y) for x in seed for y in seed}
+        assert peak < 2**20
 
     def test_heisenberg_coordinate_rows_match_matrix_oracle(self):
         # In box order, rising, and reversed, falling, the g's come in runs
