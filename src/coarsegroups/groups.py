@@ -24,6 +24,10 @@ big-int bit mask, one shift-or per element, when the sums span fewer
 values than there are pairs and no more than the cap, plain sums per pair
 otherwise.  Every other kind inherits the bodies built on `mul`.
 
+Word spheres come from a breadth-first search, except on Z and Z/k with
+the generator (1,), which list them directly; the Heisenberg ball of
+(1,0,0), (0,1,0) is listed column by column from Blachère's formula.
+
 Specs are values (base `_Value`): equal, and hashing alike, when of one
 kind with equal fields, as two `cyclic(7)`, and never changed once built.
 """
@@ -63,6 +67,10 @@ def check_set_size(size: int, cap: int) -> None:
     a `COARSE_SET_CAP` its caller read."""
     if size > cap:
         raise BudgetExceededError(f"set of {size} elements exceeded size cap {cap}")
+
+
+def _ball_cap_error(cap: int) -> BudgetExceededError:
+    return BudgetExceededError(f"word ball exceeded size cap {cap}")
 
 
 def _union_rows(rows, cap: int) -> set:
@@ -196,10 +204,13 @@ class GroupSpec(_Value):
     sums span fewer values than there are pairs and at most `cap`, and
     sums plain ints per pair otherwise.
 
-    Word balls, the element stream and word-norm tables all come from the
-    one breadth-first search `spheres()`.  `COARSE_BALL_CAP` is the only
-    size cap of balls, boxes and streams.  Closed-form word distances, and
-    the row and diameter kernels of Z, come from `word_distance(cap)`.
+    Word balls, the element stream and word-norm tables come from
+    `spheres()`, a breadth-first search that Z and Z/k with (1,) replace by
+    closed forms, or, for the Heisenberg ball, from `word_ball(radius)`.
+    `COARSE_BALL_CAP` is the only size cap of balls, boxes and streams, and
+    every path refuses the same radius with the same message.  Closed-form
+    word distances, and the row and diameter kernels of Z, come from
+    `word_distance(cap)`.
     """
 
     __slots__ = ("generating_set",)
@@ -247,6 +258,12 @@ class GroupSpec(_Value):
         (1,)) also carries a row kernel, `distances(g, hs)`, that
         `WordMetric` binds as its row hook.
         """
+        return None
+
+    def word_ball(self, radius: int) -> list | None:
+        """The sorted word ball of `radius` from a closed form, or None: only
+        the Heisenberg generators (1,0,0), (0,1,0) have one.  It raises
+        exactly where `spheres()` would, past `COARSE_BALL_CAP` elements."""
         return None
 
     # -- elements and enumeration, shared by every kind ---------------
@@ -310,7 +327,7 @@ class GroupSpec(_Value):
                         nxt.append(h)
                         size += 1
                         if size > cap:
-                            raise BudgetExceededError(f"word ball exceeded size cap {cap}")
+                            raise _ball_cap_error(cap)
             prev, sphere, seen = sphere, nxt, None
 
     def ball(self, radius: int) -> list:
@@ -320,10 +337,10 @@ class GroupSpec(_Value):
         """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        out = []
-        for sphere in itertools.islice(self.spheres(), radius + 1):
-            out.extend(sphere)
-        return sorted(out)
+        out = self.word_ball(radius)
+        if out is None:
+            out = sorted(itertools.chain.from_iterable(itertools.islice(self.spheres(), radius + 1)))
+        return out
 
     def sphere_stream(self) -> Iterator:
         """Stream group elements shell by shell in the word metric.
@@ -367,6 +384,25 @@ class FreeAbelian(GroupSpec):
         if self.generating_set == _units(self.rank):
             return _l1_distance(cap, self.rank)
         return None
+
+    def spheres(self) -> Iterator[list]:
+        if self.generating_set != ((1,),):
+            return super().spheres()
+        return _capped_spheres([(k,), (-k,)] for k in itertools.count(1))
+
+
+def _capped_spheres(rest: Iterator[list]) -> Iterator[list]:
+    """[(0,)], then the closed-form spheres S_1, S_2, ... of `rest` on Z or
+    Z/k, with the cap check of `GroupSpec.spheres`: it raises instead of
+    yielding the first sphere that takes the ball past `COARSE_BALL_CAP`."""
+    cap = ball_size_cap()
+    yield [(0,)]
+    size = 1
+    for sphere in rest:
+        size += len(sphere)
+        if size > cap:
+            raise _ball_cap_error(cap)
+        yield sphere
 
 
 def _sum_offsets(xs: list, ys: list) -> Iterator[int]:
@@ -421,6 +457,11 @@ class Heisenberg(GroupSpec):
             return _heisenberg_word_distance(cap)
         return None
 
+    def word_ball(self, radius: int) -> list | None:
+        if self.generating_set == ((1, 0, 0), (0, 1, 0)):
+            return _heisenberg_ball(radius)
+        return None
+
 
 def _heisenberg_word_distance(cap: int):
     """The word distance of the generators (1,0,0), (0,1,0) on Heisenberg
@@ -461,6 +502,31 @@ def _heisenberg_word_distance(cap: int):
         return n if n <= cap else HORIZON
 
     return dist
+
+
+def _heisenberg_ball(r: int) -> list:
+    """The word ball of radius r of (1,0,0), (0,1,0), sorted, one (a, b)
+    column at a time.  By `_heisenberg_word_distance`, with x = |a|,
+    y = |b|, n = x + y <= r and k = (r - n) // 2 (word lengths keep the
+    parity of n), the column is c in [xy - M(k), M(k)] for a, b of one sign
+    and [-M(k), M(k) - xy] otherwise.  A column is sized before it is
+    listed, and the first that takes the ball past `COARSE_BALL_CAP` raises."""
+    cap = ball_size_cap()
+    out = []
+    for a in range(-r, r + 1):
+        x = abs(a)
+        for b in range(x - r, r - x + 1):
+            y = abs(b)
+            k = (r - x - y) // 2
+            lo, hi = (x, y) if x < y else (y, x)
+            # top = M(k), the area bound of `_heisenberg_word_distance`.
+            top = hi * (lo + k) if k < hi - lo else (x + y + k) ** 2 // 4
+            first, last = (x * y - top, top) if (a < 0) == (b < 0) else (-top, top - x * y)
+            size = last - first + 1
+            if len(out) + size > cap:
+                raise _ball_cap_error(cap)
+            out += zip(itertools.repeat(a, size), itertools.repeat(b, size), range(first, last + 1))
+    return out
 
 
 class DirectProduct(GroupSpec):
@@ -519,6 +585,12 @@ class Cyclic(GroupSpec):
 
     def box(self, radius: int) -> list:
         return sorted({self._reduce(v) for v in _cube(radius, 1)})
+
+    def spheres(self) -> Iterator[list]:
+        if self.generating_set != ((1,),):
+            return super().spheres()
+        k = self.modulus
+        return _capped_spheres([(j,), (k - j,)] if 2 * j < k else [(j,)] for j in range(1, k // 2 + 1))
 
     def word_distance(self, cap: int):
         if self.generating_set != ((1,),):

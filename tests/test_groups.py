@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -361,10 +362,100 @@ class TestSpheres:
         assert spheres == [[(0,)], [(1,), (6,)], [(2,), (5,)], [(3,), (4,)]]
 
 
-class TestCapBoundary:
-    """COARSE_BALL_CAP = |ball(r)| admits radius r; one less refuses it."""
+def _bfs_spheres(spec):
+    """The breadth-first search of the base class, whatever the kind lists."""
+    return GroupSpec.spheres(spec)
 
-    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
+
+def _bfs_ball(spec, r: int) -> list:
+    return sorted(itertools.chain.from_iterable(itertools.islice(_bfs_spheres(spec), r + 1)))
+
+
+@functools.cache
+def _oracle_distances(name: str) -> dict:
+    spec, nodes = SPHERE_CASES[name]
+    return bfs_distances(cayley_adjacency(spec, nodes), spec.identity())
+
+
+C7 = GroupSpec.cyclic(7)
+
+
+class TestClosedForms:
+    """The Heisenberg ball and the spheres of Z and Z/k, listed without a
+    search, against the breadth-first search and the Cayley-graph oracle."""
+
+    @pytest.mark.parametrize("r", range(13))
+    def test_heisenberg_ball_is_the_bfs_ball(self, r):
+        assert H.ball(r) == _bfs_ball(H, r)
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_heisenberg_ball_matches_the_cayley_oracle(self, r):
+        dist = _oracle_distances("H")
+        assert H.ball(r) == sorted(g for g, d in dist.items() if d <= r)
+
+    # Columns (a, b) in all four sign quadrants, on an axis, at the origin
+    # and with |a| == |b|; radii 9 and 10 give both parities of r - |a| - |b|.
+    @pytest.mark.parametrize(
+        "a, b",
+        [(3, 1), (-3, 1), (3, -1), (-3, -1), (1, 3), (-1, -3), (2, 2), (-2, 2), (2, -2), (0, 3), (-4, 0), (0, 0)],
+    )
+    @pytest.mark.parametrize("r", [9, 10])
+    def test_heisenberg_column_is_the_bfs_column(self, a, b, r):
+        def column(ball):
+            return [c for (x, y, c) in ball if (x, y) == (a, b)]
+
+        got = column(H.ball(r))
+        assert got == column(_bfs_ball(H, r))
+        assert got == list(range(got[0], got[-1] + 1))
+
+    @pytest.mark.parametrize("modulus", [None, 2, 5, 6, 7, 12])
+    def test_line_and_cycle_spheres_are_the_bfs_spheres(self, modulus):
+        spec = Z if modulus is None else GroupSpec.cyclic(modulus)
+        got = list(itertools.islice(spec.spheres(), 20))
+        want = list(itertools.islice(_bfs_spheres(spec), 20))
+        assert [set(s) for s in got] == [set(s) for s in want]
+        assert all(len(s) == len(set(s)) for s in got)
+        stream = [g for s in want for g in sorted(s, key=groups.shell_key)]
+        assert list(itertools.islice(spec.sphere_stream(), len(stream))) == stream
+
+    @pytest.mark.parametrize(
+        "spec, ball_searched, stream_searched",
+        [
+            (Z, False, False),
+            (C7, False, False),
+            (H, False, True),
+            (Z2, True, True),
+            (SPHERE_CASES["Z-2-3"][0], True, True),
+            (SPHERE_CASES["H-extra"][0], True, True),
+            (GroupSpec.cyclic(7, ((2,),)), True, True),
+        ],
+        ids=["Z", "Z/7", "H", "Z2", "Z-2-3", "H-extra", "Z/7-2"],
+    )
+    def test_only_the_standard_generators_skip_the_search(self, spec, ball_searched, stream_searched, monkeypatch):
+        # The search calls `mul` once per element and generator; a closed
+        # form calls it never.  The Heisenberg spheres stay a search.
+        calls = []
+        mul = type(spec).mul
+
+        def counted(self, g, h):
+            calls.append(1)
+            return mul(self, g, h)
+
+        monkeypatch.setattr(type(spec), "mul", counted)
+        ball = spec.ball(3)
+        assert bool(calls) == ball_searched
+        calls.clear()
+        stream = list(itertools.islice(spec.sphere_stream(), len(ball)))
+        assert bool(calls) == stream_searched
+        monkeypatch.undo()
+        assert sorted(stream) == ball == _bfs_ball(spec, 3)
+
+
+class TestCapBoundary:
+    """COARSE_BALL_CAP = |ball(r)| admits radius r; one less refuses it, with
+    the one message, on the breadth-first search and the closed forms alike."""
+
+    @pytest.mark.parametrize("spec", [Z2, H, Z, C7], ids=["Z2", "H", "Z", "Z/7"])
     @pytest.mark.parametrize("r", [1, 3])
     def test_cap_fires_at_the_same_radius(self, spec, r, monkeypatch):
         size = len(spec.ball(r))
@@ -375,14 +466,27 @@ class TestCapBoundary:
         assert len(list(itertools.islice(spec.sphere_stream(), size))) == size
         assert WordNorm(spec)(far) == r
         monkeypatch.setenv("COARSE_BALL_CAP", str(size - 1))
-        with pytest.raises(BudgetExceededError):
+        refused = pytest.raises(BudgetExceededError, match=f"^word ball exceeded size cap {size - 1}$")
+        with refused:
             spec.ball(r)
-        with pytest.raises(BudgetExceededError):
+        with refused:
             list(itertools.islice(spec.sphere_stream(), size))
         norm = WordNorm(spec)
         for _ in range(2):  # a retry raises again instead of ending the table
-            with pytest.raises(BudgetExceededError):
+            with refused:
                 norm(far)
+
+    def test_huge_heisenberg_radius_raises_before_listing(self):
+        # The search would build 10^6 elements before refusing; the closed
+        # form sizes each column before listing it.
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="^word ball exceeded size cap 1000000$"):
+                H.ball(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 HOOK_CASES = {
