@@ -15,7 +15,8 @@ Besides `mul`, every kind answers two set-at-a-time hooks:
 `coordinate_rows(gs, hs, i)`, which yields [(g*h)[i] for h in hs] for each
 g in `gs`; and `product_set(a, b, cap)`, the set {x*y : x in a, y in b},
 which raises once it holds more than `cap` elements.  Generated
-bornologies and chain metrics build their sets through `product_set`, and
+bornologies, chain metrics and the Smith ladder (the difference set P^-1 P
+of each prefix) build their sets through `product_set`, and
 the Heisenberg invariance check reads coordinate 0 through
 `coordinate_rows`.  `Heisenberg` overrides `coordinate_rows` on its
 additive coordinates 0 and 1 with one row of sums per run of equal g[i],
@@ -157,10 +158,9 @@ HORIZON = _Horizon()
 
 def _l1_distance(cap: int, rank: int):
     """The word distance of the unit vectors on Z^n: the L1 norm of h - g,
-    HORIZON past `cap`.  On Z (rank 1) it carries the row kernel
-    `dist.distances(g, hs)`, the list [dist(g, h) for h in hs], and
-    `dist.diameter(elements)`, the largest distance between two of the
-    elements: max - min of their coordinates (0 for fewer than two)."""
+    HORIZON past `cap`.  On Z (rank 1) it carries `dist.diameter(elements)`,
+    the largest distance between two of the elements: max - min of their
+    coordinates (0 for fewer than two)."""
 
     def dist(g, h):
         d = sum(map(abs, map(operator.sub, h, g)))
@@ -168,16 +168,12 @@ def _l1_distance(cap: int, rank: int):
 
     if rank == 1:
 
-        def distances(g, hs):
-            (x,) = g
-            return [d if (d := abs(y - x)) <= cap else HORIZON for (y,) in hs]
-
         def diameter(elements):
             xs = [x for (x,) in elements]
             d = max(xs, default=0) - min(xs, default=0)
             return d if d <= cap else HORIZON
 
-        dist.distances, dist.diameter = distances, diameter
+        dist.diameter = diameter
     return dist
 
 
@@ -209,7 +205,7 @@ class GroupSpec(_Value):
     closed forms, or, for the Heisenberg ball, from `word_ball(radius)`.
     `COARSE_BALL_CAP` is the only size cap of balls, boxes and streams, and
     every path refuses the same radius with the same message.  Closed-form
-    word distances, and the row and diameter kernels of Z, come from
+    word distances, and the diameter kernel of Z, come from
     `word_distance(cap)`.
     """
 
@@ -254,9 +250,7 @@ class GroupSpec(_Value):
         standard generators have one: the unit vectors of Z^n, the
         generator (1,) of Z/k, and (1,0,0), (0,1,0) on the Heisenberg
         group.  Every other kind and generating set reads word distances
-        off `spheres()`.  The function for Z itself (rank 1, generator
-        (1,)) also carries a row kernel, `distances(g, hs)`, that
-        `WordMetric` binds as its row hook.
+        off `spheres()`.
         """
         return None
 

@@ -8,13 +8,11 @@ the toolkit, never an exception.
 Besides `eval`, every metric answers one row-at-a-time hook:
 `distances(g, hs)`, the list [d(g, h) for h in hs].  `diameter` takes one
 row per point, and the Heisenberg invariance check compares rows.
-`Entry12Pseudometric` overrides `distances` with one comprehension, and
-`WordMetric` on Z binds the row kernel of its closed form
-(`GroupSpec.word_distance`); every other metric inherits the body built on
-`eval`.  `WordMetric` on Z also binds the closed-form diameter, max - min
-of the coordinates; every other metric, the word metric of Z/k included,
-keeps the row-per-point `diameter`.  `prefix_rows` walks the nested
-`ladder_prefixes` in one pass, each pair in one order: it needs symmetry.
+`Entry12Pseudometric` overrides `distances` with one comprehension; every
+other metric inherits the body built on `eval`.  `WordMetric` on Z binds
+the closed-form diameter of `GroupSpec.word_distance`, max - min of the
+coordinates; every other metric, the word metric of Z/k included, keeps
+the row-per-point `diameter`.
 """
 
 from __future__ import annotations
@@ -65,20 +63,6 @@ def ladder_prefixes(items: list) -> list[list]:
         return [[], [], []]
     cuts = sorted({max(1, (n * i) // 3) for i in (1, 2, 3)})
     return [ordered[:c] for c in cuts]
-
-
-def prefix_rows(metric, items):
-    """One pass over `ladder_prefixes(items)`: for each point g in order,
-    (g, before, metric.distances(g, before), closes), with before the points
-    ahead of g and closes true where g ends a prefix.  Each pair is read once,
-    in one order, so the rows up to a close cover that prefix (less its zero
-    diagonal) only for a symmetric metric, such as a word metric.
-    """
-    prefixes = ladder_prefixes(items)
-    ordered, cuts = prefixes[-1], {len(p) for p in prefixes}
-    for i, g in enumerate(ordered):
-        before = ordered[:i]
-        yield g, before, metric.distances(g, before), i + 1 in cuts
 
 
 # -- norms ------------------------------------------------------------
@@ -175,9 +159,8 @@ class WordMetric(InducedMetric):
     Where the group kind has a closed form for its generating set
     (`GroupSpec.word_distance`), `eval` is that function and no table is
     built; otherwise `InducedMetric` reads the breadth-first `WordNorm` table.
-    A closed form that carries a row kernel (Z with the generator (1,))
-    is also bound as `distances`, and its `diameter` (max - min) as
-    `diameter`, so a diameter visits each point once.
+    A closed form that carries a diameter (Z with the generator (1,), max -
+    min) is also bound as `diameter`, so a diameter visits each point once.
     """
 
     def __init__(self, spec: GroupSpec, radius_cap: int = 64):
@@ -186,8 +169,8 @@ class WordMetric(InducedMetric):
             super().__init__(WordNorm(spec, radius_cap=radius_cap))
         else:
             self.spec, self.eval = spec, closed
-            if hasattr(closed, "distances"):
-                self.distances, self.diameter = closed.distances, closed.diameter
+            if hasattr(closed, "diameter"):
+                self.diameter = closed.diameter
 
     def ball(self, n: int) -> frozenset:
         # The word ball itself, exact past radius_cap where eval is HORIZON.

@@ -28,14 +28,14 @@ from .coarse import (
     coarse_map_probe,
     controlled_probe,
 )
-from .groups import GroupSpec
+from .groups import GroupSpec, set_size_cap
 from .metrics import (
     MaxEntryMetric,
     Entry12Pseudometric,
     QuotientWordMetric,
     WordMetric,
+    ladder_prefixes,
     max_entry_distance,
-    prefix_rows,
     rho_plus_truncated,
 )
 
@@ -403,22 +403,20 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
         report.check(f"identity is bornologous ({direction})", True, probe.bornologous_ok, DERIVED)
         report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
 
-    # One pass over the nested prefixes, each pair read once (d1 and d2 are
-    # word metrics, so symmetric): best_at is the largest d2 at each d1 value
-    # 0..C_MAX, and a prefix's per-C row is its running maximum at the close.
+    # This needs d1 and d2 left-invariant, as word metrics are: then
+    # d(x, y) = d(e, x^-1 y), so the pairs of a prefix P read the distances
+    # of its difference set P^-1 P.  best_at is the largest d2 at each d1
+    # value 0..C_MAX, and a prefix's per-C row is its running maximum.
     # Neither reads HORIZON here (d1 <= 2R under its cap 4R, d2 <= 2 where
     # d1 <= 4); one that did would raise on the comparison, not be dropped.
     C_MAX = 4
-    ladder = []
+    e, ladder = zspec1.identity(), []
     best_at = [0] * (C_MAX + 1)
-    for x, before, row, closes in prefix_rows(d1, truncation):
-        for y, a in zip(before, row):
-            if a <= C_MAX:
-                b = d2.eval(x, y)
-                if b > best_at[a]:
-                    best_at[a] = b
-        if closes:
-            ladder.append(list(itertools.accumulate(best_at, max)))
+    for P in ladder_prefixes(truncation):
+        for t in zspec1.product_set([zspec1.inv(x) for x in P], P, set_size_cap()):
+            if (a := d1.eval(e, t)) <= C_MAX:
+                best_at[a] = max(best_at[a], d2.eval(e, t))
+        ladder.append(list(itertools.accumulate(best_at, max)))
     stabilized = True
     for C in range(1, C_MAX + 1):
         values = [row[C] for row in ladder]

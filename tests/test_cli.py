@@ -352,6 +352,23 @@ class TestExitCodes:
         assert main(["run", "heisenberg_pseudometric"]) == 3
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("R", [4, 96])
+    def test_smith_ladder_difference_set_meets_the_set_cap(self, capsys, monkeypatch, R):
+        # The last prefix holds all 2R + 1 points, so its difference set is
+        # [-2R, 2R]: 4R + 1 elements, refused one element under that cap.
+        argv = ["run", "smith_uniqueness_probe", "--param", f"R={R}"]
+        assert main(argv) == 0
+        uncapped = capsys.readouterr()
+        monkeypatch.setenv("COARSE_SET_CAP", str(4 * R))
+        assert main(argv) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"resource budget exceeded: set of {4 * R + 1} elements exceeded size cap {4 * R}\n",
+        )
+        monkeypatch.setenv("COARSE_SET_CAP", str(4 * R + 1))
+        assert main(argv) == 0
+        assert capsys.readouterr() == uncapped
+
     def test_separation_builds_no_ball_under_a_small_cap(self, capsys, monkeypatch):
         # Its metric balls are tested by distance, never built: the box of
         # radius 11 (12,167 triples) would pass a ball cap of 100.

@@ -21,7 +21,6 @@ from coarsegroups.metrics import (
     classify_trend,
     ladder_prefixes,
     max_entry_distance,
-    prefix_rows,
     rho_plus_truncated,
 )
 
@@ -262,10 +261,11 @@ class TestDistances:
     def test_every_override_is_parametrized(self):
         # Each `distances` and each `diameter` body that a metric can run,
         # defined on a class or bound per instance, runs for some metric of
-        # ROW_METRICS; the one kernel of each is the one of Z.
-        for name, overrides in [
-            ("distances", {MetricEvaluator, Entry12Pseudometric}),
-            ("diameter", {MetricEvaluator, QuotientWordMetric}),
+        # ROW_METRICS.  No metric binds a `distances` kernel; the one
+        # `diameter` kernel is the one of Z.
+        for name, overrides, kernel_metrics in [
+            ("distances", {MetricEvaluator, Entry12Pseudometric}, []),
+            ("diameter", {MetricEvaluator, QuotientWordMetric}, ["word-Z"]),
         ]:
             defined = {
                 cls for _, cls in inspect.getmembers(metrics, inspect.isclass) if name in vars(cls)
@@ -273,7 +273,7 @@ class TestDistances:
             kernels = _nested_row_kernels(name, metrics, groups)
             covered = {_hook_owner(make(), name) for make, _ in ROW_METRICS.values()}
             assert overrides <= defined, name
-            assert kernels == {_hook_owner(ROW_METRICS["word-Z"][0](), name)}, name
+            assert kernels == {_hook_owner(ROW_METRICS[k][0](), name) for k in kernel_metrics}, name
             assert defined | kernels <= covered, sorted(map(str, (defined | kernels) - covered))
 
     @settings(max_examples=150, deadline=None)
@@ -289,7 +289,6 @@ class TestDistances:
         hs = [(y,) for y in ys]
         expected = [d if (d := oracle[h]) <= cap else HORIZON for h in hs]
         wm = WordMetric(Z, radius_cap=cap)
-        assert "distances" in vars(wm)
         assert wm.distances((x,), hs) == expected
 
     @settings(max_examples=150, deadline=None)
@@ -732,57 +731,3 @@ class TestLadder:
         assert (0,) in ladder[0]
         assert max(abs(g[0]) for g in ladder[0]) < max(abs(g[0]) for g in ladder[-1])
 
-
-class _Ascent(MetricEvaluator):
-    """max(0, h - g) on Z: not symmetric, so one order of a pair can read 0."""
-
-    def eval(self, g, h):
-        return max(0, h[0] - g[0])
-
-
-class TestPrefixRows:
-    @staticmethod
-    def one_pass_maxima(metric, items):
-        best, out = 0, []
-        for _, _, row, closes in prefix_rows(metric, items):
-            best = max([best, *row])
-            if closes:
-                out.append(best)
-        return out
-
-    @staticmethod
-    def all_pairs_maxima(metric, items):
-        return [max(metric.eval(g, h) for g in p for h in p) for p in ladder_prefixes(items)]
-
-    def test_agrees_with_all_pairs_only_for_a_symmetric_metric(self):
-        # Shell order 0, 1, -1, ..., 9, -9 cuts at 6, 12 and 19 points.  The
-        # first prefix ends on 3: the one pass reads the pair (-2, 3) only as
-        # d(3, -2), which the ascent puts at 0, not as d(-2, 3) = 5.
-        items = Z.ball(9)
-        word = WordMetric(Z)
-        assert self.one_pass_maxima(word, items) == self.all_pairs_maxima(word, items) == [5, 11, 18]
-        ascent = _Ascent(Z)
-        assert self.all_pairs_maxima(ascent, items) == [5, 11, 18]
-        assert self.one_pass_maxima(ascent, items) == [4, 10, 18]
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9])
-    def test_closes_are_the_last_points_of_the_prefixes(self, n):
-        items = [(i,) for i in range(n)]
-        rows = list(prefix_rows(WordMetric(Z), items))
-        ladder = ladder_prefixes(items)
-        closes = [g for g, _, _, closes in rows if closes]
-        assert closes == ([] if n == 0 else [p[-1] for p in ladder])
-        assert len(closes) == min(n, 3)
-        assert [g for g, _, _, _ in rows] == ladder[-1]
-        for i, (g, before, row, _) in enumerate(rows):
-            assert before == ladder[-1][:i]
-            assert row == [abs(g[0] - h[0]) for h in before]
-
-    def test_output_does_not_depend_on_the_input_order(self):
-        items = Z.ball(7)
-        shuffled = items[:]
-        random.Random(3).shuffle(shuffled)
-        word = WordMetric(Z)
-        expected = list(prefix_rows(word, items))
-        assert list(prefix_rows(word, shuffled)) == expected
-        assert list(prefix_rows(word, reversed(items))) == expected

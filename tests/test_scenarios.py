@@ -427,30 +427,6 @@ def test_smith_rows_match_the_per_c_loop(R):
     assert run_scenario("smith_uniqueness_probe", R=R).rows == _smith_rows_per_c(R)
 
 
-def test_smith_ladder_takes_one_d1_row_per_prefix_point(monkeypatch):
-    # At R=12 the ladder prefixes of the 25 points hold 8, 16 and 25.  One
-    # pass takes one d1 row per point, against the points before it: 300
-    # distances, each unordered pair once, where a pass per prefix read
-    # every pair in both orders (8^2 + 16^2 + 25^2 = 945).
-    rows = []
-
-    class RowCountingWordMetric(WordMetric):
-        def __init__(self, spec, radius_cap=64):
-            super().__init__(spec, radius_cap)
-            row = self.distances
-
-            def distances(g, hs):
-                rows.append((spec.generating_set, len(hs)))
-                return row(g, hs)
-
-            self.distances = distances
-
-    monkeypatch.setattr(scenarios, "WordMetric", RowCountingWordMetric)
-    report = run_scenario("smith_uniqueness_probe", R=12)
-    assert report.rows == _smith_rows_per_c(12)
-    assert rows == [(((1,),), n) for n in range(25)]
-
-
 class _SquaresMetric(MetricEvaluator):
     """|x^2 - y^2| on Z: the shift of (2, 9) by g is at |7 * (11 + 2g)|, not 7."""
 
@@ -481,17 +457,40 @@ def _stabilizes(report):
     return verdicts["per-C max of the second metric stabilizes"]
 
 
-def test_smith_ladder_grows_with_a_growing_second_metric(monkeypatch):
-    # Positive control for the accumulation across prefix closes: with the
-    # word metrics every per-C row reads [2, 2, 2], so a ladder that repeated
-    # its last value would pass the frozen hashes.  |x^2 - y^2| is symmetric
-    # and grows with the prefix.
-    report, oracle = _smith_with_d2(monkeypatch, _SquaresMetric)
+def _word_metric_on(*generators):
+    """A d2 swap: the word metric of Z on `generators`, in place of {2, 3},
+    with the scenario's radius cap 4R at R=12."""
+    return lambda spec: WordMetric(GroupSpec.free_abelian(1, generators=generators), 48)
+
+
+@pytest.mark.parametrize(
+    "generators,rows",
+    [(((3,), (5,)), [3, 3, 3, 4]), (((2,), (5,)), [3, 3, 3, 3])],
+)
+def test_smith_ladder_follows_a_left_invariant_second_metric(monkeypatch, generators, rows):
+    """Positive control for the d2 read: word metrics of Z on other generators
+    are left-invariant too, so the difference-set ladder must equal the pair
+    loop, and its rows must move with d2 (the {2, 3} rows all read 2, and a
+    ladder that read d1 there would read C).
+
+    One mutation survives every test: reading P*P for P^-1 P.  Each prefix
+    is an interval of Z about 0, so its sums and its differences hold the
+    same elements of norm at most 4, the only ones a row with C <= 4 reads.
+    """
+    report, oracle = _smith_with_d2(monkeypatch, _word_metric_on(*generators))
     assert report.rows == oracle
-    assert report.rows[0] == {"C": 1, "ladder_max_d2": [7, 15, 23]}
-    for row in report.rows:
-        assert len(set(row["ladder_max_d2"])) == 3
-    assert _stabilizes(report) is False
+    assert [row["ladder_max_d2"] for row in report.rows] == [[v] * 3 for v in rows]
+    assert _stabilizes(report) is True
+
+
+def test_smith_ladder_needs_a_left_invariant_second_metric(monkeypatch):
+    # The precondition of the difference set: |x^2 - y^2| is not
+    # left-invariant.  The ladder reads it only from 0, at d(0, t) = t^2, so
+    # its C=1 row is 1 where the pair loop finds (3, 4) in the first prefix.
+    report, oracle = _smith_with_d2(monkeypatch, _SquaresMetric)
+    assert oracle[0] == {"C": 1, "ladder_max_d2": [7, 15, 23]}
+    assert report.rows[0] == {"C": 1, "ladder_max_d2": [1, 1, 1]}
+    assert _stabilizes(report) is True
 
 
 class _PeakMetric(MetricEvaluator):
@@ -503,8 +502,9 @@ class _PeakMetric(MetricEvaluator):
 
 
 def test_smith_ladder_keeps_a_maximum_from_the_first_prefix(monkeypatch):
-    # A ladder that restarted at each close would read only the pairs new to
-    # the prefix, which here are the smaller ones.
+    # Not left-invariant either, yet here the ladder agrees with the pair
+    # loop: at each d1 value a, the largest pair straddles 0, where
+    # |x| + |y| = a as for (0, t).  The first prefix already holds it.
     report, oracle = _smith_with_d2(monkeypatch, _PeakMetric)
     assert report.rows == oracle
     assert report.rows[0] == {"C": 1, "ladder_max_d2": [24, 24, 24]}
