@@ -4,10 +4,15 @@ An entourage is a finite set of ordered element pairs.  Infinite unions
 from the source constructions are replaced by indexed entourage families,
 functions `n -> Entourage` probed at n = 1..horizon; controlledness shows
 up as a bounded or growing trend of the per-index observed quantities.
+
+A structure observes a whole ladder at once: `values(ladder)` maps a list
+of pair collections (`Entourage.pairs` or lists) to one value each, HORIZON
+on overflow.  Probes map each point once, building no image `Entourage`.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 
 from .bornology import BornologyBasis, member_depth
@@ -51,42 +56,37 @@ def translate(spec: GroupSpec, g, e: Entourage) -> Entourage:
 
 
 # -- structures -------------------------------------------------------
-# A structure measures how controlled an entourage is: `value_of(e)`.
 
 
 class BoundedByMetric:
-    """Controlled = uniformly bounded distance; observed = max distance."""
+    """Controlled = uniformly bounded distance; observed = max distance (0
+    for no pairs), from one `metric.eval` pass over the whole ladder."""
 
     def __init__(self, metric: MetricEvaluator):
         self.metric = metric
 
-    def value_of(self, e: Entourage):
-        row = [self.metric.eval(x, y) for x, y in e.pairs]
-        return HORIZON if HORIZON in row else max(row, default=0)
+    def values(self, ladder) -> list:
+        row = list(itertools.starmap(self.metric.eval, itertools.chain.from_iterable(ladder)))
+        bounds = itertools.pairwise(itertools.accumulate(map(len, ladder), initial=0))
+        return [HORIZON if HORIZON in row[i:j] else max(row[i:j], default=0) for i, j in bounds]
 
 
 class LeftBornological:
-    """Controlled = left shadow bounded; observed = cover depth of shadow."""
+    """Controlled = left shadow {x^-1 y} bounded; observed = its cover depth."""
 
     def __init__(self, basis: BornologyBasis, depth_cap: int = 16):
         self.basis = basis
         self.depth_cap = depth_cap
 
-    def value_of(self, e: Entourage):
-        shadow = left_shadow(self.basis.spec, e)
-        return member_depth(self.basis, shadow, self.depth_cap)
+    def values(self, ladder) -> list:
+        mul, inv, cap = self.basis.spec.mul, self.basis.spec.inv, self.depth_cap
+        return [member_depth(self.basis, {mul(inv(x), y) for x, y in p}, cap) for p in ladder]
 
 
 class ControlledVerdict:
-    def __init__(self, per_index: list, trend: str):
+    def __init__(self, per_index: list):
         self.per_index = per_index  # index n's observed quantity at n - 1, HORIZON on overflow
-        self.trend = trend
-
-
-def _ladder_verdict(structure, entourages) -> ControlledVerdict:
-    """Observe each entourage of a ladder and classify the trend."""
-    values = [structure.value_of(e) for e in entourages]
-    return ControlledVerdict(per_index=values, trend=classify_trend(values))
+        self.trend = classify_trend(per_index)
 
 
 def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVerdict:
@@ -96,7 +96,7 @@ def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVer
     shadow cover depth (bornological structures), HORIZON on overflow; the
     trend is classified by the shared ladder rule.
     """
-    return _ladder_verdict(structure, map(family, range(1, horizon + 1)))
+    return ControlledVerdict(structure.values([family(n).pairs for n in range(1, horizon + 1)]))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -158,21 +158,21 @@ def coarse_map_probe(
     probe that checked no family is not bornologous, and its witness
     ("bornologous", "no family checked", skipped) says so.
     Proper: for every bounded sample, its preimage B within the sampled
-    domain truncation, measured as the entourage B x {anchor} (B x B is
+    domain truncation, measured as the pairs B x {anchor} (B x B is
     controlled exactly when B x {x} is), must not overflow (HORIZON)
-    under the domain structure.
+    under the domain structure; the preimages of all samples are one ladder.
     """
     witnesses = []
 
     bornologous_ok = True
     skipped = 0
     for fam in families:
-        entourages = [fam(n) for n in range(1, horizon + 1)]
-        if _ladder_verdict(domain, entourages).trend != "bounded":
+        ladder = [fam(n).pairs for n in range(1, horizon + 1)]
+        if classify_trend(domain.values(ladder)) != "bounded":
             skipped += 1
             continue
-        images = [Entourage.of((f(x), f(y)) for x, y in e.pairs) for e in entourages]
-        cod_verdict = _ladder_verdict(codomain, images)
+        images = [[(f(x), f(y)) for x, y in pairs] for pairs in ladder]
+        cod_verdict = ControlledVerdict(codomain.values(images))
         if cod_verdict.trend != "bounded":
             bornologous_ok = False
             witnesses.append(("bornologous", fam, cod_verdict))
@@ -180,17 +180,16 @@ def coarse_map_probe(
         bornologous_ok = False
         witnesses.append(("bornologous", "no family checked", skipped))
 
-    proper_ok = True
     domain_truncation = sorted(set(domain_truncation))
-    for sample in bounded_samples:
-        sample = frozenset(sample)
-        preimage = [x for x in domain_truncation if f(x) in sample]
-        if not preimage:
-            continue
-        anchor = preimage[0]
-        if domain.value_of(Entourage.of((x, anchor) for x in preimage)) is HORIZON:
-            proper_ok = False
-            witnesses.append(("proper", sorted(sample), preimage))
+    images = list(map(f, domain_truncation))
+    found = [
+        (sorted(sample), pre)
+        for sample in map(frozenset, bounded_samples)
+        if (pre := [x for x, y in zip(domain_truncation, images) if y in sample])
+    ]
+    values = domain.values([[(x, pre[0]) for x in pre] for _, pre in found])
+    witnesses += [("proper", *found[i]) for i, v in enumerate(values) if v is HORIZON]
+    proper_ok = HORIZON not in values
 
     return CoarseMapReport(
         bornologous_ok=bornologous_ok, proper_ok=proper_ok, witnesses=witnesses
@@ -203,11 +202,7 @@ def closeness_probe(
     domain_truncation,
     structure,
 ) -> ControlledVerdict:
-    """Probe the pairing {(f(m), f2(m))} for controlledness on a ladder."""
-    return _ladder_verdict(
-        structure,
-        (
-            Entourage.of((f(m), f2(m)) for m in prefix)
-            for prefix in ladder_prefixes(set(domain_truncation))
-        ),
-    )
+    """Probe the pairing {(f(m), f2(m))} on nested prefixes, mapping each point once."""
+    prefixes = ladder_prefixes(set(domain_truncation))
+    pairs = [(f(m), f2(m)) for m in prefixes[-1]]
+    return ControlledVerdict(structure.values([pairs[: len(p)] for p in prefixes]))

@@ -6,8 +6,9 @@ element check and coordinate box shared by all kinds; each kind is one
 subclass with its own group law: `FreeAbelian` (Z^n), `Heisenberg` (upper
 unitriangular 3x3 matrices encoded as (a, b, c) with (1,2)=a, (2,3)=b,
 (1,3)=c), `DirectProduct` (the left factor's coordinates followed by the
-right factor's) and `Cyclic` (Z/k, with elements (0,), ..., (k-1,)).  Build
-them with the `GroupSpec` constructors.  All arithmetic is
+right factor's) and `Cyclic` (Z/k, with elements (0,), ..., (k-1,)).  A
+rank-1 `FreeAbelian` is always `Integers` (Z), which holds the rank-1 code.
+Build them with the `GroupSpec` constructors.  All arithmetic is
 arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
 
@@ -20,10 +21,10 @@ of each prefix) build their sets through `product_set`, and
 the Heisenberg invariance check reads coordinate 0 through
 `coordinate_rows`.  `Heisenberg` overrides `coordinate_rows` on its
 additive coordinates 0 and 1 with one row of sums per run of equal g[i],
-and `FreeAbelian` of rank 1 overrides `product_set` with int sums: a
-big-int bit mask, one shift-or per element, when the sums span fewer
-values than there are pairs and no more than the cap, plain sums per pair
-otherwise.  Every other kind inherits the bodies built on `mul`.
+and `Integers` overrides `product_set` with int sums: a big-int bit mask,
+one shift-or per element, when the sums span fewer values than there are
+pairs and no more than the cap, plain sums per pair otherwise.  Every
+other kind inherits the bodies built on `mul`.
 
 Word spheres come from a breadth-first search, except on Z and Z/k with
 the generator (1,), which list them directly; the Heisenberg ball of
@@ -35,7 +36,6 @@ kind with equal fields, as two `cyclic(7)`, and never changed once built.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -124,11 +124,17 @@ def shell_key(g) -> tuple:
     return tuple((abs(c), c < 0) for c in g)
 
 
-@functools.cache
+_UNIT_VECTORS: dict = {}  # rank -> unit vectors, at most COARSE_SET_CAP ints in all
+
+
 def _units(rank: int) -> tuple:
-    """The unit vectors of Z^rank, built once per rank: a Z^n spec and its
-    word metric both read them."""
-    return tuple((0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank))
+    """The unit vectors of Z^rank, kept unless that would pass the cap."""
+    units = _UNIT_VECTORS.get(rank)
+    if units is None:
+        units = tuple((0,) * i + (1,) + (0,) * (rank - 1 - i) for i in range(rank))
+        if rank * rank + sum(r * r for r in _UNIT_VECTORS) <= set_size_cap():
+            _UNIT_VECTORS[rank] = units
+    return units
 
 
 def _cube(radius: int, n: int) -> Iterator[tuple]:
@@ -156,27 +162,6 @@ class _Horizon:
 HORIZON = _Horizon()
 
 
-def _l1_distance(cap: int, rank: int):
-    """The word distance of the unit vectors on Z^n: the L1 norm of h - g,
-    HORIZON past `cap`.  On Z (rank 1) it carries `dist.diameter(elements)`,
-    the largest distance between two of the elements: max - min of their
-    coordinates (0 for fewer than two)."""
-
-    def dist(g, h):
-        d = sum(map(abs, map(operator.sub, h, g)))
-        return d if d <= cap else HORIZON
-
-    if rank == 1:
-
-        def diameter(elements):
-            xs = [x for (x,) in elements]
-            d = max(xs, default=0) - min(xs, default=0)
-            return d if d <= cap else HORIZON
-
-        dist.diameter = diameter
-    return dist
-
-
 class GroupSpec(_Value):
     """A concrete finitely generated group with a fixed generating set.
 
@@ -195,18 +180,16 @@ class GroupSpec(_Value):
     The set-at-a-time law has two hooks: coordinate_rows(gs, hs, i) and
     product_set(a, b, cap).  The base bodies call `mul` once per pair;
     `Heisenberg` overrides coordinate_rows on coordinates 0 and 1, and
-    `FreeAbelian` of rank 1 overrides product_set, each without a method
-    call per pair.  Rank 1 ORs shifted bit masks, one per element, when the
-    sums span fewer values than there are pairs and at most `cap`, and
-    sums plain ints per pair otherwise.
+    `Integers` (Z) overrides product_set with bit masks or int sums, each
+    without a method call per pair.
 
     Word balls, the element stream and word-norm tables come from
-    `spheres()`, a breadth-first search that Z and Z/k with (1,) replace by
-    closed forms, or, for the Heisenberg ball, from `word_ball(radius)`.
-    `COARSE_BALL_CAP` is the only size cap of balls, boxes and streams, and
-    every path refuses the same radius with the same message.  Closed-form
-    word distances, and the diameter kernel of Z, come from
-    `word_distance(cap)`.
+    `spheres()`, a breadth-first search that `Integers` and Z/k with (1,)
+    replace by closed forms, or, for the Heisenberg ball, from
+    `word_ball(radius)`.  `COARSE_BALL_CAP` is the only size cap of balls,
+    boxes and streams, and every path refuses the same radius with the same
+    message.  Closed-form word distances, and the diameter kernel of Z in
+    `Integers`, come from `word_distance(cap)`.
     """
 
     __slots__ = ("generating_set",)
@@ -351,15 +334,46 @@ class FreeAbelian(GroupSpec):
     __slots__ = ("rank",)
     kind = "free-abelian"
 
+    def __new__(cls, generating_set, rank):
+        # The one rank-1 dispatch point (constructors, copies, pickles); sets the fields.
+        self = object.__new__(Integers if rank == 1 else FreeAbelian)
+        object.__setattr__(self, "generating_set", generating_set)
+        object.__setattr__(self, "rank", rank)
+        return self
+
+    def __init__(self, generating_set, rank):
+        """The fields are set in `__new__`."""
+
     def mul(self, g, h):
         return tuple(map(operator.add, g, h))
 
     def inv(self, g):
         return tuple(map(operator.neg, g))
 
+    def word_distance(self, cap: int):
+        if self.generating_set != _units(self.rank):
+            return None
+
+        def dist(g, h):
+            d = sum(map(abs, map(operator.sub, h, g)))
+            return d if d <= cap else HORIZON
+
+        return dist
+
+
+class Integers(FreeAbelian):
+    """Z: one int operation per `mul` and `inv`; for the generator (1,),
+    closed-form spheres and word distance |h - g| with a max - min diameter."""
+
+    __slots__ = ()
+
+    def mul(self, g, h):
+        return (g[0] + h[0],)
+
+    def inv(self, g):
+        return (-g[0],)
+
     def product_set(self, a, b, cap: int) -> set:
-        if self.rank != 1:
-            return super().product_set(a, b, cap)
         xs, ys = [x for (x,) in a], [y for (y,) in b]
         pairs = len(xs) * len(ys)
         if pairs:
@@ -375,9 +389,20 @@ class FreeAbelian(GroupSpec):
         return _union_rows(([(x + y,) for y in ys] for x in xs), cap)
 
     def word_distance(self, cap: int):
-        if self.generating_set == _units(self.rank):
-            return _l1_distance(cap, self.rank)
-        return None
+        if self.generating_set != ((1,),):
+            return None
+
+        def dist(g, h):
+            d = abs(h[0] - g[0])
+            return d if d <= cap else HORIZON
+
+        def diameter(elements):
+            xs = [x for (x,) in elements]
+            d = max(xs, default=0) - min(xs, default=0)
+            return d if d <= cap else HORIZON
+
+        dist.diameter = diameter
+        return dist
 
     def spheres(self) -> Iterator[list]:
         if self.generating_set != ((1,),):

@@ -18,7 +18,7 @@ from coarsegroups.bornology import (
     member_depth,
     metric_from_basis,
 )
-from coarsegroups.groups import BudgetExceededError, FreeAbelian, GroupSpec
+from coarsegroups.groups import BudgetExceededError, GroupSpec, Integers
 from coarsegroups.metrics import HORIZON, MaxEntryMetric, QuotientWordMetric, WordMetric
 
 from oracles import heis_max_entry_norm, scan_ball
@@ -57,14 +57,14 @@ def mul_product_sets():
 
 @contextlib.contextmanager
 def counted_product_rows():
-    """Inside the block, each call of the rank-1 `FreeAbelian.product_set`
+    """Inside the block, each call of the rank-1 `Integers.product_set`
     appends a list to the yielded list, and each row x*b that the call's
     row-at-a-time loop sums appends len(x*b) to that call's list.  Rows are
     counted where `groups._union_rows` consumes them, so reading `a` for
     its span, or taking the one comprehension or the bit mask, counts no
     row."""
     calls = []
-    product_set, union_rows = FreeAbelian.product_set, groups._union_rows
+    product_set, union_rows = Integers.product_set, groups._union_rows
 
     def counted(spec, a, b, cap):
         calls.append([])
@@ -79,7 +79,7 @@ def counted_product_rows():
         return union_rows(each(rows), cap)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(FreeAbelian, "product_set", counted)
+        m.setattr(Integers, "product_set", counted)
         m.setattr(groups, "_union_rows", counted_rows)
         yield calls
 

@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -471,6 +473,23 @@ class TestDistance:
         for h, out in [("(2,2,0)", "4\n"), ("(0,0,256)", "64\n"), ("(0,0,257)", "HORIZON\n")]:
             assert main([*argv, h]) == 0
             assert capsys.readouterr() == (out, "")
+
+    def test_a_z_n_word_distance_keeps_no_unit_vectors(self, capsys):
+        # The unit vectors of Z^1500 take about 17 MiB: 2.25 million ints,
+        # more than COARSE_SET_CAP (10^6) lets the process keep.  The spec
+        # holds its own, so once the call returns nothing keeps them alive.
+        zero = "(" + ",".join("0" * 1500) + ")"
+        assert main(["distance", "--group", "Z^2", "--metric", "word", "(0,0)", "(0,1)"]) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(["distance", "--group", "Z^1500", "--metric", "word", zero, zero]) == 0
+            gc.collect()
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr() == ("1\n0\n", "")
+        assert alive < 1 << 20
 
     def test_maxentry(self, capsys):
         assert main(

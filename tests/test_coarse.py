@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegroups.bornology import MetricBallsBasis, MinimalBasis
+from coarsegroups.bornology import MetricBallsBasis, MinimalBasis, member_depth
 from coarsegroups.coarse import (
     BoundedByMetric,
     Entourage,
@@ -19,7 +19,13 @@ from coarsegroups.coarse import (
     translate,
 )
 from coarsegroups.groups import GroupSpec
-from coarsegroups.metrics import HORIZON, MaxEntryMetric, MetricEvaluator, WordMetric
+from coarsegroups.metrics import (
+    HORIZON,
+    MaxEntryMetric,
+    MetricEvaluator,
+    WordMetric,
+    ladder_prefixes,
+)
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -93,6 +99,81 @@ class TestControlledProbe:
         )
         assert metric_verdict.trend == "bounded"
         assert shadow_verdict.trend == "growing"
+
+
+def one_at_a_time(structure, ladder) -> list:
+    """The values of `ladder` observed one entourage at a time, each built
+    with `Entourage.of`, which drops repeated pairs."""
+    out = []
+    for e in map(Entourage.of, ladder):
+        if isinstance(structure, BoundedByMetric):
+            row = [structure.metric.eval(x, y) for x, y in e.pairs]
+            out.append(HORIZON if HORIZON in row else max(row, default=0))
+        else:
+            shadow = left_shadow(structure.basis.spec, e)
+            out.append(member_depth(structure.basis, shadow, structure.depth_cap))
+    return out
+
+
+def halve(g):
+    """A map of Z that is not injective: 2k and 2k + 1 go to k."""
+    return (g[0] // 2,)
+
+
+# Each collection reads a different value, so a row cut one place off
+# moves some value to its neighbour: an empty one (0 under a metric), a
+# pair past the word metric's cap of 10 (HORIZON), multi-pair ones, and
+# the images of pairs under `halve`, with repeats.
+Z_LADDER = [
+    [((0,), (5,))],
+    [],
+    [((0,), (1,)), ((2,), (9,)), ((1,), (1,))],
+    [((0,), (50,)), ((0,), (1,))],
+    [((3,), (4,))],
+    [],
+    [(halve((x,)), halve((x + 3,))) for x in range(-6, 6)],
+    [((-4,), (4,)), ((4,), (-4,)), ((-4,), (4,))],
+]
+
+
+class TestLadderValues:
+    """A structure's `values` over a whole ladder equals its values one
+    entourage at a time."""
+
+    STRUCTURES = {
+        "word": lambda: BoundedByMetric(WordMetric(Z, radius_cap=10)),
+        "minimal": lambda: LeftBornological(MinimalBasis(Z), depth_cap=20),
+    }
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_fixed_ladder(self, name):
+        structure = self.STRUCTURES[name]()
+        values = structure.values(Z_LADDER)
+        assert values == one_at_a_time(structure, Z_LADDER)
+        assert structure.values([]) == []
+        if name == "word":
+            assert values == [5, 0, 7, HORIZON, 1, 0, 2, 8]
+        else:
+            # Cover depths of the shadows in the stream 0, 1, -1, 2, -2, ...:
+            # an empty shadow is covered at depth 1, the shadow 50 past 20.
+            assert values == [10, 1, 14, HORIZON, 2, 1, 4, 17]
+
+    @pytest.mark.parametrize("name", list(STRUCTURES) + ["H-maxentry", "H-balls"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_ladders(self, name, data):
+        if name.startswith("H"):
+            basis = MetricBallsBasis(MaxEntryMetric(H))
+            structure = (
+                BoundedByMetric(MaxEntryMetric(H)) if name == "H-maxentry" else LeftBornological(basis, 6)
+            )
+            points = triples
+        else:
+            structure = self.STRUCTURES[name]()
+            points = st.tuples(st.integers(-8, 8))
+        pairs = st.lists(st.tuples(points, points), max_size=6)
+        ladder = data.draw(st.lists(pairs, max_size=6))
+        assert structure.values(ladder) == one_at_a_time(structure, ladder)
 
 
 def counting_family(calls: list, generator):
@@ -366,6 +447,51 @@ class TestMapProbes:
         identity = probe(lambda g: g)
         assert identity.proper_ok and identity.bornologous_ok
         assert identity.witnesses == []
+
+    def test_proper_check_maps_each_truncation_point_once(self):
+        # Three samples, one with no preimage, over a truncation given with
+        # repeats: f runs once per distinct point, not once per sample.
+        calls = []
+        truncation = Z.ball(20)
+
+        def f(g):
+            calls.append(g)
+            return halve(g)
+
+        report = coarse_map_probe(
+            f,
+            domain=BoundedByMetric(WordMetric(Z, radius_cap=8)),
+            codomain=BoundedByMetric(WordMetric(Z)),
+            families=[],
+            bounded_samples=[{(0,)}, {(100,)}, set(Z.ball(3))],
+            domain_truncation=truncation + truncation[:5],
+            horizon=4,
+        )
+        assert sorted(calls) == truncation
+        # The preimage of B_3 is [-6, 7], 13 apart, past the cap of 8; that
+        # of {0} is [0, 1].
+        assert not report.proper_ok
+        assert report.witnesses[1:] == [("proper", Z.ball(3), [(i,) for i in range(-6, 8)])]
+
+    def test_closeness_maps_each_point_once(self):
+        calls, calls2 = [], []
+
+        def f(g):
+            calls.append(g)
+            return halve(g)
+
+        def f2(g):
+            calls2.append(g)
+            return g
+
+        structure = BoundedByMetric(WordMetric(Z))
+        verdict = closeness_probe(f, f2, Z.ball(15), structure)
+        assert sorted(calls) == sorted(calls2) == Z.ball(15)
+        prefixes = ladder_prefixes(set(Z.ball(15)))
+        assert verdict.per_index == one_at_a_time(
+            structure, [[(halve(m), m) for m in prefix] for prefix in prefixes]
+        )
+        assert verdict.per_index == [3, 5, 8]
 
     def test_closeness_of_close_maps(self):
         verdict = closeness_probe(

@@ -4,7 +4,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
-from operator import itemgetter
+from operator import add, itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,9 @@ from coarsegroups.coarse import Entourage
 from coarsegroups.groups import (
     BudgetExceededError,
     Cyclic,
+    FreeAbelian,
     GroupSpec,
+    Integers,
     set_size_cap,
 )
 from coarsegroups.metrics import QuotientWordMetric, WordNorm
@@ -125,6 +127,71 @@ class TestInv:
     def test_inverse_law(self, g):
         assert H.mul(g, H.inv(g)) == H.identity()
         assert H.mul(H.inv(g), g) == H.identity()
+
+
+class TestIntegers:
+    """Z is `Integers`, the rank-1 `FreeAbelian` with an int law, however
+    the spec is built; specs of rank 2 and up keep the tuple law."""
+
+    @given(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30))
+    @settings(max_examples=300)
+    @example(3, 4)
+    @example(0, -5)
+    def test_law_is_the_tuple_law_and_the_matrix_oracle(self, x, y):
+        # Z embeds in the Heisenberg matrices as (x, 0, 0): the oracle adds
+        # and inverts x by matrix arithmetic.
+        g, h = (x,), (y,)
+        product = heis_from_matrix(matmul3(heis_to_matrix((x, 0, 0)), heis_to_matrix((y, 0, 0))))
+        inverse = heis_from_matrix(matinv_unitriangular(heis_to_matrix((x, 0, 0))))
+        assert Z.mul(g, h) == FreeAbelian.mul(Z, g, h) == product[:1]
+        assert Z.inv(g) == FreeAbelian.inv(Z, g) == inverse[:1]
+
+    def test_every_rank_1_spec_is_integers_and_equal(self):
+        z23 = GroupSpec.free_abelian(1, ((2,), (3,)))
+        for spec, built in [
+            (Z, [GroupSpec.free_abelian(1), FreeAbelian(((1,),), 1), Integers(((1,),), 1)]),
+            (z23, [FreeAbelian(((2,), (3,)), 1)]),
+        ]:
+            copies = [copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))]
+            for other in built + copies:
+                assert type(other) is Integers and other == spec and hash(other) == hash(spec)
+            # As before the rank-1 class: equal and hashed by (generators, rank).
+            assert hash(spec) == hash((spec.generating_set, 1))
+        assert Z != z23 and Z != GroupSpec.cyclic(2)
+        for other in [FreeAbelian(((1, 0), (0, 1)), 2), pickle.loads(pickle.dumps(Z2)), copy.deepcopy(Z2)]:
+            assert type(other) is FreeAbelian and other == Z2 and hash(other) == hash(Z2)
+
+    @pytest.mark.parametrize(
+        "spec, steps, box",
+        [
+            (GroupSpec.direct_product(Z, Z), [(1, 0), (-1, 0), (0, 1), (0, -1)], Z2.box(8)),
+            (GroupSpec.free_abelian(1, ((2,), (3,))), [(2,), (-2,), (3,), (-3,)], Z.box(24)),
+        ],
+        ids=["ZxZ", "Z-2-3"],
+    )
+    def test_balls_through_the_int_law_are_the_bfs_balls(self, spec, steps, box):
+        # The oracle's Cayley graph adds the steps with plain ints, not with
+        # the law under test; the box holds the word ball of radius 8.
+        nodes = set(box)
+        adjacency = {u: [v for s in steps if (v := tuple(map(add, u, s))) in nodes] for u in nodes}
+        dist = bfs_distances(adjacency, spec.identity())
+        for r in range(9):
+            assert spec.ball(r) == sorted(g for g, d in dist.items() if d <= r)
+
+
+class TestUnitVectors:
+    def test_kept_unit_vectors_hold_at_most_the_set_cap(self, monkeypatch):
+        # Ranks 1..6 hold 1 + 4 + ... + 36 = 91 ints, under a cap of 100;
+        # rank 7 would make 140.  Ranks past the cap are built for each
+        # spec and still have the closed-form word distance.
+        monkeypatch.setenv("COARSE_SET_CAP", "100")
+        monkeypatch.setattr(groups, "_UNIT_VECTORS", {})
+        for n in range(1, 30):
+            spec = GroupSpec.free_abelian(n)
+            assert spec.word_distance(64)(spec.identity(), spec.generating_set[-1]) == 1
+            assert GroupSpec.free_abelian(n, spec.generating_set[::-1]).word_distance(64) is None or n == 1
+        assert list(groups._UNIT_VECTORS) == [1, 2, 3, 4, 5, 6]
+        assert GroupSpec.free_abelian(3).generating_set is groups._UNIT_VECTORS[3]
 
 
 class TestAssociativity:
