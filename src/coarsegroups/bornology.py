@@ -150,12 +150,12 @@ class GeneratedBasis(BornologyBasis):
     Level 0 holds the materialized seeds and their inverses.  Level n adds
     the n-th singleton of the group enumeration (none past the end of a
     finite group), inverses of the previous level, and unions and products
-    of earlier sets whose level indices sum to n - 1.  Products come in
-    both orders; a union is tried once per unordered pair of distinct sets,
-    since a | b is b | a and a | a is a.  Within a level, sets are ordered
-    by (size, sorted encoding); duplicates never reappear.  Translates
-    arise as products with singletons.  Every product set comes from the
-    group's `product_set` hook.  The stream ends after level `depth_cap`.
+    of earlier sets whose level indices sum to n - 1: a union once per unordered
+    pair of distinct sets (a | b is b | a, a | a is a), a product in both orders,
+    or once per unordered pair on an abelian kind, through the group's
+    `product_set` hook.  Translates arise as products with singletons.  Within
+    a level, sets are ordered by (size, sorted encoding); duplicates never
+    reappear.  The stream ends after level `depth_cap`.
     """
 
     def __init__(self, spec: GroupSpec, seeds, depth_cap: int = 8):
@@ -187,14 +187,15 @@ class GeneratedBasis(BornologyBasis):
                 self._admit(bucket, _capped({inv(g)}, cap))
             for s in self._levels[n - 1]:
                 self._admit(bucket, _capped({inv(x) for x in s}, cap))
-            product_set = self.spec.product_set
+            product_set, abelian = self.spec.product_set, self.spec.abelian
             for i in range(n):
                 j = n - 1 - i
                 for ia, a in enumerate(self._levels[i]):
                     for ib, b in enumerate(self._levels[j]):
-                        if i < j or (i == j and ia < ib):
+                        if (i, ia) < (j, ib):
                             self._admit(bucket, _capped(a | b, cap))
-                        self._admit(bucket, frozenset(product_set(a, b, cap)))
+                        if (i, ia) <= (j, ib) or not abelian:
+                            self._admit(bucket, frozenset(product_set(a, b, cap)))
         level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
         self._known.update(level)
         self._levels.append(level)

@@ -1,13 +1,13 @@
 """Entourages as finite relations, their shadows, and controlledness probes.
 
 An entourage is a finite set of ordered element pairs.  Infinite unions
-from the source constructions are replaced by indexed entourage families,
-functions `n -> Entourage` probed at n = 1..horizon; controlledness shows
-up as a bounded or growing trend of the per-index observed quantities.
+from the source constructions are replaced by indexed families, functions
+`n -> list of pairs` probed at n = 1..horizon; controlledness shows up as
+a bounded or growing trend of the per-index observed quantities.
 
 A structure observes a whole ladder at once: `values(ladder)` maps a list
-of pair collections (`Entourage.pairs` or lists) to one value each, HORIZON
-on overflow.  Probes map each point once, building no image `Entourage`.
+of pair collections to one value each, HORIZON on overflow.  Probes map
+each point once, building no `Entourage`.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .metrics import (
 class Entourage(_Value):
     __slots__ = ("pairs",)
 
-    def __init__(self, pairs: frozenset):  # one per probed index: skip the generic field loop
-        object.__setattr__(self, "pairs", pairs)
-
     @staticmethod
     def of(pairs) -> "Entourage":
         return Entourage(frozenset(tuple(p) for p in pairs))
@@ -38,7 +35,7 @@ class Entourage(_Value):
 
 def left_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
     """{x^-1 y} over the pairs of the entourage."""
-    return frozenset(spec.mul(spec.inv(x), y) for x, y in e.pairs)
+    return frozenset(spec.left_shadow(e.pairs))
 
 
 def right_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
@@ -79,8 +76,8 @@ class LeftBornological:
         self.depth_cap = depth_cap
 
     def values(self, ladder) -> list:
-        mul, inv, cap = self.basis.spec.mul, self.basis.spec.inv, self.depth_cap
-        return [member_depth(self.basis, {mul(inv(x), y) for x, y in p}, cap) for p in ladder]
+        shadow = self.basis.spec.left_shadow
+        return [member_depth(self.basis, shadow(p), self.depth_cap) for p in ladder]
 
 
 class ControlledVerdict:
@@ -96,7 +93,7 @@ def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVer
     shadow cover depth (bornological structures), HORIZON on overflow; the
     trend is classified by the shared ladder rule.
     """
-    return ControlledVerdict(structure.values([family(n).pairs for n in range(1, horizon + 1)]))
+    return ControlledVerdict(structure.values([family(n) for n in range(1, horizon + 1)]))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -167,7 +164,7 @@ def coarse_map_probe(
     bornologous_ok = True
     skipped = 0
     for fam in families:
-        ladder = [fam(n).pairs for n in range(1, horizon + 1)]
+        ladder = [fam(n) for n in range(1, horizon + 1)]
         if classify_trend(domain.values(ladder)) != "bounded":
             skipped += 1
             continue

@@ -12,19 +12,20 @@ Build them with the `GroupSpec` constructors.  All arithmetic is
 arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
 
-Besides `mul`, every kind answers two set-at-a-time hooks:
-`coordinate_rows(gs, hs, i)`, which yields [(g*h)[i] for h in hs] for each
-g in `gs`; and `product_set(a, b, cap)`, the set {x*y : x in a, y in b},
-which raises once it holds more than `cap` elements.  Generated
-bornologies, chain metrics and the Smith ladder (the difference set P^-1 P
-of each prefix) build their sets through `product_set`, and
-the Heisenberg invariance check reads coordinate 0 through
-`coordinate_rows`.  `Heisenberg` overrides `coordinate_rows` on its
-additive coordinates 0 and 1 with one row of sums per run of equal g[i],
-and `Integers` overrides `product_set` with int sums: a big-int bit mask,
-one shift-or per element, when the sums span fewer values than there are
-pairs and no more than the cap, plain sums per pair otherwise.  Every
-other kind inherits the bodies built on `mul`.
+Besides `mul`, every kind answers three set-at-a-time hooks:
+`coordinate_rows(gs, hs, i)`, which yields [(g*h)[i] for h in hs] for each g
+in `gs`; `product_set(a, b, cap)`, the set {x*y : x in a, y in b}, which raises
+once it holds more than `cap` elements; and `left_shadow(pairs)`, the set
+{x^-1 y}.  Generated bornologies, chain metrics and the Smith ladder (the
+difference set P^-1 P of each prefix) build their sets through `product_set`,
+left bornological structures their shadows through `left_shadow`, and the
+Heisenberg invariance check reads coordinate 0 through `coordinate_rows`.
+`Heisenberg` overrides `coordinate_rows` on its additive coordinates 0 and 1
+with one row of sums per run of equal g[i]; `Integers` overrides `left_shadow`
+with int differences and `product_set` with int sums: a big-int bit mask, one
+shift-or per element, when the sums span fewer values than there are pairs and
+no more than the cap, plain sums per pair otherwise.  Every other kind inherits
+the bodies built on `mul` and `inv`.  `abelian` holds where `mul` commutes.
 
 Word spheres come from a breadth-first search, except on Z and Z/k with
 the generator (1,), which list them directly; the Heisenberg ball of
@@ -177,11 +178,11 @@ class GroupSpec(_Value):
     Each kind subclass defines mul(g, h) and inv(g); Z/k and a direct
     product also narrow check_element and box.
 
-    The set-at-a-time law has two hooks: coordinate_rows(gs, hs, i) and
-    product_set(a, b, cap).  The base bodies call `mul` once per pair;
-    `Heisenberg` overrides coordinate_rows on coordinates 0 and 1, and
-    `Integers` (Z) overrides product_set with bit masks or int sums, each
-    without a method call per pair.
+    The set-at-a-time law has three hooks: coordinate_rows(gs, hs, i),
+    product_set(a, b, cap) and left_shadow(pairs), built on `mul` and
+    `inv`; `Heisenberg` overrides coordinate_rows on coordinates 0 and 1,
+    and `Integers` (Z) the other two with int arithmetic.  The class fact
+    `abelian` is True exactly when `mul` commutes.
 
     Word balls, the element stream and word-norm tables come from
     `spheres()`, a breadth-first search that `Integers` and Z/k with (1,)
@@ -195,6 +196,7 @@ class GroupSpec(_Value):
     __slots__ = ("generating_set",)
     # The number of integer coordinates of an element; each kind sets it.
     rank: int
+    abelian = False
 
     # -- constructors -------------------------------------------------
 
@@ -273,6 +275,10 @@ class GroupSpec(_Value):
             return {mul(x, y) for x in a for y in b}
         return _union_rows(([mul(x, y) for y in b] for x in a), cap)
 
+    def left_shadow(self, pairs) -> set:
+        """{x^-1 y : (x, y) in pairs}."""
+        return {self.mul(self.inv(x), y) for x, y in pairs}
+
     def symmetric_generators(self) -> tuple:
         """Each generator followed by its inverse, first occurrences only."""
         return tuple(dict.fromkeys(h for g in self.generating_set for h in (g, self.inv(g))))
@@ -333,6 +339,7 @@ class GroupSpec(_Value):
 class FreeAbelian(GroupSpec):
     __slots__ = ("rank",)
     kind = "free-abelian"
+    abelian = True
 
     def __new__(cls, generating_set, rank):
         # The one rank-1 dispatch point (constructors, copies, pickles); sets the fields.
@@ -387,6 +394,9 @@ class Integers(FreeAbelian):
             # Sums repeat on progressions: wrap each distinct sum once.
             return {(s,) for s in {x + y for x in xs for y in ys}}
         return _union_rows(([(x + y,) for y in ys] for x in xs), cap)
+
+    def left_shadow(self, pairs) -> set:
+        return {(y - x,) for (x,), (y,) in pairs}
 
     def word_distance(self, cap: int):
         if self.generating_set != ((1,),):
@@ -554,6 +564,10 @@ class DirectProduct(GroupSpec):
     __slots__ = ("factors", "rank")
     kind = "direct-product"
 
+    @property
+    def abelian(self) -> bool:
+        return all(f.abelian for f in self.factors)
+
     def check_element(self, g) -> None:
         super().check_element(g)
         left, right = self.factors
@@ -586,6 +600,7 @@ class Cyclic(GroupSpec):
     __slots__ = ("modulus",)
     rank = 1
     kind = "cyclic"
+    abelian = True
 
     def _reduce(self, g) -> tuple:
         """The residue of the integer (x,) as an element."""

@@ -57,7 +57,7 @@ def ladder_prefixes(items: list) -> list[list]:
 
     Successive prefixes behave like growing balls around the identity.
     """
-    ordered = sorted(items, key=lambda g: (shell_key(g), g))
+    ordered = sorted(items, key=shell_key)
     n = len(ordered)
     if n == 0:
         return [[], [], []]

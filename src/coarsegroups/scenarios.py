@@ -22,7 +22,6 @@ from .bornology import (
 )
 from .coarse import (
     BoundedByMetric,
-    Entourage,
     LeftBornological,
     closeness_probe,
     coarse_map_probe,
@@ -122,7 +121,7 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
 
     def near_diagonal_pairs(n):
         a, b = heisenberg_pair(n)
-        return Entourage.of([(b, a)])
+        return [(b, a)]
 
     metric_verdict = controlled_probe(near_diagonal_pairs, BoundedByMetric(maxentry), horizon)
     report.check(
@@ -250,7 +249,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     codomain_basis = MinimalBasis(cyclic)
 
     def coset_jumps(n):
-        return Entourage.of([((0,), (k * n,))])
+        return [((0,), (k * n,))]
 
     probe_pi = coarse_map_probe(
         qm.project,
@@ -265,7 +264,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     report.check("projection is proper on the truncation", True, probe_pi.proper_ok, PAPER)
 
     def adjacent_residues(n):
-        return Entourage.of([(cyclic.identity(), (1,))])
+        return [(cyclic.identity(), (1,))]
 
     # The section sends the residue (r,) to the integer (r,).
     probe_section = coarse_map_probe(
@@ -388,7 +387,7 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
     report.check("norm of 1 in the {2, 3} generating set", 2, d2.eval((0,), (1,)), DERIVED)
 
     truncation = [(i,) for i in range(-R, R + 1)]
-    families = [lambda n, c=c: Entourage.of([((n,), (n + c,))]) for c in (1, 2, 3)]
+    families = [lambda n, c=c: [((n,), (n + c,))] for c in (1, 2, 3)]
     samples = [frozenset((i,) for i in range(-4, 5))]
     for direction, dom, cod in (("forward", d1, d2), ("backward", d2, d1)):
         probe = coarse_map_probe(

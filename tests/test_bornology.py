@@ -347,6 +347,47 @@ class TestStreams:
             expected = levels()
         assert levels() == expected
 
+    # The seed {5i : |i| <= 21} of `z_quotient_metric` at R=50 and k=5, and
+    # a geometric seed, on Z; a seed on each other abelian kind.
+    @pytest.mark.parametrize(
+        "spec,seed",
+        [
+            pytest.param(Z, Explicit(tuple((5 * i,) for i in range(-21, 22))), id="Z-5i-21"),
+            pytest.param(Z, GeometricSeed(10, 6), id="Z-geom-10-6"),
+            pytest.param(Z2, Explicit(((1, 0), (0, 3), (2, -1))), id="Z2"),
+            pytest.param(GroupSpec.cyclic(7), Explicit(((2,), (3,))), id="Z/7"),
+            pytest.param(
+                GroupSpec.direct_product(Z, GroupSpec.cyclic(5)),
+                Explicit(((1, 2), (4, 0), (-3, 4))),
+                id="ZxZ/5",
+            ),
+        ],
+    )
+    def test_abelian_levels_match_both_product_orders(self, spec, seed, monkeypatch):
+        # On an abelian kind b*a is a*b, so each unordered product is built
+        # once; levels 0-3 must equal those built with both orders, by more
+        # `product_set` calls.
+        calls = []
+        product_set = type(spec).product_set
+
+        def counted(self, a, b, cap):
+            calls.append(None)
+            return product_set(self, a, b, cap)
+
+        def levels():
+            calls.clear()
+            basis = GeneratedBasis(spec, [seed], depth_cap=3)
+            basis.sets(10**6)
+            return basis._levels, len(calls)
+
+        monkeypatch.setattr(type(spec), "product_set", counted)
+        assert spec.abelian
+        once, fewer = levels()
+        monkeypatch.setattr(type(spec), "abelian", False)
+        both, more = levels()
+        assert once == both
+        assert fewer < more
+
     def test_generated_level_sizes_through_level_five(self):
         basis = GeneratedBasis(Z, [GeometricSeed(10, 6)], depth_cap=5)
         basis.sets(10**6)

@@ -18,7 +18,7 @@ from coarsegroups.coarse import (
     theta_image,
     translate,
 )
-from coarsegroups.groups import GroupSpec
+from coarsegroups.groups import GroupSpec, Integers
 from coarsegroups.metrics import (
     HORIZON,
     MaxEntryMetric,
@@ -63,6 +63,21 @@ class TestShadows:
     def test_left_shadow_translation_invariant(self, e, g):
         assert left_shadow(H, translate(H, g, e)) == left_shadow(H, e)
 
+    def test_left_shadows_are_the_group_hook(self, monkeypatch):
+        # `left_shadow` and `LeftBornological` both read the one shadow body
+        # of the kind, `GroupSpec.left_shadow`.
+        seen = []
+
+        def hook(spec, pairs):
+            seen.append(list(pairs))
+            return {(99,)}
+
+        monkeypatch.setattr(Integers, "left_shadow", hook)
+        pairs = [((0,), (1,))]
+        assert left_shadow(Z, Entourage.of(pairs)) == frozenset([(99,)])
+        assert LeftBornological(MinimalBasis(Z), depth_cap=3).values([pairs]) == [HORIZON]
+        assert seen == [pairs, pairs]
+
     def test_right_shadow_not_translation_invariant(self):
         e = Entourage.of([((1, 0, 0), (0, 1, 0))])
         g = (0, 1, 0)
@@ -72,7 +87,7 @@ class TestShadows:
 class TestControlledProbe:
     def test_bounded_family_under_word_metric(self):
         def shift_by_2(n):
-            return Entourage.of(((i,), (i + 2,)) for i in range(-n, n))
+            return [((i,), (i + 2,)) for i in range(-n, n)]
 
         verdict = controlled_probe(shift_by_2, BoundedByMetric(WordMetric(Z)), horizon=6)
         assert verdict.trend == "bounded"
@@ -80,7 +95,7 @@ class TestControlledProbe:
 
     def test_growing_family(self):
         def fam(n):
-            return Entourage.of([((0,), (n,))])
+            return [((0,), (n,))]
 
         verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
         assert verdict.trend == "growing"
@@ -88,7 +103,7 @@ class TestControlledProbe:
     def test_near_diagonal_heisenberg_left_shadow_grows(self):
         # max-entry-close pairs whose left shadows need ever deeper covers
         def fam(n):
-            return Entourage.of(((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1))
+            return [((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)]
 
         basis = MetricBallsBasis(MaxEntryMetric(H))
         metric_verdict = controlled_probe(
@@ -192,7 +207,7 @@ class TestProbeIndices:
     @pytest.mark.parametrize("horizon", [1, 2, 6])
     def test_controlled_probe(self, horizon):
         calls = []
-        fam = counting_family(calls, lambda n: Entourage.of([((0,), (n,))]))
+        fam = counting_family(calls, lambda n: [((0,), (n,))])
         verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon)
         assert calls == list(range(1, horizon + 1))
         # d(0, n) = n: position n - 1 holds index n's value.
@@ -203,8 +218,8 @@ class TestProbeIndices:
         # Each family is drawn once: the bounded one's entourages are probed
         # in the domain and mapped for the image, the growing one is dropped.
         bounded_calls, growing_calls = [], []
-        bounded = counting_family(bounded_calls, lambda n: Entourage.of([((n,), (n + 1,))]))
-        growing = counting_family(growing_calls, lambda n: Entourage.of([((0,), (n,))]))
+        bounded = counting_family(bounded_calls, lambda n: [((n,), (n + 1,))])
+        growing = counting_family(growing_calls, lambda n: [((0,), (n,))])
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
             lambda g: g,
@@ -318,7 +333,7 @@ class TestBoundedSetCheck:
 class TestMapProbes:
     def test_identity_map_is_coarse(self):
         def fam(n):
-            return Entourage.of(((i,), (i + 1,)) for i in range(-n, n))
+            return [((i,), (i + 1,)) for i in range(-n, n)]
 
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
@@ -334,7 +349,7 @@ class TestMapProbes:
 
     def test_doubling_is_bornologous_not_surjective_issue(self):
         def fam(n):
-            return Entourage.of(((i,), (i + 1,)) for i in range(-n, n))
+            return [((i,), (i + 1,)) for i in range(-n, n)]
 
         structure = BoundedByMetric(WordMetric(Z))
         report = coarse_map_probe(
@@ -353,10 +368,10 @@ class TestMapProbes:
         # is checked: that is a verdict of its own, not a pass. The bounded
         # family next to it is the positive control.
         def growing(n):
-            return Entourage.of([((0,), (n,))])
+            return [((0,), (n,))]
 
         def bounded(n):
-            return Entourage.of([((n,), (n + 1,))])
+            return [((n,), (n + 1,))]
 
         structure = BoundedByMetric(WordMetric(Z))
 
@@ -382,7 +397,7 @@ class TestMapProbes:
         # 2n + 1: bounded in the domain, growing in the image, so the family
         # is its own witness.  The identity is the positive control.
         def adjacent(n):
-            return Entourage.of([((n,), (n + 1,))])
+            return [((n,), (n + 1,))]
 
         structure = BoundedByMetric(WordMetric(Z, radius_cap=10**4))
 
@@ -408,7 +423,7 @@ class TestMapProbes:
 
     def test_collapse_map_fails_properness(self):
         def fam(n):
-            return Entourage.of([((0,), (1,))])
+            return [((0,), (1,))]
 
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
         report = coarse_map_probe(
@@ -428,7 +443,7 @@ class TestMapProbes:
         # the first 4 minimal basis sets do not cover: its depth is HORIZON.
         # The identity pulls it back to {0}, covered at depth 1.
         def fam(n):
-            return Entourage.of([((0,), (1,))])
+            return [((0,), (1,))]
 
         def probe(f):
             return coarse_map_probe(

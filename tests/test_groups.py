@@ -564,9 +564,16 @@ HOOK_CASES = {
     "HxZ/3": HxC3,
 }
 
+ABELIAN_CASES = {
+    **HOOK_CASES,
+    "ZxZ/5": GroupSpec.direct_product(Z, GroupSpec.cyclic(5)),
+    "ZxH": GroupSpec.direct_product(Z, H),
+}
+
 
 class TestSetHooks:
-    """`coordinate_rows` and `product_set` agree with `mul` on every kind."""
+    """`coordinate_rows`, `product_set` and `left_shadow` agree with `mul`
+    and `inv` on every kind."""
 
     @staticmethod
     def inputs(spec):
@@ -621,6 +628,29 @@ class TestSetHooks:
             else:
                 assert spec.product_set(ball, box, cap) == full
         assert spec.product_set([], box, 0) == set()
+
+    @pytest.mark.parametrize("name", list(ABELIAN_CASES))
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_abelian_is_whether_mul_commutes(self, name, data):
+        # Some two generators fail to commute exactly on a kind that is not
+        # abelian, and no two drawn elements fail on one that is.  The fact
+        # belongs to the kind: a spec cannot set it.
+        spec = ABELIAN_CASES[name]
+        gens = spec.generating_set
+        assert spec.abelian == all(spec.mul(g, h) == spec.mul(h, g) for g in gens for h in gens)
+        x, y = (data.draw(st.sampled_from(spec.box(3))) for _ in range(2))
+        assert spec.abelian <= (spec.mul(x, y) == spec.mul(y, x))
+        with pytest.raises(AttributeError):
+            spec.abelian = not spec.abelian
+
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), max_size=12))
+    @example([])
+    @example([(2, 9), (2, 9), (9, 2)])
+    def test_z_left_shadow_is_the_base_body(self, xys):
+        # Repeated pairs and mirrored ones give one difference each.
+        pairs = [((x,), (y,)) for x, y in xys]
+        assert Z.left_shadow(pairs) == GroupSpec.left_shadow(Z, pairs)
 
     @pytest.mark.parametrize("k", [1, 5, 130])
     def test_z_product_set_on_repeated_sums(self, k):

@@ -731,3 +731,11 @@ class TestLadder:
         assert (0,) in ladder[0]
         assert max(abs(g[0]) for g in ladder[0]) < max(abs(g[0]) for g in ladder[-1])
 
+    @pytest.mark.parametrize("spec", [Z, Z2, H], ids=["Z", "Z2", "H"])
+    def test_shell_key_orders_a_window_alone(self, spec):
+        # `ladder_prefixes` sorts by `shell_key` with no tie-break, so that
+        # key must tell every two elements apart: (|c|, c < 0) fixes c.
+        window = spec.box(4)
+        assert len({groups.shell_key(g) for g in window}) == len(window)
+        tie_broken = sorted(window, key=lambda g: (groups.shell_key(g), g))
+        assert ladder_prefixes(window[::-1])[-1] == tie_broken

@@ -501,10 +501,14 @@ class _PeakMetric(MetricEvaluator):
         return abs(g[0] - h[0]) * (25 - abs(g[0]) - abs(h[0]))
 
 
-def test_smith_ladder_keeps_a_maximum_from_the_first_prefix(monkeypatch):
-    # Not left-invariant either, yet here the ladder agrees with the pair
-    # loop: at each d1 value a, the largest pair straddles 0, where
-    # |x| + |y| = a as for (0, t).  The first prefix already holds it.
+def test_smith_ladder_agrees_with_the_pair_loop_when_the_maxima_straddle_0(monkeypatch):
+    """Not left-invariant either, yet here the ladder agrees with the pair
+    loop: at each d1 value a, the largest pair straddles 0, where
+    |x| + |y| = a as for (0, t).  The first prefix already holds it.
+
+    No test can catch a ladder that resets `best_at` at each prefix: the
+    prefixes are nested, so their difference sets are too, and a reset
+    gives the same rows."""
     report, oracle = _smith_with_d2(monkeypatch, _PeakMetric)
     assert report.rows == oracle
     assert report.rows[0] == {"C": 1, "ladder_max_d2": [24, 24, 24]}
