@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Set
 
-from .groups import GroupSpec, _Value, check_set_size, set_size_cap
+from .groups import GroupSpec, Integers, _Value, check_set_size, set_size_cap
 from .metrics import HORIZON, MetricEvaluator
 
 
@@ -44,7 +44,7 @@ class GeometricSeed(_Value):
             raise ValueError("length cap must be positive")
 
     def materialize(self, spec: GroupSpec) -> frozenset:
-        if spec.kind != "free-abelian" or spec.rank != 1:
+        if not isinstance(spec, Integers):
             raise ValueError("geometric seeds live in the integers Z")
         return frozenset([(0,)] + [(self.base**k,) for k in range(1, self.length_cap + 1)])
 

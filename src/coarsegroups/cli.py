@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from .bornology import Explicit, GeneratedBasis, GeometricSeed, MinimalBasis, member
-from .groups import BudgetExceededError, FreeAbelian, GroupSpec
+from .groups import BudgetExceededError, Cyclic, FreeAbelian, GroupSpec, Heisenberg, Integers
 from .groups import ball_size_cap, check_set_size, set_size_cap
 from .metrics import (
     Entry12Pseudometric,
@@ -58,7 +58,7 @@ def parse_group(text: str) -> GroupSpec:
 def parse_element(spec: GroupSpec, text: str):
     text = text.strip()
     try:
-        if spec.kind == "cyclic":
+        if isinstance(spec, Cyclic):
             if "mod" in text:
                 residue, modulus = (p.strip() for p in text.split("mod"))
                 if int(modulus) != spec.modulus:
@@ -81,11 +81,11 @@ def parse_metric(spec: GroupSpec, text: str):
     if text == "word":
         return WordMetric(spec)
     if text in ("maxentry", "entry12"):
-        if spec.kind != "heisenberg":
+        if not isinstance(spec, Heisenberg):
             raise ConfigError(f"{text} requires the heisenberg group")
         return MaxEntryMetric(spec) if text == "maxentry" else Entry12Pseudometric(spec)
     if text.startswith("quotient:"):
-        if spec.kind != "free-abelian" or spec.rank != 1:
+        if not isinstance(spec, Integers):
             raise ConfigError("quotient:k requires the group Z")
         try:
             k = int(text.split(":", 1)[1])

@@ -1,13 +1,13 @@
-"""Entourages as finite relations, their shadows, and controlledness probes.
+"""Finite entourages as pair collections, their shadows, and controlledness probes.
 
-An entourage is a finite set of ordered element pairs.  Infinite unions
-from the source constructions are replaced by indexed families, functions
-`n -> list of pairs` probed at n = 1..horizon; controlledness shows up as
-a bounded or growing trend of the per-index observed quantities.
+An entourage is any finite collection of ordered element pairs.  Infinite
+unions from the source constructions are replaced by indexed families,
+functions `n -> list of pairs` probed at n = 1..horizon; controlledness
+shows up as a bounded or growing trend of the per-index observed quantities.
 
 A structure observes a whole ladder at once: `values(ladder)` maps a list
 of pair collections to one value each, HORIZON on overflow.  Probes map
-each point once, building no `Entourage`.
+each point once, and every verdict is derived from its evidence.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 from collections.abc import Callable
 
 from .bornology import BornologyBasis, member_depth
-from .groups import GroupSpec, _Value
+from .groups import GroupSpec
 from .metrics import (
     HORIZON,
     MetricEvaluator,
@@ -25,31 +25,18 @@ from .metrics import (
 )
 
 
-class Entourage(_Value):
-    __slots__ = ("pairs",)
-
-    @staticmethod
-    def of(pairs) -> "Entourage":
-        return Entourage(frozenset(tuple(p) for p in pairs))
+def right_shadow(spec: GroupSpec, pairs) -> frozenset:
+    """{x y^-1} over the pairs."""
+    return frozenset(spec.mul(x, spec.inv(y)) for x, y in pairs)
 
 
-def left_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
-    """{x^-1 y} over the pairs of the entourage."""
-    return frozenset(spec.left_shadow(e.pairs))
+def theta_image(spec: GroupSpec, pairs) -> frozenset:
+    """Image of the pairs under elementwise inversion."""
+    return frozenset((spec.inv(x), spec.inv(y)) for x, y in pairs)
 
 
-def right_shadow(spec: GroupSpec, e: Entourage) -> frozenset:
-    """{x y^-1} over the pairs of the entourage."""
-    return frozenset(spec.mul(x, spec.inv(y)) for x, y in e.pairs)
-
-
-def theta_image(spec: GroupSpec, e: Entourage) -> Entourage:
-    """Image of the entourage under elementwise inversion."""
-    return Entourage(frozenset((spec.inv(x), spec.inv(y)) for x, y in e.pairs))
-
-
-def translate(spec: GroupSpec, g, e: Entourage) -> Entourage:
-    return Entourage(frozenset((spec.mul(g, x), spec.mul(g, y)) for x, y in e.pairs))
+def translate(spec: GroupSpec, g, pairs) -> frozenset:
+    return frozenset((spec.mul(g, x), spec.mul(g, y)) for x, y in pairs)
 
 
 # -- structures -------------------------------------------------------
@@ -100,10 +87,10 @@ def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVer
 
 
 class BoundedSetReport:
-    def __init__(self, diam, radii: dict, two_sided_ok: bool):
-        self.diam = diam
+    def __init__(self, diam, radii: dict):
+        self.diam = diam  # HORIZON, with no radii, when some distance overflowed
         self.radii = radii
-        self.two_sided_ok = two_sided_ok
+        self.two_sided_ok = diam is not HORIZON and all(r <= diam <= 2 * r for r in radii.values())
 
 
 def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
@@ -121,21 +108,20 @@ def bounded_set_check(B, m: MetricEvaluator) -> BoundedSetReport:
     for x in B:
         row = m.distances(x, B)
         if HORIZON in row:
-            return BoundedSetReport(diam=HORIZON, radii={}, two_sided_ok=False)
+            return BoundedSetReport(HORIZON, {})
         radii[x] = max(row)
-    diam = max(radii.values())
-    ok = all(diam <= 2 * r and r <= diam for r in radii.values())
-    return BoundedSetReport(diam=diam, radii=radii, two_sided_ok=ok)
+    return BoundedSetReport(max(radii.values()), radii)
 
 
 # -- map probes -------------------------------------------------------
 
 
 class CoarseMapReport:
-    def __init__(self, bornologous_ok: bool, proper_ok: bool, witnesses: list):
-        self.bornologous_ok = bornologous_ok
-        self.proper_ok = proper_ok
-        self.witnesses = witnesses
+    def __init__(self, witnesses: list):
+        self.witnesses = witnesses  # (kind, ...) tuples, kind "bornologous" or "proper"
+        kinds = {w[0] for w in witnesses}
+        self.bornologous_ok = "bornologous" not in kinds
+        self.proper_ok = "proper" not in kinds
 
 
 def coarse_map_probe(
@@ -157,11 +143,10 @@ def coarse_map_probe(
     Proper: for every bounded sample, its preimage B within the sampled
     domain truncation, measured as the pairs B x {anchor} (B x B is
     controlled exactly when B x {x} is), must not overflow (HORIZON)
-    under the domain structure; the preimages of all samples are one ladder.
+    under the domain structure; the preimages of all samples are one ladder,
+    and a probe where no sample has a preimage is not proper.
     """
     witnesses = []
-
-    bornologous_ok = True
     skipped = 0
     for fam in families:
         ladder = [fam(n) for n in range(1, horizon + 1)]
@@ -171,10 +156,8 @@ def coarse_map_probe(
         images = [[(f(x), f(y)) for x, y in pairs] for pairs in ladder]
         cod_verdict = ControlledVerdict(codomain.values(images))
         if cod_verdict.trend != "bounded":
-            bornologous_ok = False
             witnesses.append(("bornologous", fam, cod_verdict))
     if skipped == len(families):
-        bornologous_ok = False
         witnesses.append(("bornologous", "no family checked", skipped))
 
     domain_truncation = sorted(set(domain_truncation))
@@ -186,11 +169,9 @@ def coarse_map_probe(
     ]
     values = domain.values([[(x, pre[0]) for x in pre] for _, pre in found])
     witnesses += [("proper", *found[i]) for i, v in enumerate(values) if v is HORIZON]
-    proper_ok = HORIZON not in values
-
-    return CoarseMapReport(
-        bornologous_ok=bornologous_ok, proper_ok=proper_ok, witnesses=witnesses
-    )
+    if not found:
+        witnesses.append(("proper", "no sample checked", len(bounded_samples)))
+    return CoarseMapReport(witnesses)
 
 
 def closeness_probe(

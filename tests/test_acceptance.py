@@ -18,14 +18,7 @@ from coarsegroups.bornology import (
     member,
     metric_from_basis,
 )
-from coarsegroups.coarse import (
-    Entourage,
-    bounded_set_check,
-    left_shadow,
-    right_shadow,
-    theta_image,
-    translate,
-)
+from coarsegroups.coarse import bounded_set_check, right_shadow, theta_image, translate
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
@@ -86,7 +79,7 @@ def random_element(rng, spec, span=8):
 
 
 def random_entourage(rng, spec, max_pairs=10):
-    return Entourage.of(
+    return frozenset(
         (random_element(rng, spec), random_element(rng, spec))
         for _ in range(rng.randint(1, max_pairs))
     )
@@ -129,7 +122,7 @@ def test_shadow_theta_identity():
         for spec in THREE_GROUPS:
             for _ in range(10_000):
                 e = random_entourage(rng, spec)
-                assert left_shadow(spec, e) == right_shadow(spec, theta_image(spec, e))
+                assert spec.left_shadow(e) == right_shadow(spec, theta_image(spec, e))
 
 
 def test_shadow_translation_invariance():
@@ -139,9 +132,9 @@ def test_shadow_translation_invariance():
             shifts = spec.ball(3)
             for _ in range(40):
                 e = random_entourage(rng, spec)
-                base = left_shadow(spec, e)
+                base = spec.left_shadow(e)
                 for g in shifts:
-                    assert left_shadow(spec, translate(spec, g, e)) == base
+                    assert spec.left_shadow(translate(spec, g, e)) == base
 
 
 def test_bounded_sets_two_sided():

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,13 +8,12 @@ from hypothesis import strategies as st
 from coarsegroups.bornology import MetricBallsBasis, MinimalBasis, member_depth
 from coarsegroups.coarse import (
     BoundedByMetric,
-    Entourage,
+    BoundedSetReport,
     LeftBornological,
     bounded_set_check,
     closeness_probe,
     coarse_map_probe,
     controlled_probe,
-    left_shadow,
     right_shadow,
     theta_image,
     translate,
@@ -34,38 +34,51 @@ C7 = GroupSpec.cyclic(7)
 
 triples = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
 heis_pairs = st.tuples(triples, triples)
-heis_entourages = st.builds(
-    Entourage.of, st.lists(heis_pairs, min_size=1, max_size=12)
-)
+heis_entourages = st.lists(heis_pairs, min_size=1, max_size=12).map(frozenset)
 
 
 class TestShadows:
     def test_left_shadow_formula(self):
-        e = Entourage.of([((7, 0, 1), (8, 1, 1))])
-        assert left_shadow(H, e) == frozenset([(1, 1, -7)])
+        assert H.left_shadow([((7, 0, 1), (8, 1, 1))]) == {(1, 1, -7)}
 
     def test_right_shadow_formula(self):
-        e = Entourage.of([((7, 0, 1), (8, 1, 1))])
+        e = [((7, 0, 1), (8, 1, 1))]
         assert right_shadow(H, e) == frozenset([H.mul((7, 0, 1), H.inv((8, 1, 1)))])
 
     @given(heis_entourages)
     @settings(max_examples=200)
     def test_left_shadow_equals_right_shadow_of_theta(self, e):
-        assert left_shadow(H, e) == right_shadow(H, theta_image(H, e))
+        assert H.left_shadow(e) == right_shadow(H, theta_image(H, e))
 
     @given(heis_entourages)
     @settings(max_examples=100)
     def test_theta_involution(self, e):
-        assert theta_image(H, theta_image(H, e)).pairs == e.pairs
+        assert theta_image(H, theta_image(H, e)) == e
 
     @given(heis_entourages, triples)
     @settings(max_examples=200)
     def test_left_shadow_translation_invariant(self, e, g):
-        assert left_shadow(H, translate(H, g, e)) == left_shadow(H, e)
+        assert H.left_shadow(translate(H, g, e)) == H.left_shadow(e)
+
+    @given(st.lists(heis_pairs, min_size=1, max_size=12), triples)
+    @settings(max_examples=100)
+    def test_helpers_drop_repeated_pairs(self, pairs, g):
+        # Any collection of pairs will do; each helper returns a frozenset
+        # in which a repeated pair, or its image, counts once.
+        doubled = pairs + pairs[::-1]
+        for helper in (
+            functools.partial(right_shadow, H),
+            functools.partial(theta_image, H),
+            functools.partial(translate, H, g),
+        ):
+            out = helper(doubled)
+            assert type(out) is frozenset
+            assert out == helper(frozenset(pairs)) == helper(iter(pairs))
+        assert len(theta_image(H, doubled)) == len(translate(H, g, doubled)) == len(set(pairs))
 
     def test_left_shadows_are_the_group_hook(self, monkeypatch):
-        # `left_shadow` and `LeftBornological` both read the one shadow body
-        # of the kind, `GroupSpec.left_shadow`.
+        # `LeftBornological` reads the one shadow body of the kind,
+        # `GroupSpec.left_shadow`.
         seen = []
 
         def hook(spec, pairs):
@@ -74,12 +87,11 @@ class TestShadows:
 
         monkeypatch.setattr(Integers, "left_shadow", hook)
         pairs = [((0,), (1,))]
-        assert left_shadow(Z, Entourage.of(pairs)) == frozenset([(99,)])
         assert LeftBornological(MinimalBasis(Z), depth_cap=3).values([pairs]) == [HORIZON]
-        assert seen == [pairs, pairs]
+        assert seen == [pairs]
 
     def test_right_shadow_not_translation_invariant(self):
-        e = Entourage.of([((1, 0, 0), (0, 1, 0))])
+        e = [((1, 0, 0), (0, 1, 0))]
         g = (0, 1, 0)
         assert right_shadow(H, translate(H, g, e)) != right_shadow(H, e)
 
@@ -117,15 +129,15 @@ class TestControlledProbe:
 
 
 def one_at_a_time(structure, ladder) -> list:
-    """The values of `ladder` observed one entourage at a time, each built
-    with `Entourage.of`, which drops repeated pairs."""
+    """The values of `ladder` observed one entourage at a time, each a
+    frozenset, which drops repeated pairs."""
     out = []
-    for e in map(Entourage.of, ladder):
+    for e in map(frozenset, ladder):
         if isinstance(structure, BoundedByMetric):
-            row = [structure.metric.eval(x, y) for x, y in e.pairs]
+            row = [structure.metric.eval(x, y) for x, y in e]
             out.append(HORIZON if HORIZON in row else max(row, default=0))
         else:
-            shadow = left_shadow(structure.basis.spec, e)
+            shadow = structure.basis.spec.left_shadow(e)
             out.append(member_depth(structure.basis, shadow, structure.depth_cap))
     return out
 
@@ -191,6 +203,15 @@ class TestLadderValues:
         assert structure.values(ladder) == one_at_a_time(structure, ladder)
 
 
+def map_probe(*args, **kwargs):
+    """`coarse_map_probe`, checking that each flag reads "no witness of its kind"."""
+    report = coarse_map_probe(*args, **kwargs)
+    kinds = [kind for kind, *_ in report.witnesses]
+    assert report.bornologous_ok == ("bornologous" not in kinds)
+    assert report.proper_ok == ("proper" not in kinds)
+    return report
+
+
 def counting_family(calls: list, generator):
     """A family that appends each index it is asked for to `calls`."""
 
@@ -221,7 +242,7 @@ class TestProbeIndices:
         bounded = counting_family(bounded_calls, lambda n: [((n,), (n + 1,))])
         growing = counting_family(growing_calls, lambda n: [((0,), (n,))])
         structure = BoundedByMetric(WordMetric(Z))
-        report = coarse_map_probe(
+        report = map_probe(
             lambda g: g,
             domain=structure,
             codomain=structure,
@@ -325,6 +346,13 @@ class TestBoundedSetCheck:
         assert report.diam is HORIZON
         assert not report.two_sided_ok
 
+    def test_two_sided_is_read_off_the_evidence(self):
+        # At HORIZON there are no radii, so only the diameter can say the
+        # check failed; finite radii within the bounds are the control.
+        assert not BoundedSetReport(HORIZON, {}).two_sided_ok
+        assert BoundedSetReport(2, {(0,): 1, (1,): 2}).two_sided_ok
+        assert not BoundedSetReport(3, {(0,): 1}).two_sided_ok
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             bounded_set_check([], WordMetric(Z))
@@ -336,7 +364,7 @@ class TestMapProbes:
             return [((i,), (i + 1,)) for i in range(-n, n)]
 
         structure = BoundedByMetric(WordMetric(Z))
-        report = coarse_map_probe(
+        report = map_probe(
             lambda g: g,
             domain=structure,
             codomain=structure,
@@ -352,7 +380,7 @@ class TestMapProbes:
             return [((i,), (i + 1,)) for i in range(-n, n)]
 
         structure = BoundedByMetric(WordMetric(Z))
-        report = coarse_map_probe(
+        report = map_probe(
             lambda g: (2 * g[0],),
             domain=structure,
             codomain=structure,
@@ -376,13 +404,13 @@ class TestMapProbes:
         structure = BoundedByMetric(WordMetric(Z))
 
         def probe(families):
-            return coarse_map_probe(
+            return map_probe(
                 lambda g: g,
                 domain=structure,
                 codomain=structure,
                 families=families,
-                bounded_samples=[],
-                domain_truncation=[],
+                bounded_samples=[{(0,)}],
+                domain_truncation=[(0,)],
                 horizon=4,
             )
 
@@ -391,6 +419,30 @@ class TestMapProbes:
         assert report.witnesses == [("bornologous", "no family checked", 1)]
         report = probe([growing, bounded])
         assert report.bornologous_ok and report.witnesses == []
+
+    def test_no_sample_checked_is_not_proper(self):
+        # No sample has a preimage in the truncation, or there is no sample:
+        # nothing is checked, which is a verdict of its own, not a pass. A
+        # sample with a preimage next to them is the positive control.
+        structure = BoundedByMetric(WordMetric(Z))
+
+        def probe(samples):
+            return map_probe(
+                lambda g: g,
+                domain=structure,
+                codomain=structure,
+                families=[lambda n: [((0,), (1,))]],
+                bounded_samples=samples,
+                domain_truncation=[(i,) for i in range(-5, 6)],
+                horizon=6,
+            )
+
+        for samples in ([frozenset([(1000,)])], []):
+            report = probe(samples)
+            assert report.bornologous_ok and not report.proper_ok
+            assert report.witnesses == [("proper", "no sample checked", len(samples))]
+        report = probe([frozenset([(1000,)]), frozenset([(0,)])])
+        assert report.bornologous_ok and report.proper_ok and report.witnesses == []
 
     def test_squaring_is_not_bornologous(self):
         # Adjacent pairs (n, n + 1) map to (n^2, (n + 1)^2), at distance
@@ -402,13 +454,13 @@ class TestMapProbes:
         structure = BoundedByMetric(WordMetric(Z, radius_cap=10**4))
 
         def probe(f):
-            return coarse_map_probe(
+            return map_probe(
                 f,
                 domain=structure,
                 codomain=structure,
                 families=[adjacent],
-                bounded_samples=[],
-                domain_truncation=[],
+                bounded_samples=[{(0,)}],
+                domain_truncation=[(0,)],
                 horizon=6,
             )
 
@@ -426,7 +478,7 @@ class TestMapProbes:
             return [((0,), (1,))]
 
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
-        report = coarse_map_probe(
+        report = map_probe(
             lambda g: (0,),
             domain=capped,
             codomain=capped,
@@ -446,7 +498,7 @@ class TestMapProbes:
             return [((0,), (1,))]
 
         def probe(f):
-            return coarse_map_probe(
+            return map_probe(
                 f,
                 domain=LeftBornological(MinimalBasis(Z), depth_cap=4),
                 codomain=BoundedByMetric(WordMetric(Z)),
@@ -473,7 +525,7 @@ class TestMapProbes:
             calls.append(g)
             return halve(g)
 
-        report = coarse_map_probe(
+        report = map_probe(
             f,
             domain=BoundedByMetric(WordMetric(Z, radius_cap=8)),
             codomain=BoundedByMetric(WordMetric(Z)),

@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from coarsegroups import groups
 from coarsegroups.bornology import Explicit, GeometricSeed
-from coarsegroups.coarse import Entourage
 from coarsegroups.groups import (
     BudgetExceededError,
     Cyclic,
     FreeAbelian,
     GroupSpec,
     Integers,
+    _Value,
     set_size_cap,
 )
 from coarsegroups.metrics import QuotientWordMetric, WordNorm
@@ -782,16 +782,19 @@ class TestValueSemantics:
         assert GroupSpec.heisenberg() != GroupSpec.heisenberg(((0, 1, 0), (1, 0, 0)))
 
     def test_equal_fields_of_different_kinds_differ(self):
+        class _Pairs(_Value):
+            __slots__ = ("pairs",)
+
         assert Cyclic(((1,),), 1) != GroupSpec.free_abelian(1)
         assert Cyclic(((1,),), 1)._key() == GroupSpec.free_abelian(1)._key()
-        assert Explicit(((1,),)) != Entourage(((1,),))
+        assert Explicit(((1,),)) != _Pairs(((1,),))
+        assert Explicit(((1,),))._key() == _Pairs(((1,),))._key()
         assert GroupSpec.free_abelian(1) != "Z"
 
     def test_records(self):
         assert GeometricSeed(10, 6) == GeometricSeed(10, 6)
         assert hash(GeometricSeed(10, 6)) == hash(GeometricSeed(10, 6))
         assert GeometricSeed(10, 6) != GeometricSeed(10, 5)
-        assert Entourage.of([[1, 2]]) == Entourage(frozenset([(1, 2)]))
         with pytest.raises(ValueError):
             GeometricSeed(1, 3)
 
@@ -803,9 +806,9 @@ class TestValueSemantics:
             (GroupSpec.heisenberg(), "generating_set"),
             (GeometricSeed(10, 6), "base"),
             (Explicit(((1,),)), "elements"),
-            (Entourage.of([[1, 2]]), "pairs"),
+            (Explicit(((1, 2), (3, 4))), "elements"),
         ],
-        ids=["Z/7-gens", "Z/7-modulus", "H-gens", "geom", "explicit", "entourage"],
+        ids=["Z/7-gens", "Z/7-modulus", "H-gens", "geom", "explicit", "explicit-pairs"],
     )
     def test_fields_cannot_change(self, value, field):
         # A value keys sets and `cli.shared_basis`: changing a field would
@@ -827,9 +830,9 @@ class TestValueSemantics:
             # Z^2 modulo the lattice 3Z x 5Z.
             GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)),
             GeometricSeed(10, 6),
-            Entourage.of([[1, 2]]),
+            Explicit(((1, 2), (3, 4))),
         ],
-        ids=["HxZ/3", "Z/7", "Z2/L", "geom", "entourage"],
+        ids=["HxZ/3", "Z/7", "Z2/L", "geom", "explicit"],
     )
     def test_copies_and_pickles_are_equal(self, value):
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

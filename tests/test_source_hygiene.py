@@ -135,3 +135,48 @@ def test_finds_a_package_import():
 def test_oracles_import_no_package_module():
     # The oracles cross-check the package, so they must not share its code.
     assert package_imports(ORACLES.read_text(encoding="utf-8")) == []
+
+
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+
+
+def unnamed_definitions(definers: dict[str, str], users: list[str]) -> list[str]:
+    """`module:name` for each public module-level `def` or `class` of the
+    `definers` sources that no source in `users` names, as an `ast.Name`
+    or an import alias."""
+    named = set()
+    for source in users:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        f"{module}:{node.name}"
+        for module, source in definers.items()
+        for node in ast.parse(source).body
+        if isinstance(node, defs) and not node.name.startswith("_") and node.name not in named
+    ]
+
+
+def test_finds_an_unnamed_definition():
+    source = (
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class _Private: pass\n"
+        "def imported(): pass\n"
+        "def outer():\n"
+        "    def inner(): pass\n"
+        "    return used()\n"
+    )
+    user = "from m import imported\n"
+    assert unnamed_definitions({"m": source}, [source, user]) == ["m:unused", "m:outer"]
+
+
+def test_every_public_definition_is_named():
+    # A public name stays only if the package itself or an acceptance
+    # criterion uses it.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    users = [*sources.values(), ACCEPTANCE.read_text(encoding="utf-8")]
+    assert unnamed_definitions(sources, users) == []
