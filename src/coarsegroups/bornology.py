@@ -124,7 +124,7 @@ class MetricBallsBasis(BornologyBasis):
     """B_n = {g : d(e, g) <= n} for a metric on the group.
 
     Each ball is tested by distance.  Its elements come from the metric's
-    `ball(n)` (the word ball of a word metric, or the max-entry box on Z^n
+    `ball(n)` (the word ball of a word metric, or the max-entry cube on Z^n
     and H) and are built only when the ball is iterated; iterating a ball
     of any other metric raises NotImplementedError.
     """

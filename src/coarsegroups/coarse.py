@@ -7,7 +7,7 @@ shows up as a bounded or growing trend of the per-index observed quantities.
 
 A structure observes a whole ladder at once: `values(ladder)` maps a list
 of pair collections to one value each, HORIZON on overflow.  Probes map
-each point once, and every verdict is derived from its evidence.
+each point once, refuse empty evidence, and derive every verdict from it.
 """
 
 from __future__ import annotations
@@ -73,6 +73,14 @@ class ControlledVerdict:
         self.trend = classify_trend(per_index)
 
 
+def _ladder(family: Callable, horizon: int) -> list:
+    """[family(n) for n = 1..horizon]; raises ValueError on a rung with no pairs."""
+    ladder = [family(n) for n in range(1, horizon + 1)]
+    if not all(ladder):
+        raise ValueError("a family rung holds no pairs")
+    return ladder
+
+
 def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVerdict:
     """Observe the quantity of `family(n)` for indices n = 1..horizon.
 
@@ -80,7 +88,7 @@ def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVer
     shadow cover depth (bornological structures), HORIZON on overflow; the
     trend is classified by the shared ladder rule.
     """
-    return ControlledVerdict(structure.values([family(n) for n in range(1, horizon + 1)]))
+    return ControlledVerdict(structure.values(_ladder(family, horizon)))
 
 
 # -- finite-set boundedness ------------------------------------------
@@ -149,7 +157,7 @@ def coarse_map_probe(
     witnesses = []
     skipped = 0
     for fam in families:
-        ladder = [fam(n) for n in range(1, horizon + 1)]
+        ladder = _ladder(fam, horizon)
         if classify_trend(domain.values(ladder)) != "bounded":
             skipped += 1
             continue

@@ -1,13 +1,13 @@
 """Exact arithmetic and canonical forms for the concrete groups in the toolkit.
 
 Every element of every kind is a flat tuple of `rank` ints.  `GroupSpec`
-holds the generating set, word balls, the element stream, and the identity,
-element check and coordinate box shared by all kinds; each kind is one
-subclass with its own group law: `FreeAbelian` (Z^n), `Heisenberg` (upper
-unitriangular 3x3 matrices encoded as (a, b, c) with (1,2)=a, (2,3)=b,
-(1,3)=c), `DirectProduct` (the left factor's coordinates followed by the
-right factor's) and `Cyclic` (Z/k, with elements (0,), ..., (k-1,)).  A
-rank-1 `FreeAbelian` is always `Integers` (Z), which holds the rank-1 code.
+holds the generating set, word balls, the element stream, and the identity
+and element check shared by all kinds; each kind is one subclass with its
+own group law: `FreeAbelian` (Z^n), `Heisenberg` (upper unitriangular 3x3
+matrices encoded as (a, b, c) with (1,2)=a, (2,3)=b, (1,3)=c),
+`DirectProduct` (the left factor's coordinates followed by the right
+factor's) and `Cyclic` (Z/k, with elements (0,), ..., (k-1,)).  A rank-1
+`FreeAbelian` is always `Integers` (Z), which holds the rank-1 code.
 Build them with the `GroupSpec` constructors.  All arithmetic is
 arbitrary-precision and all encodings are canonical: equal group elements
 have identical payloads, so natural tuple order is the one element order.
@@ -138,14 +138,6 @@ def _units(rank: int) -> tuple:
     return units
 
 
-def _cube(radius: int, n: int) -> Iterator[tuple]:
-    """Integer points of [-radius, radius]^n in lexicographic order."""
-    cap = ball_size_cap()
-    if (2 * radius + 1) ** n > cap:
-        raise BudgetExceededError(f"box exceeded size cap {cap}")
-    return itertools.product(range(-radius, radius + 1), repeat=n)
-
-
 class _Horizon:
     """Marker returned when a truncated evaluation passes its radius cap."""
 
@@ -171,12 +163,9 @@ class GroupSpec(_Value):
     and setting a field raises AttributeError.
 
     Every element is a tuple of `rank` ints, on every kind.  The base class
-    defines identity(), check_element(g) (TypeError unless g is an
-    element) and box(radius): all elements whose coordinates have absolute
-    value <= radius, in lexicographic order.  On Z^n and on the Heisenberg
-    triple encoding this is exactly the max-entry ball of that radius.
-    Each kind subclass defines mul(g, h) and inv(g); Z/k and a direct
-    product also narrow check_element and box.
+    defines identity() and check_element(g) (TypeError unless g is an
+    element).  Each kind subclass defines mul(g, h) and inv(g); Z/k and a
+    direct product also narrow check_element.
 
     The set-at-a-time law has three hooks: coordinate_rows(gs, hs, i),
     product_set(a, b, cap) and left_shadow(pairs), built on `mul` and
@@ -187,8 +176,8 @@ class GroupSpec(_Value):
     Word balls, the element stream and word-norm tables come from
     `spheres()`, a breadth-first search that `Integers` and Z/k with (1,)
     replace by closed forms, or, for the Heisenberg ball, from
-    `word_ball(radius)`.  `COARSE_BALL_CAP` is the only size cap of balls,
-    boxes and streams, and every path refuses the same radius with the same
+    `word_ball(radius)`.  `COARSE_BALL_CAP` is the only size cap of balls
+    and streams, and every path refuses the same radius with the same
     message.  Closed-form word distances, and the diameter kernel of Z in
     `Integers`, come from `word_distance(cap)`.
     """
@@ -257,9 +246,6 @@ class GroupSpec(_Value):
             and all(isinstance(c, int) for c in g)
         ):
             raise TypeError(f"{g!r} is not an element of {self.kind} group")
-
-    def box(self, radius: int) -> list:
-        return list(_cube(radius, self.rank))
 
     def coordinate_rows(self, gs, hs, i: int) -> Iterator[list]:
         """Yield [(g*h)[i] for h in hs] for each g in `gs`, in order.  A kind
@@ -584,15 +570,6 @@ class DirectProduct(GroupSpec):
         w = left.rank
         return left.inv(g[:w]) + right.inv(g[w:])
 
-    def box(self, radius: int) -> list:
-        left = self.factors[0].box(radius)
-        right = self.factors[1].box(radius)
-        cap = ball_size_cap()
-        if len(left) * len(right) > cap:
-            raise BudgetExceededError(f"box exceeded size cap {cap}")
-        # Both factor boxes are sorted, so their concatenations are too.
-        return [a + b for a in left for b in right]
-
 
 class Cyclic(GroupSpec):
     """Z/k, k = `modulus` >= 2, with elements (0,), ..., (k-1,)."""
@@ -616,9 +593,6 @@ class Cyclic(GroupSpec):
 
     def inv(self, g):
         return (-g[0] % self.modulus,)
-
-    def box(self, radius: int) -> list:
-        return sorted({self._reduce(v) for v in _cube(radius, 1)})
 
     def spheres(self) -> Iterator[list]:
         if self.generating_set != ((1,),):

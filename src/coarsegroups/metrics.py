@@ -25,6 +25,7 @@ from .groups import (
     FreeAbelian,
     GroupSpec,
     Heisenberg,
+    ball_size_cap,
     shell_key,
 )
 
@@ -53,14 +54,15 @@ def classify_trend(values: list) -> str:
 
 
 def ladder_prefixes(items: list) -> list[list]:
-    """Three nested prefixes of a truncation, ordered small-magnitude-first.
+    """Up to three nested prefixes of a truncation, small-magnitude-first.
 
-    Successive prefixes behave like growing balls around the identity.
+    Successive prefixes behave like growing balls around the identity.  An
+    empty truncation has nothing to observe and raises ValueError.
     """
     ordered = sorted(items, key=shell_key)
     n = len(ordered)
     if n == 0:
-        return [[], [], []]
+        raise ValueError("truncation must be nonempty")
     cuts = sorted({max(1, (n * i) // 3) for i in (1, 2, 3)})
     return [ordered[:c] for c in cuts]
 
@@ -185,10 +187,13 @@ class MaxEntryMetric(MetricEvaluator):
 
     def ball(self, n: int) -> frozenset:
         # On Z^n and the Heisenberg triples the coordinates are the entries,
-        # so the ball is the box; residues of Z/k are not.
-        if isinstance(self.spec, (FreeAbelian, Heisenberg)):
-            return frozenset(self.spec.box(n))
-        return super().ball(n)
+        # so the ball is the cube [-n, n]^rank; residues of Z/k are not.
+        if not isinstance(self.spec, (FreeAbelian, Heisenberg)):
+            return super().ball(n)
+        rank, cap = self.spec.rank, ball_size_cap()
+        if (2 * n + 1) ** rank > cap:
+            raise BudgetExceededError(f"box exceeded size cap {cap}")
+        return frozenset(itertools.product(range(-n, n + 1), repeat=rank))
 
 
 class Entry12Pseudometric(MetricEvaluator):

@@ -273,7 +273,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
         codomain=LeftBornological(domain_basis),
         families=[adjacent_residues],
         bounded_samples=[frozenset([(i,) for i in range(-k, k + 1)])],
-        domain_truncation=list(cyclic.box(k)),
+        domain_truncation=[(r,) for r in range(k)],
         horizon=horizon,
     )
     report.check("section is bornologous", True, probe_section.bornologous_ok, PAPER)

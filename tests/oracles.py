@@ -1,5 +1,6 @@
 """Independent brute-force oracles used to freeze expected test values."""
 
+import itertools
 from collections import deque
 
 
@@ -54,10 +55,16 @@ def cayley_adjacency(spec, nodes):
     }
 
 
-def scan_ball(metric, n, radius_cap=None):
-    """{g : d(e, g) <= n}, by scanning coordinate boxes of `metric.spec`.
+def cube(radius, rank):
+    """The integer points of [-radius, radius]^rank, in lexicographic order."""
+    return list(itertools.product(range(-radius, radius + 1), repeat=rank))
 
-    The box radius doubles until one doubling adds nothing.  A distance
+
+def scan_ball(metric, n, radius_cap=None):
+    """{g : d(e, g) <= n}, by scanning coordinate cubes of the rank of
+    `metric.spec`: every element on Z^n and the Heisenberg triples.
+
+    The cube radius doubles until one doubling adds nothing.  A distance
     that is not an int is a HORIZON marker, past `radius_cap`: outside the
     ball when n <= radius_cap; otherwise (or with no cap given) its
     membership is unknown and the scan raises ValueError.
@@ -68,7 +75,7 @@ def scan_ball(metric, n, radius_cap=None):
     prev = None
     while True:
         current = set()
-        for g in spec.box(radius):
+        for g in cube(radius, spec.rank):
             d = metric.eval(e, g)
             if isinstance(d, int):
                 if d <= n:

@@ -21,7 +21,7 @@ from coarsegroups.bornology import (
 from coarsegroups.groups import BudgetExceededError, GroupSpec, Integers
 from coarsegroups.metrics import HORIZON, MaxEntryMetric, QuotientWordMetric, WordMetric
 
-from oracles import heis_max_entry_norm, scan_ball
+from oracles import cube, heis_max_entry_norm, scan_ball
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -168,7 +168,7 @@ class TestStreams:
     def test_metric_balls_max_entry_heisenberg(self):
         basis = MetricBallsBasis(MaxEntryMetric(H))
         b1 = basis.sets(1)[0]
-        assert b1 == frozenset(H.box(1))
+        assert b1 == frozenset(cube(1, 3))
 
     def test_metric_balls_max_entry_match_the_scan(self):
         metric = MaxEntryMetric(H)

@@ -502,7 +502,7 @@ class TestDistance:
         # h runs over unreduced integers; every answer is min(r, k - r) for
         # r = h - g mod k and equals a BFS over the explicit Cayley graph.
         spec = parse_group(f"Z/{k}")
-        adjacency = cayley_adjacency(spec, spec.box(k))
+        adjacency = cayley_adjacency(spec, [(i,) for i in range(k)])
         argv = ["distance", "--group", f"Z/{k}", "--metric", "word"]
         for g in range(k):
             from_g = bfs_distances(adjacency, (g,))

@@ -27,6 +27,8 @@ from coarsegroups.metrics import (
     ladder_prefixes,
 )
 
+from oracles import cube
+
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
 H = GroupSpec.heisenberg()
@@ -256,6 +258,54 @@ class TestProbeIndices:
         assert growing_calls == list(range(1, horizon + 1))
 
 
+class TestEmptyEvidence:
+    """A probe with nothing to observe raises instead of reading `bounded`;
+    the structures themselves still read an empty collection as 0 or depth
+    1 (`TestLadderValues`).  One pair per rung is the positive control."""
+
+    STRUCTURES = {
+        "word": (lambda: BoundedByMetric(WordMetric(Z)), 1),
+        "minimal": (lambda: LeftBornological(MinimalBasis(Z)), 2),
+    }
+
+    @pytest.mark.parametrize("name", list(STRUCTURES))
+    def test_controlled_probe(self, name):
+        structure, value = self.STRUCTURES[name]
+        for family in (lambda n: [], lambda n: [] if n == 3 else [((0,), (1,))]):
+            with pytest.raises(ValueError, match="^a family rung holds no pairs$"):
+                controlled_probe(family, structure(), 5)
+        # d(0, 1) = 1; the shadow {1} is covered at depth 2 in the stream 0, 1, -1, ...
+        verdict = controlled_probe(lambda n: [((0,), (1,))], structure(), 5)
+        assert verdict.per_index == [value] * 5 and verdict.trend == "bounded"
+
+    def test_coarse_map_probe(self):
+        structure = BoundedByMetric(WordMetric(Z))
+
+        def probe(family):
+            return map_probe(
+                lambda g: g,
+                domain=structure,
+                codomain=structure,
+                families=[family],
+                bounded_samples=[{(0,)}],
+                domain_truncation=[(0,)],
+                horizon=5,
+            )
+
+        with pytest.raises(ValueError, match="^a family rung holds no pairs$"):
+            probe(lambda n: [])
+        report = probe(lambda n: [((0,), (1,))])
+        assert report.bornologous_ok and report.proper_ok and report.witnesses == []
+
+    def test_closeness_probe(self):
+        structure = BoundedByMetric(WordMetric(Z))
+        for truncation in ([], set()):
+            with pytest.raises(ValueError, match="^truncation must be nonempty$"):
+                closeness_probe(lambda g: g, lambda g: (g[0] + 1,), truncation, structure)
+        verdict = closeness_probe(lambda g: g, lambda g: (g[0] + 1,), [(0,)], structure)
+        assert verdict.per_index == [1]
+
+
 def bounded_set_oracle(B, m):
     """(diam, radii) over all ordered pairs by `eval`; (HORIZON, {}) on any HORIZON."""
     B = set(B)
@@ -283,7 +333,7 @@ ORACLE_METRICS = {
     "Z": (WordMetric(Z, radius_cap=6), Z.ball(5)),
     "Z2": (WordMetric(Z2, radius_cap=5), Z2.ball(4)),
     "H": (WordMetric(H, radius_cap=4), H.ball(3)),
-    "H-maxentry": (MaxEntryMetric(H), H.box(2)),
+    "H-maxentry": (MaxEntryMetric(H), cube(2, 3)),
     "Z/7": (WordMetric(C7, radius_cap=2), C7.ball(3)),
 }
 

@@ -26,6 +26,7 @@ from coarsegroups.metrics import QuotientWordMetric, WordNorm
 from oracles import (
     bfs_distances,
     cayley_adjacency,
+    cube,
     heis_from_matrix,
     heis_to_matrix,
     matinv_unitriangular,
@@ -36,6 +37,12 @@ Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
 C5 = GroupSpec.cyclic(5)
 H = GroupSpec.heisenberg()
+
+
+def residues(k):
+    """Every element of Z/k, listed without the package."""
+    return [(i,) for i in range(k)]
+
 
 triples = st.tuples(
     st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)
@@ -162,17 +169,17 @@ class TestIntegers:
             assert type(other) is FreeAbelian and other == Z2 and hash(other) == hash(Z2)
 
     @pytest.mark.parametrize(
-        "spec, steps, box",
+        "spec, steps, nodes",
         [
-            (GroupSpec.direct_product(Z, Z), [(1, 0), (-1, 0), (0, 1), (0, -1)], Z2.box(8)),
-            (GroupSpec.free_abelian(1, ((2,), (3,))), [(2,), (-2,), (3,), (-3,)], Z.box(24)),
+            (GroupSpec.direct_product(Z, Z), [(1, 0), (-1, 0), (0, 1), (0, -1)], cube(8, 2)),
+            (GroupSpec.free_abelian(1, ((2,), (3,))), [(2,), (-2,), (3,), (-3,)], cube(24, 1)),
         ],
         ids=["ZxZ", "Z-2-3"],
     )
-    def test_balls_through_the_int_law_are_the_bfs_balls(self, spec, steps, box):
+    def test_balls_through_the_int_law_are_the_bfs_balls(self, spec, steps, nodes):
         # The oracle's Cayley graph adds the steps with plain ints, not with
-        # the law under test; the box holds the word ball of radius 8.
-        nodes = set(box)
+        # the law under test; the cube holds the word ball of radius 8.
+        nodes = set(nodes)
         adjacency = {u: [v for s in steps if (v := tuple(map(add, u, s))) in nodes] for u in nodes}
         dist = bfs_distances(adjacency, spec.identity())
         for r in range(9):
@@ -253,12 +260,11 @@ class TestQuotientByLattice:
         st.integers(2, 200),
         st.integers(-(10**30), 10**30),
         st.integers(-(10**30), 10**30),
-        st.integers(0, 250),
     )
     @settings(max_examples=300, deadline=None)
-    @example(2, -1, 1, 0)
-    @example(7, -500, 10**30, 7)
-    def test_law_check_and_box_match_python_mod(self, k, x, y, r):
+    @example(2, -1, 1)
+    @example(7, -500, 10**30)
+    def test_law_check_and_box_match_python_mod(self, k, x, y):
         c = GroupSpec.cyclic(k)
         g, h = (x % k,), (y % k,)
         assert c._reduce((x,)) == g
@@ -269,7 +275,6 @@ class TestQuotientByLattice:
         for bad in [(k,), (-1,), (0, 0)] + ([(x,)] if (x,) != g else []):
             with pytest.raises(TypeError):
                 c.check_element(bad)
-        assert c.box(r) == sorted({(n % k,) for n in range(-r, r + 1)})
 
     def test_residues(self):
         assert GroupSpec.cyclic(5).ball(10) == [(0,), (1,), (2,), (3,), (4,)]
@@ -290,13 +295,6 @@ class TestQuotientByLattice:
         assert c._reduce((x + coeff * k,)) == canon
         # Every coset has its canonical form inside a box of radius k.
         assert len({c._reduce((v,)) for v in range(-k, k + 1)}) == k
-        assert len(c.box(k)) == k
-
-    def test_box_cap(self, monkeypatch):
-        monkeypatch.setenv("COARSE_BALL_CAP", "4")
-        assert GroupSpec.cyclic(3).box(1) == [(0,), (1,), (2,)]
-        with pytest.raises(BudgetExceededError):
-            GroupSpec.cyclic(3).box(2)
 
 
 class TestEnumeration:
@@ -306,11 +304,6 @@ class TestEnumeration:
     def test_stream_prefix_stable(self):
         prefix = list(itertools.islice(H.sphere_stream(), 20))
         assert prefix == list(itertools.islice(H.sphere_stream(), 25))[:20]
-
-    def test_box_heisenberg_is_entry_cube(self):
-        box = H.box(1)
-        assert len(box) == 27
-        assert all(max(abs(c) for c in g) <= 1 for g in box)
 
 
 class TestSymmetricGenerators:
@@ -357,17 +350,6 @@ class TestDirectProduct:
             with pytest.raises(TypeError):
                 ZxC3.check_element(g)
 
-    def test_box_is_the_sorted_product_of_the_factor_boxes(self):
-        box = ZxC3.box(2)
-        assert box == sorted(a + b for a, b in itertools.product(Z.box(2), C3.box(2)))
-        for g in box:
-            ZxC3.check_element(g)
-
-    def test_box_cap(self, monkeypatch):
-        monkeypatch.setenv("COARSE_BALL_CAP", str(5 * 3 - 1))
-        with pytest.raises(BudgetExceededError):
-            ZxC3.box(2)
-
     def test_law_is_factorwise_over_a_nonabelian_factor(self):
         assert HxC3.rank == 4
         ball = HxC3.ball(2)
@@ -388,26 +370,23 @@ def _heisenberg_nodes(c_bound: int) -> list:
 # generators {2, 3}).  On H only b-letters change c, each by the current a,
 # so |c| <= (a-letters)(b-letters) <= 16; with the extra generator the
 # k-th letter changes c by at most k, so |c| <= 36.
-# On Z/k, box(k) is the reduced cube [-k, k]: every residue.
+# On Z/k the node set is every residue.
 SPHERE_CASES = {
-    "Z": (Z, Z.box(8)),
-    "Z-2-3": (GroupSpec.free_abelian(1, ((2,), (3,))), Z.box(24)),
-    "Z2": (Z2, Z2.box(8)),
-    "Z/2": (GroupSpec.cyclic(2), GroupSpec.cyclic(2).box(2)),
-    "Z/7": (GroupSpec.cyclic(7), GroupSpec.cyclic(7).box(7)),
+    "Z": (Z, cube(8, 1)),
+    "Z-2-3": (GroupSpec.free_abelian(1, ((2,), (3,))), cube(24, 1)),
+    "Z2": (Z2, cube(8, 2)),
+    "Z/2": (GroupSpec.cyclic(2), residues(2)),
+    "Z/7": (GroupSpec.cyclic(7), residues(7)),
     "H": (H, _heisenberg_nodes(16)),
     "H-extra": (
         GroupSpec.heisenberg(((1, 0, 0), (0, 1, 0), (1, 1, 0))),
         _heisenberg_nodes(36),
     ),
-    "ZxZ/3": (
-        GroupSpec.direct_product(Z, GroupSpec.cyclic(3)),
-        GroupSpec.direct_product(Z, GroupSpec.cyclic(3)).box(8),
-    ),
+    "ZxZ/3": (ZxC3, [a + b for a in cube(8, 1) for b in residues(3)]),
     # Z^2 modulo the lattice 3Z x 5Z.
     "Z2/(3,5)": (
-        GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)),
-        GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5)).box(8),
+        GroupSpec.direct_product(C3, GroupSpec.cyclic(5)),
+        [a + b for a in residues(3) for b in residues(5)],
     ),
 }
 
@@ -556,18 +535,23 @@ class TestCapBoundary:
         assert peak < 1 << 20
 
 
+# Each spec with the elements whose coordinates lie in [-2, 2] (every
+# residue on Z/k), listed without the package.
 HOOK_CASES = {
-    "Z": Z,
-    "Z2": Z2,
-    "Z/7": GroupSpec.cyclic(7),
-    "H": H,
-    "HxZ/3": HxC3,
+    "Z": (Z, cube(2, 1)),
+    "Z2": (Z2, cube(2, 2)),
+    "Z/7": (GroupSpec.cyclic(7), residues(7)),
+    "H": (H, cube(2, 3)),
+    "HxZ/3": (HxC3, [a + b for a in cube(2, 3) for b in residues(3)]),
 }
 
 ABELIAN_CASES = {
     **HOOK_CASES,
-    "ZxZ/5": GroupSpec.direct_product(Z, GroupSpec.cyclic(5)),
-    "ZxH": GroupSpec.direct_product(Z, H),
+    "ZxZ/5": (
+        GroupSpec.direct_product(Z, GroupSpec.cyclic(5)),
+        [a + b for a in cube(2, 1) for b in residues(5)],
+    ),
+    "ZxH": (GroupSpec.direct_product(Z, H), cube(2, 4)),
 }
 
 
@@ -576,9 +560,10 @@ class TestSetHooks:
     and `inv` on every kind."""
 
     @staticmethod
-    def inputs(spec):
+    def inputs(name):
         # The box is reversed so that `coordinate_rows` cannot pass by sorting.
-        return spec.ball(2), spec.box(2)[::-1]
+        spec, box = HOOK_CASES[name]
+        return spec, spec.ball(2), box[::-1]
 
     @pytest.mark.parametrize("name", list(HOOK_CASES))
     @given(data=st.data())
@@ -592,8 +577,7 @@ class TestSetHooks:
         # come sorted by g[i], each twice (adjacent repeats, of one element
         # and of distinct ones), as drawn twice over (repeats apart), and
         # empty.
-        spec = HOOK_CASES[name]
-        ball, box = self.inputs(spec)
+        spec, ball, box = self.inputs(name)
         size = min(6, len(ball))
         picks = data.draw(st.lists(st.sampled_from(ball), min_size=size, max_size=10, unique=True))
         hs = data.draw(st.sampled_from([box, box[: len(box) // 3], []]))
@@ -606,8 +590,7 @@ class TestSetHooks:
 
     @pytest.mark.parametrize("name", list(HOOK_CASES))
     def test_product_set_is_the_mul_comprehension(self, name):
-        spec = HOOK_CASES[name]
-        ball, box = self.inputs(spec)
+        spec, ball, box = self.inputs(name)
         for a, b in [(ball, box), (box, ball), (frozenset(ball), frozenset(ball))]:
             assert spec.product_set(a, b, set_size_cap()) == {spec.mul(x, y) for x in a for y in b}
         assert spec.product_set([], box, 0) == set()
@@ -618,8 +601,7 @@ class TestSetHooks:
         # Caps at and above len(a) * len(b) take the one comprehension; caps
         # below it take the row-at-a-time loop, which must raise exactly when
         # the whole product would pass the cap.
-        spec = HOOK_CASES[name]
-        ball, box = self.inputs(spec)
+        spec, ball, box = self.inputs(name)
         full = spec.product_set(ball, box, len(ball) * len(box))
         for cap in (len(full) - 1, len(full), len(full) + 1, len(ball) * len(box)):
             if cap < len(full):
@@ -636,10 +618,10 @@ class TestSetHooks:
         # Some two generators fail to commute exactly on a kind that is not
         # abelian, and no two drawn elements fail on one that is.  The fact
         # belongs to the kind: a spec cannot set it.
-        spec = ABELIAN_CASES[name]
+        spec, box = ABELIAN_CASES[name]
         gens = spec.generating_set
         assert spec.abelian == all(spec.mul(g, h) == spec.mul(h, g) for g in gens for h in gens)
-        x, y = (data.draw(st.sampled_from(spec.box(3))) for _ in range(2))
+        x, y = (data.draw(st.sampled_from(box)) for _ in range(2))
         assert spec.abelian <= (spec.mul(x, y) == spec.mul(y, x))
         with pytest.raises(AttributeError):
             spec.abelian = not spec.abelian
@@ -737,10 +719,10 @@ class TestSetHooks:
         assert peak < 2**20
 
     def test_heisenberg_coordinate_rows_match_matrix_oracle(self):
-        # In box order, rising, and reversed, falling, the g's come in runs
+        # In cube order, rising, and reversed, falling, the g's come in runs
         # of equal g[0] (25 long) and of equal g[1] (5 long).  Every row,
         # shared or not, is the oracle's, on all six indices.
-        box = H.box(2)
+        box = cube(2, 3)
         for gs in (box, box[::-1]):
             products = [
                 [heis_from_matrix(matmul3(heis_to_matrix(g), heis_to_matrix(h))) for h in box]
@@ -751,7 +733,7 @@ class TestSetHooks:
                 assert list(H.coordinate_rows(gs, box, i)) == expected
 
     def test_heisenberg_product_set_matches_matrix_oracle(self):
-        a, b = H.ball(2), H.box(1)
+        a, b = H.ball(2), cube(1, 3)
         expected = {
             heis_from_matrix(matmul3(heis_to_matrix(x), heis_to_matrix(y)))
             for x in a

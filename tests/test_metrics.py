@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coarsegroups import groups, metrics
 from coarsegroups.bornology import MetricBallsBasis, member_depth
-from coarsegroups.groups import GroupSpec
+from coarsegroups.groups import BudgetExceededError, GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -27,6 +27,7 @@ from coarsegroups.metrics import (
 from oracles import (
     bfs_distances,
     cayley_adjacency,
+    cube,
     heis_max_entry_norm,
     heis_to_matrix,
     matinv_unitriangular,
@@ -107,8 +108,8 @@ class TestMaxEntryDistance:
 class TestMetricBall:
     @pytest.mark.parametrize("n", range(7))
     def test_heisenberg_max_entry_ball_matches_matrix_oracle(self, n):
-        cube = itertools.product(range(-n - 2, n + 3), repeat=3)
-        expected = {g for g in cube if heis_max_entry_norm(g) <= n}
+        window = itertools.product(range(-n - 2, n + 3), repeat=3)
+        expected = {g for g in window if heis_max_entry_norm(g) <= n}
         assert MaxEntryMetric(H).ball(n) == expected
 
     @pytest.mark.parametrize("n", range(7))
@@ -117,16 +118,38 @@ class TestMetricBall:
         expected = {g for g in square if max(map(abs, g)) <= n}
         assert MaxEntryMetric(Z2).ball(n) == expected
 
+    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
+    @pytest.mark.parametrize("n", range(5))
+    def test_max_entry_ball_is_the_oracle_cube(self, spec, n):
+        assert MaxEntryMetric(spec).ball(n) == frozenset(cube(n, spec.rank))
+
+    def test_max_entry_ball_cap(self, monkeypatch):
+        # The cube of radius n holds (2n + 1)^rank elements: one at the cap
+        # is built, one past it raises before any element is listed.
+        monkeypatch.setenv("COARSE_BALL_CAP", "27")
+        assert len(MaxEntryMetric(H).ball(1)) == 27
+        assert len(MaxEntryMetric(Z2).ball(2)) == 25
+        for spec, n in [(H, 2), (Z2, 3), (Z, 14), (H, 10**9)]:
+            with pytest.raises(BudgetExceededError, match="^box exceeded size cap 27$"):
+                MaxEntryMetric(spec).ball(n)
+
     @pytest.mark.parametrize(
         "metric",
         [
             # Z^2 modulo the lattice 3Z x 5Z.
             MaxEntryMetric(GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5))),
             MaxEntryMetric(GroupSpec.direct_product(Z, GroupSpec.cyclic(3))),
+            MaxEntryMetric(GroupSpec.cyclic(5)),
             QuotientWordMetric(5),
             Entry12Pseudometric(H),
         ],
-        ids=["max-entry-Z2/lattice", "max-entry-ZxZ/3", "quotient-word-Z/5", "entry12-H"],
+        ids=[
+            "max-entry-Z2/lattice",
+            "max-entry-ZxZ/3",
+            "max-entry-Z/5",
+            "quotient-word-Z/5",
+            "entry12-H",
+        ],
     )
     def test_no_closed_form_raises(self, metric):
         name, kind = type(metric).__name__, metric.spec.kind
@@ -726,6 +749,12 @@ class TestLadder:
             assert set(a) <= set(b)
         assert ladder == ladder_prefixes(list(reversed(items)))
 
+    def test_empty_truncation_raises(self):
+        for items in ([], set()):
+            with pytest.raises(ValueError, match="^truncation must be nonempty$"):
+                ladder_prefixes(items)
+        assert ladder_prefixes([(0,)]) == [[(0,)]]
+
     def test_small_magnitude_first(self):
         ladder = ladder_prefixes(Z.ball(9))
         assert (0,) in ladder[0]
@@ -735,7 +764,7 @@ class TestLadder:
     def test_shell_key_orders_a_window_alone(self, spec):
         # `ladder_prefixes` sorts by `shell_key` with no tie-break, so that
         # key must tell every two elements apart: (|c|, c < 0) fixes c.
-        window = spec.box(4)
+        window = cube(4, spec.rank)
         assert len({groups.shell_key(g) for g in window}) == len(window)
         tie_broken = sorted(window, key=lambda g: (groups.shell_key(g), g))
         assert ladder_prefixes(window[::-1])[-1] == tie_broken

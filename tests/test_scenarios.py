@@ -81,12 +81,12 @@ def test_separation_rows_cover_range():
 
 
 def test_separation_builds_no_box(monkeypatch):
-    # Its cover depths are read off max-entry distances: with every box
-    # refused, the report bytes are still the frozen ones.
-    def refuse(self, radius):
-        raise AssertionError(f"box of radius {radius} built")
+    # Its cover depths are read off max-entry distances: with every
+    # max-entry cube refused, the report bytes are still the frozen ones.
+    def refuse(self, n):
+        raise AssertionError(f"max-entry ball of radius {n} built")
 
-    monkeypatch.setattr(GroupSpec, "box", refuse)
+    monkeypatch.setattr(MaxEntryMetric, "ball", refuse)
     report = run_scenario("heisenberg_separation")
     [frozen] = [row[3:] for row in FROZEN if row[:2] == ("heisenberg_separation", {})]
     assert (_sha256(report_to_json(report)), _sha256(report_to_tsv(report))) == frozen

@@ -137,6 +137,38 @@ def test_oracles_import_no_package_module():
     assert package_imports(ORACLES.read_text(encoding="utf-8")) == []
 
 
+# Enumeration hooks of the package; the group law (`mul`, `inv`,
+# `symmetric_generators`, `identity`) is what an oracle is built from.
+ENUMERATIONS = {"box", "ball", "spheres", "sphere_stream"}
+
+
+def enumeration_calls(source: str) -> list[str]:
+    """The attributes in `ENUMERATIONS` that some call of `source` reads."""
+    return [
+        node.func.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ENUMERATIONS
+    ]
+
+
+def test_finds_an_enumeration_call():
+    source = (
+        "def scan(spec, metric, r):\n"
+        "    e = spec.identity()\n"
+        "    nodes = spec.box(r) + sorted(metric.spec.ball(r))\n"
+        "    return [spec.mul(e, g) for g in nodes], spec.symmetric_generators()\n"
+    )
+    assert enumeration_calls(source) == ["box", "ball"]
+
+
+def test_oracles_enumerate_nothing_through_the_package():
+    # An oracle that lists elements through the code it checks would agree
+    # with that code's mistakes; it lists coordinates itself.
+    assert enumeration_calls(ORACLES.read_text(encoding="utf-8")) == []
+
+
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
