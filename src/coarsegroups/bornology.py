@@ -4,14 +4,13 @@ A bornology is handled through a deterministic stream of finite basis sets
 B_1, B_2, ...  Membership of a finite query set is semi-decided: "member"
 verdicts come with a verified cover, "not covered at this depth" is never a
 proof of non-membership.  Streams are lazy: a set is built the first time it
-is drawn, and membership draws only until it has an answer.  A metric ball
-is tested by distance and built only when iterated.
+is drawn, and membership draws only until it has an answer.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Set
+from collections.abc import Iterator
 
 from .groups import GroupSpec, Integers, _Value, check_set_size, set_size_cap
 from .metrics import HORIZON, MetricEvaluator
@@ -85,63 +84,6 @@ class MinimalBasis(BornologyBasis):
     def iter_sets(self) -> Iterator[frozenset]:
         for g in self.spec.sphere_stream():
             yield frozenset([g])
-
-
-class _Ball(Set):
-    """{g : d(e, g) <= n}: membership by distance, elements built on iteration.
-
-    A non-element is in no ball.  A word metric past its radius cap reads
-    HORIZON; membership then reads the built `metric.ball(n)`.
-    """
-
-    _from_iterable = frozenset  # `&`, `|` and `-` give frozensets
-
-    def __init__(self, metric: MetricEvaluator, n: int):
-        self.metric, self.n, self._elements = metric, n, None
-
-    def _built(self) -> frozenset:
-        if self._elements is None:
-            self._elements = self.metric.ball(self.n)
-        return self._elements
-
-    def __contains__(self, g) -> bool:
-        spec = self.metric.spec
-        try:
-            spec.check_element(g)
-        except TypeError:
-            return False
-        d = self.metric.eval(spec.identity(), g)
-        return g in self._built() if d is HORIZON else d <= self.n
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self._built())
-
-
-class MetricBallsBasis(BornologyBasis):
-    """B_n = {g : d(e, g) <= n} for a metric on the group.
-
-    Each ball is tested by distance.  Its elements come from the metric's
-    `ball(n)` (the word ball of a word metric, or the max-entry cube on Z^n
-    and H) and are built only when the ball is iterated; iterating a ball
-    of any other metric raises NotImplementedError.
-    """
-
-    def __init__(self, metric: MetricEvaluator):
-        self.metric = metric
-        self.spec = metric.spec
-        self._cache: list[_Ball] = []
-
-    def _materialize(self, n: int) -> _Ball:
-        return _Ball(self.metric, n)
-
-    def iter_sets(self) -> Iterator[frozenset]:
-        for n in itertools.count(1):
-            if len(self._cache) < n:
-                self._cache.append(self._materialize(n))
-            yield self._cache[n - 1]
 
 
 class GeneratedBasis(BornologyBasis):

@@ -19,15 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .groups import (
-    HORIZON,
-    BudgetExceededError,
-    FreeAbelian,
-    GroupSpec,
-    Heisenberg,
-    ball_size_cap,
-    shell_key,
-)
+from .groups import HORIZON, BudgetExceededError, GroupSpec, shell_key
 
 
 def classify_trend(values: list) -> str:
@@ -125,12 +117,6 @@ class MetricEvaluator:
         """[d(g, h) for h in hs], in the order of `hs`."""
         return [self.eval(g, h) for h in hs]
 
-    def ball(self, n: int) -> frozenset:
-        """{g : d(e, g) <= n}, where the metric has a closed form for it."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no ball on a {self.spec.kind} group"
-        )
-
     def diameter(self, elements):
         """Max pairwise distance over a finite set; HORIZON-propagating."""
         elements = list(elements)
@@ -174,26 +160,12 @@ class WordMetric(InducedMetric):
             if hasattr(closed, "diameter"):
                 self.diameter = closed.diameter
 
-    def ball(self, n: int) -> frozenset:
-        # The word ball itself, exact past radius_cap where eval is HORIZON.
-        return frozenset(self.spec.ball(n))
-
 
 class MaxEntryMetric(MetricEvaluator):
     """Entrywise max distance on Heisenberg matrices (not left-invariant)."""
 
     def eval(self, g, h):
         return max_entry_distance(g, h)
-
-    def ball(self, n: int) -> frozenset:
-        # On Z^n and the Heisenberg triples the coordinates are the entries,
-        # so the ball is the cube [-n, n]^rank; residues of Z/k are not.
-        if not isinstance(self.spec, (FreeAbelian, Heisenberg)):
-            return super().ball(n)
-        rank, cap = self.spec.rank, ball_size_cap()
-        if (2 * n + 1) ** rank > cap:
-            raise BudgetExceededError(f"box exceeded size cap {cap}")
-        return frozenset(itertools.product(range(-n, n + 1), repeat=rank))
 
 
 class Entry12Pseudometric(MetricEvaluator):

@@ -16,7 +16,6 @@ from .bornology import (
     GeneratedBasis,
     Explicit,
     GeometricSeed,
-    MetricBallsBasis,
     MinimalBasis,
     member,
 )
@@ -123,16 +122,18 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
         a, b = heisenberg_pair(n)
         return [(b, a)]
 
-    metric_verdict = controlled_probe(near_diagonal_pairs, BoundedByMetric(maxentry), horizon)
+    bounded = BoundedByMetric(maxentry)
+    metric_verdict = controlled_probe(near_diagonal_pairs, bounded, horizon)
     report.check(
         "trend under the bounded structure of the max-entry metric",
         "bounded",
         metric_verdict.trend,
         PAPER,
     )
-    basis = MetricBallsBasis(maxentry)
+    # Left bornological for the metric's bounded sets exactly when the left shadows are bounded.
+    e = spec.identity()
     born_verdict = controlled_probe(
-        near_diagonal_pairs, LeftBornological(basis, depth_cap=horizon + 2), horizon
+        lambda n: [(e, s) for s in spec.left_shadow(near_diagonal_pairs(n))], bounded, horizon
     )
     report.check(
         "trend under the left bornological structure",

@@ -59,31 +59,3 @@ def cube(radius, rank):
     """The integer points of [-radius, radius]^rank, in lexicographic order."""
     return list(itertools.product(range(-radius, radius + 1), repeat=rank))
 
-
-def scan_ball(metric, n, radius_cap=None):
-    """{g : d(e, g) <= n}, by scanning coordinate cubes of the rank of
-    `metric.spec`: every element on Z^n and the Heisenberg triples.
-
-    The cube radius doubles until one doubling adds nothing.  A distance
-    that is not an int is a HORIZON marker, past `radius_cap`: outside the
-    ball when n <= radius_cap; otherwise (or with no cap given) its
-    membership is unknown and the scan raises ValueError.
-    """
-    spec = metric.spec
-    e = spec.identity()
-    radius = max(4, n + 1)
-    prev = None
-    while True:
-        current = set()
-        for g in cube(radius, spec.rank):
-            d = metric.eval(e, g)
-            if isinstance(d, int):
-                if d <= n:
-                    current.add(g)
-            elif radius_cap is None or n > radius_cap:
-                raise ValueError(f"ball({n}) needs a distance past radius cap {radius_cap} at {g}")
-        current = frozenset(current)
-        if current == prev:
-            return current
-        prev = current
-        radius *= 2

@@ -12,22 +12,17 @@ from coarsegroups.bornology import (
     Explicit,
     GeneratedBasis,
     GeometricSeed,
-    MetricBallsBasis,
     MinimalBasis,
     member,
     member_depth,
     metric_from_basis,
 )
 from coarsegroups.groups import BudgetExceededError, GroupSpec, Integers
-from coarsegroups.metrics import HORIZON, MaxEntryMetric, QuotientWordMetric, WordMetric
-
-from oracles import cube, heis_max_entry_norm, scan_ball
+from coarsegroups.metrics import HORIZON, QuotientWordMetric
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
 H = GroupSpec.heisenberg()
-# Shared across Hypothesis examples so its balls are built once.
-MAX_ENTRY_BALLS = MetricBallsBasis(MaxEntryMetric(H))
 
 
 def sym_power(spec, base, n):
@@ -157,49 +152,6 @@ class TestStreams:
         basis = MinimalBasis(H)
         assert basis.sets(10) == basis.sets(15)[:10]
         assert list(itertools.islice(basis.iter_sets(), 10)) == basis.sets(10)
-
-    def test_metric_balls_word_metric(self):
-        basis = MetricBallsBasis(WordMetric(Z))
-        assert basis.sets(2) == [
-            frozenset([(-1,), (0,), (1,)]),
-            frozenset((i,) for i in range(-2, 3)),
-        ]
-
-    def test_metric_balls_max_entry_heisenberg(self):
-        basis = MetricBallsBasis(MaxEntryMetric(H))
-        b1 = basis.sets(1)[0]
-        assert b1 == frozenset(cube(1, 3))
-
-    def test_metric_balls_max_entry_match_the_scan(self):
-        metric = MaxEntryMetric(H)
-        scanned = [scan_ball(metric, n) for n in range(1, 13)]
-        assert MetricBallsBasis(metric).sets(12) == scanned
-
-    def test_metric_balls_max_entry_make_no_evaluations(self, monkeypatch):
-        calls = []
-        original = MaxEntryMetric.eval
-
-        def counted(self, g, h):
-            calls.append((g, h))
-            return original(self, g, h)
-
-        monkeypatch.setattr(MaxEntryMetric, "eval", counted)
-        sets = MetricBallsBasis(MaxEntryMetric(H)).sets(12)
-        assert len(sets[-1]) == 25**3
-        assert calls == []
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),
-            max_size=6,
-        ),
-        st.integers(1, 10),
-    )
-    def test_max_entry_member_depth_is_the_norm(self, elements, depth_cap):
-        expected = max([1] + [heis_max_entry_norm(g) for g in elements])
-        got = member_depth(MAX_ENTRY_BALLS, elements, depth_cap)
-        assert got == (expected if expected <= depth_cap else HORIZON)
 
     def test_generated_seed_first(self):
         basis = GeneratedBasis(Z, [GeometricSeed(10, 3)])
@@ -467,10 +419,6 @@ class TestMember:
         "basis,queries",
         [
             (
-                MAX_ENTRY_BALLS,
-                [[(1, 0, 0), (0, 2, -1)], [(0, 0, 0)], [(3, -1, 2), (20, 0, 0)]],
-            ),
-            (
                 GeneratedBasis(Z, [GeometricSeed(10, 6)]),
                 [
                     [(0,), (10,), (100,)],
@@ -481,7 +429,7 @@ class TestMember:
             ),
             (MinimalBasis(Z), [[(0,)], [(2,), (-1,)], [(1,), (50,)]]),
         ],
-        ids=["max_entry_balls", "geom:10,6", "minimal"],
+        ids=["geom:10,6", "minimal"],
     )
     @pytest.mark.parametrize("depth_cap", [0, 1, 5, 12])
     def test_member_depth_matches_the_union_form(self, basis, queries, depth_cap):
@@ -512,86 +460,6 @@ class TestMember:
         assert member(basis, query, d).is_member
         if d > 1 and len(query) > 1:
             assert not member(basis, query, d - 1).is_member
-
-
-# Metrics whose balls `TestLazyBalls` compares with the materialized
-# `metric.ball(n)`: (metric, largest n).  The word metric of Z with radius
-# cap 3 reads HORIZON past 3, so its balls up to 6 read the built ball.
-LAZY_BALL_METRICS = {
-    "max-entry-H": (MaxEntryMetric(H), 5),
-    "max-entry-Z2": (MaxEntryMetric(Z2), 8),
-    "word-Z-cap3": (WordMetric(Z, radius_cap=3), 6),
-    "word-Z/5": (WordMetric(GroupSpec.cyclic(5)), 4),
-}
-
-
-class MaterializedBalls(MetricBallsBasis):
-    """The metric balls as frozensets, each built whole when drawn."""
-
-    def iter_sets(self):
-        for n in itertools.count(1):
-            yield frozenset(self.metric.ball(n))
-
-
-def elements_and_non_elements(spec, reach):
-    """Group elements with coordinates in [-reach, reach], and values that
-    are not elements: tuples of the wrong length, unreduced residues of
-    Z/k, and hashable non-tuples."""
-    coords = st.integers(-reach, reach)
-    vector = st.tuples(*[coords] * spec.rank)
-    wrong_length = st.lists(coords, max_size=4).filter(lambda v: len(v) != spec.rank)
-    non_elements = [wrong_length.map(tuple), st.integers(-3, 3), st.none(), st.text(max_size=2)]
-    if spec.kind == "cyclic":
-        non_elements.append(vector.filter(lambda g: g != spec._reduce(g)))
-        vector = vector.map(spec._reduce)
-    return vector, st.one_of(non_elements)
-
-
-class TestLazyBalls:
-    @pytest.mark.parametrize("name", LAZY_BALL_METRICS)
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_membership_is_set_membership(self, name, data):
-        metric, top = LAZY_BALL_METRICS[name]
-        n = data.draw(st.integers(1, top), label="n")
-        g = data.draw(st.one_of(elements_and_non_elements(metric.spec, top + 2)), label="g")
-        ball = MetricBallsBasis(metric).sets(n)[-1]
-        assert (g in ball) == (g in metric.ball(n))
-
-    @pytest.mark.parametrize("name", LAZY_BALL_METRICS)
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_member_verdicts_match_the_materialized_basis(self, name, data):
-        metric, top = LAZY_BALL_METRICS[name]
-        # A non-element is in no ball, so at most one joins the query.
-        elements, non_elements = elements_and_non_elements(metric.spec, top)
-        query = data.draw(st.lists(elements, max_size=4), label="query")
-        query += data.draw(st.lists(non_elements, max_size=1), label="non-element")
-        depth = data.draw(st.integers(0, top), label="depth")
-        lazy, built = MetricBallsBasis(metric), MaterializedBalls(metric)
-        assert member_depth(lazy, query, depth) == member_depth(built, query, depth)
-        got, want = member(lazy, query, depth), member(built, query, depth)
-        assert vars(got) == vars(want)
-
-    def test_membership_builds_no_ball(self, monkeypatch):
-        def refuse(self, n):
-            raise AssertionError("ball built")
-
-        monkeypatch.setattr(MaxEntryMetric, "ball", refuse)
-        basis = MetricBallsBasis(MaxEntryMetric(H))
-        assert member_depth(basis, [(3, -1, 2), (0, 7, 0)], depth_cap=12) == 7
-        assert member_depth(basis, [(30, 0, 0)], depth_cap=12) is HORIZON
-        assert not member(basis, [(0, 0, 13), (1, 1, 1)], depth=12).is_member
-
-    def test_iterating_past_the_ball_cap_raises(self, monkeypatch):
-        # B_3 is the box of 7^3 = 343 triples, past a ball cap of 100:
-        # membership still answers, building it raises on every try.
-        monkeypatch.setenv("COARSE_BALL_CAP", "100")
-        ball = MetricBallsBasis(MaxEntryMetric(H)).sets(3)[-1]
-        assert (3, -3, 1) in ball and (4, 0, 0) not in ball
-        for build in (len, list, len):
-            with pytest.raises(BudgetExceededError, match="box exceeded size cap 100"):
-                build(ball)
 
 
 class TestChainMetric:

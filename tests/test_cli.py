@@ -372,8 +372,8 @@ class TestExitCodes:
         assert capsys.readouterr() == uncapped
 
     def test_separation_builds_no_ball_under_a_small_cap(self, capsys, monkeypatch):
-        # Its metric balls are tested by distance, never built: the box of
-        # radius 11 (12,167 triples) would pass a ball cap of 100.
+        # Both its probes read max-entry distances and list no ball, so a
+        # ball cap of 100 leaves the report as it is.
         assert main(["run", "heisenberg_separation"]) == 0
         uncapped = capsys.readouterr()
         monkeypatch.setenv("COARSE_BALL_CAP", "100")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegroups.bornology import MetricBallsBasis, MinimalBasis, member_depth
+from coarsegroups.bornology import MinimalBasis, member_depth
 from coarsegroups.coarse import (
     BoundedByMetric,
     BoundedSetReport,
@@ -27,7 +27,7 @@ from coarsegroups.metrics import (
     ladder_prefixes,
 )
 
-from oracles import cube
+from oracles import cube, heis_max_entry_norm
 
 Z = GroupSpec.free_abelian(1)
 Z2 = GroupSpec.free_abelian(2)
@@ -98,6 +98,19 @@ class TestShadows:
         assert right_shadow(H, translate(H, g, e)) != right_shadow(H, e)
 
 
+def shadow_pairs(spec, ladder) -> list:
+    """Each collection of `ladder` as the pairs (e, s), s in its left shadow
+    {x^-1 y}: under a metric's bounded structure their value is the largest
+    d(e, x^-1 y), the left bornological reading of the collection."""
+    e = spec.identity()
+    return [[(e, s) for s in spec.left_shadow(pairs)] for pairs in ladder]
+
+
+def near_diagonal(n):
+    """Max-entry-close pairs (a_k, b_k), k = 1..n, whose left shadows grow."""
+    return [((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)]
+
+
 class TestControlledProbe:
     def test_bounded_family_under_word_metric(self):
         def shift_by_2(n):
@@ -115,19 +128,35 @@ class TestControlledProbe:
         assert verdict.trend == "growing"
 
     def test_near_diagonal_heisenberg_left_shadow_grows(self):
-        # max-entry-close pairs whose left shadows need ever deeper covers
-        def fam(n):
-            return [((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)]
-
-        basis = MetricBallsBasis(MaxEntryMetric(H))
-        metric_verdict = controlled_probe(
-            fam, BoundedByMetric(MaxEntryMetric(H)), horizon=6
-        )
+        # a_k^-1 b_k = (1, 1, -k), at max-entry norm k.  The max-entry metric
+        # is not left-invariant, so the shadow pairs read apart from the pairs.
+        structure = BoundedByMetric(MaxEntryMetric(H))
+        metric_verdict = controlled_probe(near_diagonal, structure, horizon=6)
         shadow_verdict = controlled_probe(
-            fam, LeftBornological(basis, depth_cap=10), horizon=6
+            lambda n: shadow_pairs(H, [near_diagonal(n)])[0], structure, horizon=6
         )
-        assert metric_verdict.trend == "bounded"
-        assert shadow_verdict.trend == "growing"
+        assert (metric_verdict.per_index, metric_verdict.trend) == ([1] * 6, "bounded")
+        assert (shadow_verdict.per_index, shadow_verdict.trend) == ([1, 2, 3, 4, 5, 6], "growing")
+
+
+class TestShadowPairs:
+    """A metric's values over the pairs (e, s), s in a left shadow."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(triples, max_size=6))
+    def test_max_entry_value_is_the_norm(self, S):
+        e = H.identity()
+        values = BoundedByMetric(MaxEntryMetric(H)).values([[(e, s) for s in S]])
+        assert values == [max(map(heis_max_entry_norm, S), default=0)]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_left_invariant_metric_reads_the_same(self, data):
+        # d(x, y) = d(e, x^-1 y) for a left-invariant metric: the shadow
+        # pairs and the pairs themselves read alike.
+        structure = BoundedByMetric(WordMetric(H))
+        ladder = data.draw(st.lists(st.lists(heis_pairs, max_size=6), max_size=6))
+        assert structure.values(shadow_pairs(H, ladder)) == structure.values(ladder)
 
 
 def one_at_a_time(structure, ladder) -> list:
@@ -187,16 +216,12 @@ class TestLadderValues:
             # an empty shadow is covered at depth 1, the shadow 50 past 20.
             assert values == [10, 1, 14, HORIZON, 2, 1, 4, 17]
 
-    @pytest.mark.parametrize("name", list(STRUCTURES) + ["H-maxentry", "H-balls"])
+    @pytest.mark.parametrize("name", list(STRUCTURES) + ["H-maxentry"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_ladders(self, name, data):
-        if name.startswith("H"):
-            basis = MetricBallsBasis(MaxEntryMetric(H))
-            structure = (
-                BoundedByMetric(MaxEntryMetric(H)) if name == "H-maxentry" else LeftBornological(basis, 6)
-            )
-            points = triples
+        if name == "H-maxentry":
+            structure, points = BoundedByMetric(MaxEntryMetric(H)), triples
         else:
             structure = self.STRUCTURES[name]()
             points = st.tuples(st.integers(-8, 8))

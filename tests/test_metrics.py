@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarsegroups import groups, metrics
-from coarsegroups.bornology import MetricBallsBasis, member_depth
-from coarsegroups.groups import BudgetExceededError, GroupSpec
+from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -28,11 +27,9 @@ from oracles import (
     bfs_distances,
     cayley_adjacency,
     cube,
-    heis_max_entry_norm,
     heis_to_matrix,
     matinv_unitriangular,
     matmul3,
-    scan_ball,
 )
 
 Z = GroupSpec.free_abelian(1)
@@ -40,6 +37,7 @@ Z2 = GroupSpec.free_abelian(2)
 H = GroupSpec.heisenberg()
 
 triples = st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9))
+entry_triples = st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8))
 
 
 class TestWordDistance:
@@ -104,83 +102,17 @@ class TestMaxEntryDistance:
         assert m.eval(a1, b1) == 1
         assert m.eval(H.mul(g, a1), H.mul(g, b1)) == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(entry_triples, st.lists(entry_triples, max_size=6))
+    def test_matches_the_matrix_oracle(self, g, hs):
+        # The largest |entry| of the difference of the two matrices.
+        def oracle(x, y):
+            mx, my = heis_to_matrix(x), heis_to_matrix(y)
+            return max(abs(mx[i][j] - my[i][j]) for i in range(3) for j in range(3))
 
-class TestMetricBall:
-    @pytest.mark.parametrize("n", range(7))
-    def test_heisenberg_max_entry_ball_matches_matrix_oracle(self, n):
-        window = itertools.product(range(-n - 2, n + 3), repeat=3)
-        expected = {g for g in window if heis_max_entry_norm(g) <= n}
-        assert MaxEntryMetric(H).ball(n) == expected
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_grid_max_entry_ball_matches_filter(self, n):
-        square = itertools.product(range(-n - 2, n + 3), repeat=2)
-        expected = {g for g in square if max(map(abs, g)) <= n}
-        assert MaxEntryMetric(Z2).ball(n) == expected
-
-    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
-    @pytest.mark.parametrize("n", range(5))
-    def test_max_entry_ball_is_the_oracle_cube(self, spec, n):
-        assert MaxEntryMetric(spec).ball(n) == frozenset(cube(n, spec.rank))
-
-    def test_max_entry_ball_cap(self, monkeypatch):
-        # The cube of radius n holds (2n + 1)^rank elements: one at the cap
-        # is built, one past it raises before any element is listed.
-        monkeypatch.setenv("COARSE_BALL_CAP", "27")
-        assert len(MaxEntryMetric(H).ball(1)) == 27
-        assert len(MaxEntryMetric(Z2).ball(2)) == 25
-        for spec, n in [(H, 2), (Z2, 3), (Z, 14), (H, 10**9)]:
-            with pytest.raises(BudgetExceededError, match="^box exceeded size cap 27$"):
-                MaxEntryMetric(spec).ball(n)
-
-    @pytest.mark.parametrize(
-        "metric",
-        [
-            # Z^2 modulo the lattice 3Z x 5Z.
-            MaxEntryMetric(GroupSpec.direct_product(GroupSpec.cyclic(3), GroupSpec.cyclic(5))),
-            MaxEntryMetric(GroupSpec.direct_product(Z, GroupSpec.cyclic(3))),
-            MaxEntryMetric(GroupSpec.cyclic(5)),
-            QuotientWordMetric(5),
-            Entry12Pseudometric(H),
-        ],
-        ids=[
-            "max-entry-Z2/lattice",
-            "max-entry-ZxZ/3",
-            "max-entry-Z/5",
-            "quotient-word-Z/5",
-            "entry12-H",
-        ],
-    )
-    def test_no_closed_form_raises(self, metric):
-        name, kind = type(metric).__name__, metric.spec.kind
-        with pytest.raises(NotImplementedError, match=f"^{name} has no ball on a {kind} group$"):
-            metric.ball(1)
-
-    def test_no_closed_form_ball_is_tested_by_distance(self):
-        # Membership reads |a|; only iterating the ball needs `ball(n)`.
-        basis = MetricBallsBasis(Entry12Pseudometric(H))
-        assert member_depth(basis, [(3, 100, -7), (-1, 0, 9)], depth_cap=5) == 3
-        assert member_depth(basis, [(6, 0, 0)], depth_cap=5) is HORIZON
-        ball = basis.sets(2)[-1]
-        assert (2, -50, 50) in ball and (3, 0, 0) not in ball
-        message = "^Entry12Pseudometric has no ball on a heisenberg group$"
-        for build in (list, len):
-            with pytest.raises(NotImplementedError, match=message):
-                build(ball)
-
-
-class TestWordMetricBall:
-    def test_exact_past_radius_cap(self):
-        # The HORIZON-dropping scan stopped at the cap: 3, 5, 7, 7, 7, 7.
-        basis = MetricBallsBasis(WordMetric(Z, radius_cap=3))
-        assert [len(b) for b in basis.sets(6)] == [3, 5, 7, 9, 11, 13]
-        assert WordMetric(Z, radius_cap=3).ball(5) == frozenset((i,) for i in range(-5, 6))
-
-    @pytest.mark.parametrize("spec", [Z2, H], ids=["Z2", "H"])
-    @pytest.mark.parametrize("n", range(5))
-    def test_matches_the_scan(self, spec, n):
-        m = WordMetric(spec)
-        assert m.ball(n) == scan_ball(m, n, radius_cap=64)
+        m = MaxEntryMetric(H)
+        expected = [oracle(g, h) for h in hs]
+        assert [m.eval(g, h) for h in hs] == m.distances(g, hs) == expected
 
 
 class TestQuotientDistance:

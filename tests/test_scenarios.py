@@ -80,16 +80,28 @@ def test_separation_rows_cover_range():
     assert [r["shadow_norm"] for r in report.rows] == list(range(2, 14))
 
 
-def test_separation_builds_no_box(monkeypatch):
-    # Its cover depths are read off max-entry distances: with every
-    # max-entry cube refused, the report bytes are still the frozen ones.
-    def refuse(self, n):
-        raise AssertionError(f"max-entry ball of radius {n} built")
-
-    monkeypatch.setattr(MaxEntryMetric, "ball", refuse)
+def test_separation_lists_no_ball(monkeypatch):
+    # Both probes read distances: under a ball cap of one element, which
+    # every ball of positive radius passes, the report is the frozen one.
+    monkeypatch.setenv("COARSE_BALL_CAP", "1")
     report = run_scenario("heisenberg_separation")
     [frozen] = [row[3:] for row in FROZEN if row[:2] == ("heisenberg_separation", {})]
     assert (_sha256(report_to_json(report)), _sha256(report_to_tsv(report))) == frozen
+
+
+def test_separation_left_structure_reads_left_shadows(monkeypatch):
+    # With the right shadow {x y^-1} in place of the left one, (b_n, a_n)
+    # reads (1, 1, 0) at every n: exactly the left-structure trend fails.
+    assert "left_shadow" not in vars(Heisenberg)
+
+    def right_shadow(self, pairs):
+        return {self.mul(x, self.inv(y)) for x, y in pairs}
+
+    monkeypatch.setattr(GroupSpec, "left_shadow", right_shadow)
+    report = run_scenario("heisenberg_separation")
+    failed = [(a.description, a.observed) for a in report.assertions if not a.passed]
+    assert failed == [("trend under the left bornological structure", "bounded")]
+    assert len(report.assertions) == 5
 
 
 @pytest.mark.parametrize("k", [2, 3, 10])
