@@ -56,15 +56,15 @@ class BoundedByMetric:
 
 
 class LeftBornological:
-    """Controlled = left shadow {x^-1 y} bounded; observed = its cover depth."""
+    """Controlled = left shadow {x^-1 y} bounded; observed = its cover depth
+    among the first 16 basis sets, HORIZON past them."""
 
-    def __init__(self, basis: BornologyBasis, depth_cap: int = 16):
+    def __init__(self, basis: BornologyBasis):
         self.basis = basis
-        self.depth_cap = depth_cap
 
     def values(self, ladder) -> list:
         shadow = self.basis.spec.left_shadow
-        return [member_depth(self.basis, shadow(p), self.depth_cap) for p in ladder]
+        return [member_depth(self.basis, shadow(p), 16) for p in ladder]
 
 
 class ControlledVerdict:

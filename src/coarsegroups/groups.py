@@ -27,8 +27,8 @@ shift-or per element, when the sums span fewer values than there are pairs and
 no more than the cap, plain sums per pair otherwise.  Every other kind inherits
 the bodies built on `mul` and `inv`.  `abelian` holds where `mul` commutes.
 
-Word spheres come from a breadth-first search, except on Z and Z/k with
-the generator (1,), which list them directly; the Heisenberg ball of
+Word spheres come from a breadth-first search, except on Z with the
+generator (1,), which lists them directly; the Heisenberg ball of
 (1,0,0), (0,1,0) is listed column by column from Blachère's formula.
 
 Specs are values (base `_Value`): equal, and hashing alike, when of one
@@ -141,14 +141,10 @@ def _units(rank: int) -> tuple:
 class _Horizon:
     """Marker returned when a truncated evaluation passes its radius cap."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
+        return "HORIZON"
+
+    def __reduce__(self):
         return "HORIZON"
 
 
@@ -174,8 +170,8 @@ class GroupSpec(_Value):
     `abelian` is True exactly when `mul` commutes.
 
     Word balls, the element stream and word-norm tables come from
-    `spheres()`, a breadth-first search that `Integers` and Z/k with (1,)
-    replace by closed forms, or, for the Heisenberg ball, from
+    `spheres()`, a breadth-first search that `Integers` with (1,) replaces
+    by a closed form, or, for the Heisenberg ball, from
     `word_ball(radius)`.  `COARSE_BALL_CAP` is the only size cap of balls
     and streams, and every path refuses the same radius with the same
     message.  Closed-form word distances, and the diameter kernel of Z in
@@ -402,22 +398,16 @@ class Integers(FreeAbelian):
 
     def spheres(self) -> Iterator[list]:
         if self.generating_set != ((1,),):
-            return super().spheres()
-        return _capped_spheres([(k,), (-k,)] for k in itertools.count(1))
-
-
-def _capped_spheres(rest: Iterator[list]) -> Iterator[list]:
-    """[(0,)], then the closed-form spheres S_1, S_2, ... of `rest` on Z or
-    Z/k, with the cap check of `GroupSpec.spheres`: it raises instead of
-    yielding the first sphere that takes the ball past `COARSE_BALL_CAP`."""
-    cap = ball_size_cap()
-    yield [(0,)]
-    size = 1
-    for sphere in rest:
-        size += len(sphere)
-        if size > cap:
-            raise _ball_cap_error(cap)
-        yield sphere
+            yield from super().spheres()
+            return
+        # The cap check of `GroupSpec.spheres`: S_k = [(k,), (-k,)] takes the
+        # ball to 2k + 1 elements, and the first S_k past the cap raises.
+        cap = ball_size_cap()
+        yield [(0,)]
+        for k in itertools.count(1):
+            if 2 * k + 1 > cap:
+                raise _ball_cap_error(cap)
+            yield [(k,), (-k,)]
 
 
 def _sum_offsets(xs: list, ys: list) -> Iterator[int]:
@@ -593,12 +583,6 @@ class Cyclic(GroupSpec):
 
     def inv(self, g):
         return (-g[0] % self.modulus,)
-
-    def spheres(self) -> Iterator[list]:
-        if self.generating_set != ((1,),):
-            return super().spheres()
-        k = self.modulus
-        return _capped_spheres([(j,), (k - j,)] if 2 * j < k else [(j,)] for j in range(1, k // 2 + 1))
 
     def word_distance(self, cap: int):
         if self.generating_set != ((1,),):

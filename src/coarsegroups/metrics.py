@@ -180,28 +180,28 @@ class Entry12Pseudometric(MetricEvaluator):
 
 
 class QuotientWordMetric(MetricEvaluator):
-    """Pullback of the word metric of Z/|k| along Z -> Z/kZ.
+    """Pullback of the word metric `word` of Z/|k| along Z -> Z/kZ.
 
     A pseudometric on the integers: elements of the same coset are at
-    distance zero. No distance is HORIZON: the cap is |k| // 2, the largest
-    distance in Z/|k|.
+    distance zero. No distance is HORIZON: the cap of `word` is |k| // 2,
+    the largest distance in Z/|k|.
     """
 
     def __init__(self, k: int):
         self.spec = GroupSpec.free_abelian(1)
         self.quotient = GroupSpec.cyclic(abs(k))
-        self._word = WordMetric(self.quotient, radius_cap=abs(k) // 2)
+        self.word = WordMetric(self.quotient, radius_cap=abs(k) // 2)
 
     def project(self, g):
         return self.quotient._reduce(g)
 
     def eval(self, g, h):
-        return self._word.eval(self.project(g), self.project(h))
+        return self.word.eval(self.project(g), self.project(h))
 
     def diameter(self, elements):
         # Same-coset points are at distance 0, so one point per coset gives
         # the same maximum (and the same HORIZON) as all pairs.
-        return self._word.diameter({self.project(g) for g in elements})
+        return self.word.diameter({self.project(g) for g in elements})
 
 
 # -- derived operations ----------------------------------------------

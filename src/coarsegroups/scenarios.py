@@ -16,7 +16,6 @@ from .bornology import (
     GeneratedBasis,
     Explicit,
     GeometricSeed,
-    MinimalBasis,
     member,
 )
 from .coarse import (
@@ -247,7 +246,9 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     seed = Explicit(tuple((k * i,) for i in range(-m, m + 1)))
     domain_basis = GeneratedBasis(zspec, [seed])
     cyclic = qm.quotient
-    codomain_basis = MinimalBasis(cyclic)
+    # The finite sets of Z/k are the bounded sets of its word metric, and a
+    # left-invariant metric bounds exactly the pairs with finite left shadows.
+    finite = BoundedByMetric(qm.word)
 
     def coset_jumps(n):
         return [((0,), (k * n,))]
@@ -255,7 +256,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     probe_pi = coarse_map_probe(
         qm.project,
         domain=LeftBornological(domain_basis),
-        codomain=LeftBornological(codomain_basis, depth_cap=k + 2),
+        codomain=finite,
         families=[coset_jumps],
         bounded_samples=[frozenset([(r,)]) for r in range(k)],
         domain_truncation=truncation,
@@ -270,7 +271,7 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
     # The section sends the residue (r,) to the integer (r,).
     probe_section = coarse_map_probe(
         _identity,
-        domain=LeftBornological(codomain_basis, depth_cap=k + 2),
+        domain=finite,
         codomain=LeftBornological(domain_basis),
         families=[adjacent_residues],
         bounded_samples=[frozenset([(i,) for i in range(-k, k + 1)])],

@@ -80,7 +80,8 @@ class TestShadows:
 
     def test_left_shadows_are_the_group_hook(self, monkeypatch):
         # `LeftBornological` reads the one shadow body of the kind,
-        # `GroupSpec.left_shadow`.
+        # `GroupSpec.left_shadow`.  The shadow {99} lies past the first 16
+        # sets of the minimal basis, 0, 1, -1, ..., 8, so it reads HORIZON.
         seen = []
 
         def hook(spec, pairs):
@@ -89,7 +90,7 @@ class TestShadows:
 
         monkeypatch.setattr(Integers, "left_shadow", hook)
         pairs = [((0,), (1,))]
-        assert LeftBornological(MinimalBasis(Z), depth_cap=3).values([pairs]) == [HORIZON]
+        assert LeftBornological(MinimalBasis(Z)).values([pairs]) == [HORIZON]
         assert seen == [pairs]
 
     def test_right_shadow_not_translation_invariant(self):
@@ -169,7 +170,7 @@ def one_at_a_time(structure, ladder) -> list:
             out.append(HORIZON if HORIZON in row else max(row, default=0))
         else:
             shadow = structure.basis.spec.left_shadow(e)
-            out.append(member_depth(structure.basis, shadow, structure.depth_cap))
+            out.append(member_depth(structure.basis, shadow, 16))
     return out
 
 
@@ -200,7 +201,7 @@ class TestLadderValues:
 
     STRUCTURES = {
         "word": lambda: BoundedByMetric(WordMetric(Z, radius_cap=10)),
-        "minimal": lambda: LeftBornological(MinimalBasis(Z), depth_cap=20),
+        "minimal": lambda: LeftBornological(MinimalBasis(Z)),
     }
 
     @pytest.mark.parametrize("name", list(STRUCTURES))
@@ -213,8 +214,11 @@ class TestLadderValues:
             assert values == [5, 0, 7, HORIZON, 1, 0, 2, 8]
         else:
             # Cover depths of the shadows in the stream 0, 1, -1, 2, -2, ...:
-            # an empty shadow is covered at depth 1, the shadow 50 past 20.
-            assert values == [10, 1, 14, HORIZON, 2, 1, 4, 17]
+            # an empty shadow is covered at depth 1; the shadows 50 and -8,
+            # the 17th set, lie past the first 16 sets.
+            assert values == [10, 1, 14, HORIZON, 2, 1, 4, HORIZON]
+            # The 16th set, {8}, is the last one read.
+            assert structure.values([[((0,), (8,))], [((8,), (0,))]]) == [16, HORIZON]
 
     @pytest.mark.parametrize("name", list(STRUCTURES) + ["H-maxentry"])
     @given(data=st.data())
@@ -567,7 +571,8 @@ class TestMapProbes:
 
     def test_collapse_map_fails_properness_through_a_bornological_overflow(self):
         # The collapse pulls {0} back to all of [-30, 30], whose left shadow
-        # the first 4 minimal basis sets do not cover: its depth is HORIZON.
+        # [0, 60] the first 16 minimal basis sets, 0, 1, -1, ..., 8, do not
+        # cover: its depth is HORIZON.
         # The identity pulls it back to {0}, covered at depth 1.
         def fam(n):
             return [((0,), (1,))]
@@ -575,7 +580,7 @@ class TestMapProbes:
         def probe(f):
             return map_probe(
                 f,
-                domain=LeftBornological(MinimalBasis(Z), depth_cap=4),
+                domain=LeftBornological(MinimalBasis(Z)),
                 codomain=BoundedByMetric(WordMetric(Z)),
                 families=[fam],
                 bounded_samples=[{(0,)}],

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coarsegroups import groups
+from coarsegroups import groups, metrics
 from coarsegroups.bornology import Explicit, GeometricSeed
 from coarsegroups.groups import (
     BudgetExceededError,
@@ -427,8 +427,8 @@ C7 = GroupSpec.cyclic(7)
 
 
 class TestClosedForms:
-    """The Heisenberg ball and the spheres of Z and Z/k, listed without a
-    search, against the breadth-first search and the Cayley-graph oracle."""
+    """The Heisenberg ball and the spheres of Z, listed without a search,
+    against the breadth-first search and the Cayley-graph oracle."""
 
     @pytest.mark.parametrize("r", range(13))
     def test_heisenberg_ball_is_the_bfs_ball(self, r):
@@ -468,7 +468,7 @@ class TestClosedForms:
         "spec, ball_searched, stream_searched",
         [
             (Z, False, False),
-            (C7, False, False),
+            (C7, True, True),
             (H, False, True),
             (Z2, True, True),
             (SPHERE_CASES["Z-2-3"][0], True, True),
@@ -479,7 +479,8 @@ class TestClosedForms:
     )
     def test_only_the_standard_generators_skip_the_search(self, spec, ball_searched, stream_searched, monkeypatch):
         # The search calls `mul` once per element and generator; a closed
-        # form calls it never.  The Heisenberg spheres stay a search.
+        # form calls it never.  The spheres of Z/k and the Heisenberg group
+        # stay a search.
         calls = []
         mul = type(spec).mul
 
@@ -819,3 +820,13 @@ class TestValueSemantics:
     def test_copies_and_pickles_are_equal(self, value):
         for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(other) is type(value) and other == value and hash(other) == hash(value)
+
+    def test_horizon_copies_and_pickles_are_the_marker(self):
+        # Every overflow check reads `is HORIZON`: a copy that built a second
+        # marker would read as a number.
+        assert metrics.HORIZON is groups.HORIZON
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(groups.HORIZON, protocol)) is groups.HORIZON
+        assert copy.copy(groups.HORIZON) is groups.HORIZON
+        row = copy.deepcopy([1, groups.HORIZON])
+        assert row[1] is groups.HORIZON and repr(row) == "[1, HORIZON]"

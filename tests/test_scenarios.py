@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from coarsegroups import scenarios
-from coarsegroups.groups import GroupSpec, Heisenberg
+from coarsegroups.groups import Cyclic, GroupSpec, Heisenberg
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -104,7 +104,9 @@ def test_separation_left_structure_reads_left_shadows(monkeypatch):
     assert len(report.assertions) == 5
 
 
-@pytest.mark.parametrize("k", [2, 3, 10])
+# From k = 17 on, the section's preimage, all k residues, would pass the
+# 16 singletons a cover depth reads on Z/k; its word metric reads them all.
+@pytest.mark.parametrize("k", [2, 3, 10, 16, 17])
 def test_quotient_parameterized(k):
     report = run_scenario("z_quotient_metric", k=k, truncation_radius=30)
     assert report.all_passed
@@ -546,6 +548,26 @@ def test_z_quotient_metric_passes_past_the_default_radius_cap(k, R):
     assert report.all_passed, failed
     diameters = [a.observed for a in report.assertions if a.description.startswith("quotient diameter")]
     assert diameters == [k // 2] * 2
+
+
+@pytest.mark.parametrize("k", [2, 5, 17])
+def test_quotient_side_reads_the_word_metric_of_z_mod_k(monkeypatch, k):
+    # With the word metric of Z/k capped at 0, every nonzero distance there
+    # reads HORIZON: exactly the two checks that read Z/k's bounded pairs
+    # fail.  The projection's images of coset jumps stay at distance 0.
+    assert run_scenario("z_quotient_metric", k=k).all_passed
+    bounded = scenarios.BoundedByMetric
+
+    def capped(metric):
+        if isinstance(metric.spec, Cyclic):
+            metric = WordMetric(metric.spec, radius_cap=0)
+        return bounded(metric)
+
+    monkeypatch.setattr(scenarios, "BoundedByMetric", capped)
+    report = run_scenario("z_quotient_metric", k=k)
+    failed = [a.description for a in report.assertions if not a.passed]
+    assert failed == ["section is bornologous", "section is proper on the truncation"]
+    assert len(report.assertions) == 9
 
 
 def test_unknown_scenario_rejected():
