@@ -57,8 +57,10 @@ def _capped(out, cap: int) -> frozenset:
     return frozenset(out)
 
 
-def _set_key(s: frozenset) -> tuple:
-    return (len(s), tuple(sorted(s)))
+def _ordered(sets) -> list[frozenset]:
+    """`sets` by (size, sorted encoding); only sets of one size sort their elements."""
+    runs = [list(run) for _, run in itertools.groupby(sorted(sets, key=len), key=len)]
+    return [s for run in runs for s in (sorted(run, key=sorted) if len(run) > 1 else run)]
 
 
 class BornologyBasis:
@@ -138,7 +140,7 @@ class GeneratedBasis(BornologyBasis):
                             self._admit(bucket, _capped(a | b, cap))
                         if (i, ia) <= (j, ib) or not abelian:
                             self._admit(bucket, frozenset(product_set(a, b, cap)))
-        level = list(bucket) if n == 0 else sorted(bucket, key=_set_key)
+        level = list(bucket) if n == 0 else _ordered(bucket)
         self._known.update(level)
         self._levels.append(level)
 

@@ -1,21 +1,18 @@
 """Deterministic serialization of scenario reports.
 
 The same report always serializes to the same bytes; wall time is kept on
-the in-memory record but excluded from the emitted formats.
+the in-memory record but excluded from the emitted formats.  The JSON keeps
+json.dumps(indent=2)'s layout and ASCII escapes (`python -m json.tool --indent
+2` reproduces it) but is written here: with `indent`, json's encoder is Python.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .groups import HORIZON
-
-
-def _is_fraction(value) -> bool:
-    """isinstance(value, Fraction), without importing the `fractions` a Fraction needs."""
-    fractions = sys.modules.get("fractions")
-    return fractions is not None and isinstance(value, fractions.Fraction)
 
 
 def fmt(value) -> str:
@@ -31,35 +28,47 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if value is HORIZON or _is_fraction(value) or isinstance(value, tuple):
-        return fmt(value)
+def _json(value, indent: str = "\n") -> str:
+    """`value` in json.dumps(indent=2)'s layout; `indent` precedes its closing bracket."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, list):
-        return [_jsonable(v) for v in value]
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+        items = [encode_basestring_ascii(str(k)) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    # isinstance(value, Fraction), without importing `fractions` to ask.
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
+    if value is HORIZON or isinstance(value, (tuple, fraction)):
+        return encode_basestring_ascii(fmt(value))
+    return json.dumps(value)
 
 
 def report_to_json(report) -> str:
     payload = {
         "scenario": report.name,
-        "parameters": _jsonable(report.parameters),
-        "rows": [_jsonable(r) for r in report.rows],
+        "parameters": report.parameters,
+        "rows": report.rows,
         "assertions": [
             {
                 "description": a.description,
-                "expected": _jsonable(a.expected),
-                "observed": _jsonable(a.observed),
+                "expected": a.expected,
+                "observed": a.observed,
                 "provenance": a.provenance,
                 "pass": a.passed,
             }
             for a in report.assertions
         ],
-        "truncations": _jsonable(report.truncations),
+        "truncations": report.truncations,
         "all_pass": report.all_passed,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload) + "\n"
 
 
 def report_to_tsv(report) -> str:

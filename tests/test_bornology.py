@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegroups import groups
+from coarsegroups import bornology, groups
 from coarsegroups.bornology import (
     ChainMetric,
     Explicit,
@@ -211,6 +211,33 @@ class TestStreams:
             for i in range(n):
                 for a, b in itertools.product(levels[i], levels[n - 1 - i]):
                     assert a | b in upto
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (Z, Explicit(tuple((5 * i,) for i in range(-8, 9)))),
+            (Z, GeometricSeed(2, 8)),
+            (H, Explicit(((1, 0, 0), (0, 0, 1)))),
+        ],
+    )
+    def test_generated_levels_are_ordered_by_size_then_sorted_encoding(self, spec, seed):
+        # Sizes are compared first and encodings only within one size; the
+        # order is the (size, sorted encoding) order, with and without ties.
+        def old(s):
+            return (len(s), tuple(sorted(s)))
+
+        basis = GeneratedBasis(spec, [seed], depth_cap=3)
+        basis.sets(10**6)
+        levels = basis._levels[1:]
+        rng = random.Random(7)
+        assert any(len({len(s) for s in level}) < len(level) for level in levels)
+        assert all(level == sorted(level, key=old) for level in levels)
+        pairs = [frozenset([(i,), (-i,)]) for i in range(1, 6)]
+        for sets in levels + [pairs]:
+            shuffled = rng.sample(sets, len(sets))
+            assert bornology._ordered(shuffled) == sorted(shuffled, key=old)
+            untied = list({len(s): s for s in shuffled}.values())
+            assert bornology._ordered(untied) == sorted(untied, key=old)
 
     def test_generated_stream_ends_after_depth_cap(self):
         basis = GeneratedBasis(Z, [Explicit(((1,), (5,)))], depth_cap=2)

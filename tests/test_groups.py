@@ -454,11 +454,19 @@ class TestClosedForms:
         assert got == column(_bfs_ball(H, r))
         assert got == list(range(got[0], got[-1] + 1))
 
+    # Z lists its spheres in closed form and is checked against the search;
+    # Z/k's spheres are the search itself, so they are checked against the
+    # Cayley-graph oracle of all k residues.
     @pytest.mark.parametrize("modulus", [None, 2, 5, 6, 7, 12])
     def test_line_and_cycle_spheres_are_the_bfs_spheres(self, modulus):
         spec = Z if modulus is None else GroupSpec.cyclic(modulus)
         got = list(itertools.islice(spec.spheres(), 20))
-        want = list(itertools.islice(_bfs_spheres(spec), 20))
+        if modulus is None:
+            want = list(itertools.islice(_bfs_spheres(spec), 20))
+        else:
+            residues = [(r,) for r in range(modulus)]
+            dist = bfs_distances(cayley_adjacency(spec, residues), spec.identity())
+            want = [[g for g, d in dist.items() if d == r] for r in range(max(dist.values()) + 1)]
         assert [set(s) for s in got] == [set(s) for s in want]
         assert all(len(s) == len(set(s)) for s in got)
         stream = [g for s in want for g in sorted(s, key=groups.shell_key)]

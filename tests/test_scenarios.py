@@ -621,6 +621,68 @@ def test_fmt_values():
     assert fmt((1, 2)) == "(1, 2)"
 
 
+def _stdlib_json(report) -> str:
+    """The JSON report through the standard library: plain JSON values first,
+    HORIZON, tuples and Fractions as their `fmt` text, then json.dumps."""
+    from fractions import Fraction
+
+    def convert(value):
+        if value is HORIZON or isinstance(value, (tuple, Fraction)):
+            return fmt(value)
+        if isinstance(value, list):
+            return [convert(v) for v in value]
+        if isinstance(value, dict):
+            return {str(k): convert(v) for k, v in value.items()}
+        return value
+
+    payload = {
+        "scenario": report.name,
+        "parameters": convert(report.parameters),
+        "rows": convert(report.rows),
+        "assertions": [
+            {
+                "description": a.description,
+                "expected": convert(a.expected),
+                "observed": convert(a.observed),
+                "provenance": a.provenance,
+                "pass": a.passed,
+            }
+            for a in report.assertions
+        ],
+        "truncations": convert(report.truncations),
+        "all_pass": report.all_passed,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Every scenario at its defaults, and the stress settings of the benchmark.
+SETTINGS = [(name, {}) for name in sorted(SCENARIOS)] + [(name, p) for name, p, *_ in FROZEN if p]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    SETTINGS,
+    ids=[name + "".join(f"-{k}={v}" for k, v in p.items()) for name, p in SETTINGS],
+)
+def test_json_report_is_the_stdlib_encoding(name, params):
+    report = run_scenario(name, **params)
+    assert report_to_json(report) == _stdlib_json(report)
+
+
+def test_json_report_is_the_stdlib_encoding_of_every_value_kind():
+    from fractions import Fraction
+
+    class Wide(int):
+        def __repr__(self):
+            return "wide"
+
+    report = scenarios.ScenarioReport("synthetic", {})
+    report.check('a "quoted" \\ back\tslash\x01 ρ₊ é', HORIZON, [HORIZON, 3], scenarios.TRIVIAL)
+    report.check("values", [(1, -2), Fraction(-3, 4), True, 1], [False, 0, -7, 2**70 + 1, -(2**80)], "DERIVED")
+    report.check("containers", [], [{"n": 1, "d": HORIZON, 5: [{}, []]}, Wide(9)], scenarios.TRIVIAL)
+    assert report_to_json(report) == _stdlib_json(report)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_params_match_the_signature(name):
     params = list(inspect.signature(SCENARIOS[name]).parameters.values())[1:]
