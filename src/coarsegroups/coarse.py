@@ -6,8 +6,9 @@ functions `n -> list of pairs` probed at n = 1..horizon; controlledness
 shows up as a bounded or growing trend of the per-index observed quantities.
 
 A structure observes a whole ladder at once: `values(ladder)` maps a list
-of pair collections to one value each, HORIZON on overflow.  Probes map
-each point once, refuse empty evidence, and derive every verdict from it.
+of pair collections to one value each, HORIZON on overflow; a metric cuts
+one distance row into rungs.  Probes map each point once, group preimages
+by image, refuse empty evidence, and derive every verdict from it.
 """
 
 from __future__ import annotations
@@ -44,15 +45,19 @@ def translate(spec: GroupSpec, g, pairs) -> frozenset:
 
 class BoundedByMetric:
     """Controlled = uniformly bounded distance; observed = max distance (0
-    for no pairs), from one `metric.eval` pass over the whole ladder."""
+    for no pairs), from one `metric.eval` row over the whole ladder cut into
+    rungs; the per-rung rule runs only for a HORIZON or an empty rung."""
 
     def __init__(self, metric: MetricEvaluator):
         self.metric = metric
 
     def values(self, ladder) -> list:
         row = list(itertools.starmap(self.metric.eval, itertools.chain.from_iterable(ladder)))
-        bounds = itertools.pairwise(itertools.accumulate(map(len, ladder), initial=0))
-        return [HORIZON if HORIZON in row[i:j] else max(row[i:j], default=0) for i, j in bounds]
+        ends = list(itertools.accumulate(map(len, ladder)))
+        rungs = map(row.__getitem__, map(slice, [0, *ends], ends))
+        if HORIZON in row or not all(ladder):
+            return [HORIZON if HORIZON in r else max(r, default=0) for r in rungs]
+        return list(map(max, rungs))
 
 
 class LeftBornological:
@@ -168,12 +173,13 @@ def coarse_map_probe(
     if skipped == len(families):
         witnesses.append(("bornologous", "no family checked", skipped))
 
-    domain_truncation = sorted(set(domain_truncation))
-    images = list(map(f, domain_truncation))
+    preimages = {}
+    for x in sorted(set(domain_truncation)):
+        preimages.setdefault(f(x), []).append(x)
     found = [
         (sorted(sample), pre)
         for sample in map(frozenset, bounded_samples)
-        if (pre := [x for x, y in zip(domain_truncation, images) if y in sample])
+        if (pre := sorted(itertools.chain.from_iterable(preimages.get(y, ()) for y in sample)))
     ]
     values = domain.values([[(x, pre[0]) for x in pre] for _, pre in found])
     witnesses += [("proper", *found[i]) for i, v in enumerate(values) if v is HORIZON]

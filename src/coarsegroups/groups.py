@@ -122,7 +122,7 @@ class _Value:
 
 def shell_key(g) -> tuple:
     """Ordering used by element streams: small magnitudes, positives first."""
-    return tuple((abs(c), c < 0) for c in g)
+    return tuple([(abs(c), c < 0) for c in g])
 
 
 _UNIT_VECTORS: dict = {}  # rank -> unit vectors, at most COARSE_SET_CAP ints in all

@@ -191,9 +191,7 @@ class QuotientWordMetric(MetricEvaluator):
         self.spec = GroupSpec.free_abelian(1)
         self.quotient = GroupSpec.cyclic(abs(k))
         self.word = WordMetric(self.quotient, radius_cap=abs(k) // 2)
-
-    def project(self, g):
-        return self.quotient._reduce(g)
+        self.project = self.quotient._reduce
 
     def eval(self, g, h):
         return self.word.eval(self.project(g), self.project(h))

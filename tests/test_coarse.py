@@ -220,16 +220,25 @@ class TestLadderValues:
             # The 16th set, {8}, is the last one read.
             assert structure.values([[((0,), (8,))], [((8,), (0,))]]) == [16, HORIZON]
 
-    @pytest.mark.parametrize("name", list(STRUCTURES) + ["H-maxentry"])
+    # Rungs of at least one pair leave a metric's row to the C-level rung
+    # maxima unless a pair lies past the word metric's cap of 10.
+    @pytest.mark.parametrize(
+        "name, min_pairs",
+        [
+            pytest.param(name, min_pairs, id=name + "-nonempty" * min_pairs)
+            for name in [*STRUCTURES, "H-maxentry"]
+            for min_pairs in (0, 1)
+        ],
+    )
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_ladders(self, name, data):
+    def test_random_ladders(self, name, min_pairs, data):
         if name == "H-maxentry":
             structure, points = BoundedByMetric(MaxEntryMetric(H)), triples
         else:
             structure = self.STRUCTURES[name]()
             points = st.tuples(st.integers(-8, 8))
-        pairs = st.lists(st.tuples(points, points), max_size=6)
+        pairs = st.lists(st.tuples(points, points), min_size=min_pairs, max_size=6)
         ladder = data.draw(st.lists(pairs, max_size=6))
         assert structure.values(ladder) == one_at_a_time(structure, ladder)
 
@@ -619,6 +628,36 @@ class TestMapProbes:
         # of {0} is [0, 1].
         assert not report.proper_ok
         assert report.witnesses[1:] == [("proper", Z.ball(3), [(i,) for i in range(-6, 8)])]
+
+    @pytest.mark.parametrize("name", ["identity", "halve", "mod-3"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_proper_witnesses_match_a_truncation_scan(self, name, data):
+        # Samples with several images, or with none, against a scan of the
+        # whole truncation per sample; the cap of 6 makes wide preimages
+        # overflow.
+        f = {"identity": lambda g: g, "halve": halve, "mod-3": lambda g: (g[0] % 3,)}[name]
+        truncation = data.draw(st.lists(st.tuples(st.integers(-12, 12)), max_size=20))
+        samples = data.draw(st.lists(st.frozensets(st.tuples(st.integers(-6, 6)), max_size=4)))
+        report = map_probe(
+            f,
+            domain=BoundedByMetric(WordMetric(Z, radius_cap=6)),
+            codomain=BoundedByMetric(WordMetric(Z)),
+            families=[],
+            bounded_samples=samples,
+            domain_truncation=truncation,
+            horizon=1,
+        )
+        expected = []
+        found = 0
+        for sample in samples:
+            pre = [x for x in sorted(set(truncation)) if f(x) in sample]
+            found += bool(pre)
+            if pre and pre[-1][0] - pre[0][0] > 6:
+                expected.append(("proper", sorted(sample), pre))
+        if not found:
+            expected.append(("proper", "no sample checked", len(samples)))
+        assert [w for w in report.witnesses if w[0] == "proper"] == expected
 
     def test_closeness_maps_each_point_once(self):
         calls, calls2 = [], []
