@@ -198,20 +198,6 @@ def member(basis: BornologyBasis, query, depth: int) -> MembershipVerdict:
     return MembershipVerdict(status="not-covered-at-depth", depth_examined=drawn)
 
 
-def member_depth(basis: BornologyBasis, query, depth_cap: int):
-    """Minimal prefix depth covering the query, or HORIZON past the cap.
-
-    Unlike `member`, no singleton axiom applies: this is the raw cover
-    depth used as the observed quantity in controlledness probes.
-    """
-    remaining = set(query)
-    for idx, b in enumerate(itertools.islice(basis.iter_sets(), depth_cap), start=1):
-        remaining -= remaining & b
-        if not remaining:
-            return idx
-    return HORIZON
-
-
 # -- metric reconstruction --------------------------------------------
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 
-from .bornology import BornologyBasis, member_depth
 from .groups import GroupSpec
 from .metrics import (
     HORIZON,
@@ -60,18 +59,6 @@ class BoundedByMetric:
         return list(map(max, rungs))
 
 
-class LeftBornological:
-    """Controlled = left shadow {x^-1 y} bounded; observed = its cover depth
-    among the first 16 basis sets, HORIZON past them."""
-
-    def __init__(self, basis: BornologyBasis):
-        self.basis = basis
-
-    def values(self, ladder) -> list:
-        shadow = self.basis.spec.left_shadow
-        return [member_depth(self.basis, shadow(p), 16) for p in ladder]
-
-
 class ControlledVerdict:
     def __init__(self, per_index: list):
         self.per_index = per_index  # index n's observed quantity at n - 1, HORIZON on overflow
@@ -89,9 +76,8 @@ def _ladder(family: Callable, horizon: int) -> list:
 def controlled_probe(family: Callable, structure, horizon: int) -> ControlledVerdict:
     """Observe the quantity of `family(n)` for indices n = 1..horizon.
 
-    The quantity is the max distance (metric structures) or the minimal
-    shadow cover depth (bornological structures), HORIZON on overflow; the
-    trend is classified by the shared ladder rule.
+    The quantity is the max distance, HORIZON on overflow; the trend is
+    classified by the shared ladder rule.
     """
     return ControlledVerdict(structure.values(_ladder(family, horizon)))
 

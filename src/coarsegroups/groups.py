@@ -18,14 +18,14 @@ in `gs`; `product_set(a, b, cap)`, the set {x*y : x in a, y in b}, which raises
 once it holds more than `cap` elements; and `left_shadow(pairs)`, the set
 {x^-1 y}.  Generated bornologies, chain metrics and the Smith ladder (the
 difference set P^-1 P of each prefix) build their sets through `product_set`,
-left bornological structures their shadows through `left_shadow`, and the
+the Heisenberg separation its left structure through `left_shadow`, and the
 Heisenberg invariance check reads coordinate 0 through `coordinate_rows`.
 `Heisenberg` overrides `coordinate_rows` on its additive coordinates 0 and 1
-with one row of sums per run of equal g[i]; `Integers` overrides `left_shadow`
-with int differences and `product_set` with int sums: a big-int bit mask, one
-shift-or per element, when the sums span fewer values than there are pairs and
-no more than the cap, plain sums per pair otherwise.  Every other kind inherits
-the bodies built on `mul` and `inv`.  `abelian` holds where `mul` commutes.
+with one row of sums per run of equal g[i]; `Integers` overrides `product_set`
+with int sums: a big-int bit mask, one shift-or per element, when the sums span
+fewer values than there are pairs and no more than the cap, plain sums per pair
+otherwise.  Every other kind inherits the bodies built on `mul` and `inv`.
+`abelian` holds where `mul` commutes.
 
 Word spheres come from a breadth-first search, except on Z with the
 generator (1,), which lists them directly; the Heisenberg ball of
@@ -166,7 +166,7 @@ class GroupSpec(_Value):
     The set-at-a-time law has three hooks: coordinate_rows(gs, hs, i),
     product_set(a, b, cap) and left_shadow(pairs), built on `mul` and
     `inv`; `Heisenberg` overrides coordinate_rows on coordinates 0 and 1,
-    and `Integers` (Z) the other two with int arithmetic.  The class fact
+    and `Integers` (Z) product_set with int sums.  The class fact
     `abelian` is True exactly when `mul` commutes.
 
     Word balls, the element stream and word-norm tables come from
@@ -376,9 +376,6 @@ class Integers(FreeAbelian):
             # Sums repeat on progressions: wrap each distinct sum once.
             return {(s,) for s in {x + y for x in xs for y in ys}}
         return _union_rows(([(x + y,) for y in ys] for x in xs), cap)
-
-    def left_shadow(self, pairs) -> set:
-        return {(y - x,) for (x,), (y,) in pairs}
 
     def word_distance(self, cap: int):
         if self.generating_set != ((1,),):

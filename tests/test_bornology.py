@@ -14,7 +14,6 @@ from coarsegroups.bornology import (
     GeometricSeed,
     MinimalBasis,
     member,
-    member_depth,
     metric_from_basis,
 )
 from coarsegroups.groups import BudgetExceededError, GroupSpec, Integers
@@ -418,11 +417,6 @@ class TestMember:
         verdict = member(basis, query, depth)
         assert (verdict.status, verdict.depth_examined) == (status, drawn)
 
-    def test_member_depth_no_axiom(self):
-        basis = MinimalBasis(Z)
-        assert member_depth(basis, [(2,)], depth_cap=10) == 4
-        assert member_depth(basis, [(9,)], depth_cap=5) is HORIZON
-
     def test_member_answers_before_a_capped_level(self, monkeypatch):
         # Level 1 holds seed * seed, past a set cap of 7.  A query that level 0
         # covers is answered without building it; one that needs it raises,
@@ -436,11 +430,6 @@ class TestMember:
         for _ in range(2):
             with pytest.raises(BudgetExceededError):
                 member(basis, [(1,), (3,)], depth=40)
-
-    def test_member_depth_builds_only_what_it_reads(self):
-        basis = GeneratedBasis(Z, [GeometricSeed(10, 6)])
-        assert member_depth(basis, [(0,), (10,)], depth_cap=16) == 1
-        assert len(basis._levels) == 1
 
     @pytest.mark.parametrize(
         "basis,queries",
@@ -460,6 +449,9 @@ class TestMember:
     )
     @pytest.mark.parametrize("depth_cap", [0, 1, 5, 12])
     def test_member_depth_matches_the_union_form(self, basis, queries, depth_cap):
+        # A query the prefix covers is a member at the least covering depth;
+        # one it does not is drawn through the whole prefix, and only a
+        # singleton is then a member, by the axiom.
         def by_union(query):
             # The reference: union every drawn set, then test containment.
             covered = set()
@@ -467,25 +459,35 @@ class TestMember:
                 covered |= b
                 if frozenset(query) <= covered:
                     return idx
-            return HORIZON
+            return None
 
-        answers = []
-        for query in [[], *queries]:
-            answers.append(member_depth(basis, query, depth_cap))
-            assert answers[-1] == by_union(query), query
-        assert answers[0] == (HORIZON if depth_cap == 0 else 1)
+        drawn = len(basis.sets(depth_cap))
+        depths = []
+        for query in queries:
+            depths.append(by_union(query))
+            verdict = member(basis, query, depth_cap)
+            if depths[-1] is None:
+                singleton = len(query) == 1
+                expected = ("member" if singleton else "not-covered-at-depth", drawn, singleton)
+            else:
+                expected = ("member", depths[-1], False)
+            observed = (verdict.status, verdict.depth_examined, verdict.via_singleton_axiom)
+            assert observed == expected, query
         if depth_cap >= 5:
-            assert HORIZON in answers and any(a is not HORIZON and a > 1 for a in answers), answers
+            assert None in depths and any(d is not None and d > 1 for d in depths), depths
 
     @given(st.sets(st.integers(-6, 6), min_size=1, max_size=5))
     @settings(max_examples=100)
     def test_member_consistent_with_depth(self, values):
+        # The stream 0, 1, -1, ..., 6, -6 covers every query by depth 13; a
+        # multi-element query is not covered one set before the depth examined.
         basis = MinimalBasis(Z)
         query = frozenset((v,) for v in values)
-        d = member_depth(basis, query, depth_cap=13)
-        assert d is not None
+        verdict = member(basis, query, 13)
+        assert verdict.is_member and not verdict.via_singleton_axiom
+        d = verdict.depth_examined
         assert member(basis, query, d).is_member
-        if d > 1 and len(query) > 1:
+        if len(query) > 1:
             assert not member(basis, query, d - 1).is_member
 
 

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsegroups.bornology import MinimalBasis, member_depth
 from coarsegroups.coarse import (
     BoundedByMetric,
     BoundedSetReport,
-    LeftBornological,
     bounded_set_check,
     closeness_probe,
     coarse_map_probe,
@@ -18,7 +16,7 @@ from coarsegroups.coarse import (
     theta_image,
     translate,
 )
-from coarsegroups.groups import GroupSpec, Integers
+from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
     HORIZON,
     MaxEntryMetric,
@@ -77,21 +75,6 @@ class TestShadows:
             assert type(out) is frozenset
             assert out == helper(frozenset(pairs)) == helper(iter(pairs))
         assert len(theta_image(H, doubled)) == len(translate(H, g, doubled)) == len(set(pairs))
-
-    def test_left_shadows_are_the_group_hook(self, monkeypatch):
-        # `LeftBornological` reads the one shadow body of the kind,
-        # `GroupSpec.left_shadow`.  The shadow {99} lies past the first 16
-        # sets of the minimal basis, 0, 1, -1, ..., 8, so it reads HORIZON.
-        seen = []
-
-        def hook(spec, pairs):
-            seen.append(list(pairs))
-            return {(99,)}
-
-        monkeypatch.setattr(Integers, "left_shadow", hook)
-        pairs = [((0,), (1,))]
-        assert LeftBornological(MinimalBasis(Z)).values([pairs]) == [HORIZON]
-        assert seen == [pairs]
 
     def test_right_shadow_not_translation_invariant(self):
         e = [((1, 0, 0), (0, 1, 0))]
@@ -165,12 +148,8 @@ def one_at_a_time(structure, ladder) -> list:
     frozenset, which drops repeated pairs."""
     out = []
     for e in map(frozenset, ladder):
-        if isinstance(structure, BoundedByMetric):
-            row = [structure.metric.eval(x, y) for x, y in e]
-            out.append(HORIZON if HORIZON in row else max(row, default=0))
-        else:
-            shadow = structure.basis.spec.left_shadow(e)
-            out.append(member_depth(structure.basis, shadow, 16))
+        row = [structure.metric.eval(x, y) for x, y in e]
+        out.append(HORIZON if HORIZON in row else max(row, default=0))
     return out
 
 
@@ -201,7 +180,6 @@ class TestLadderValues:
 
     STRUCTURES = {
         "word": lambda: BoundedByMetric(WordMetric(Z, radius_cap=10)),
-        "minimal": lambda: LeftBornological(MinimalBasis(Z)),
     }
 
     @pytest.mark.parametrize("name", list(STRUCTURES))
@@ -210,15 +188,7 @@ class TestLadderValues:
         values = structure.values(Z_LADDER)
         assert values == one_at_a_time(structure, Z_LADDER)
         assert structure.values([]) == []
-        if name == "word":
-            assert values == [5, 0, 7, HORIZON, 1, 0, 2, 8]
-        else:
-            # Cover depths of the shadows in the stream 0, 1, -1, 2, -2, ...:
-            # an empty shadow is covered at depth 1; the shadows 50 and -8,
-            # the 17th set, lie past the first 16 sets.
-            assert values == [10, 1, 14, HORIZON, 2, 1, 4, HORIZON]
-            # The 16th set, {8}, is the last one read.
-            assert structure.values([[((0,), (8,))], [((8,), (0,))]]) == [16, HORIZON]
+        assert values == [5, 0, 7, HORIZON, 1, 0, 2, 8]
 
     # Rungs of at least one pair leave a metric's row to the C-level rung
     # maxima unless a pair lies past the word metric's cap of 10.
@@ -298,12 +268,11 @@ class TestProbeIndices:
 
 class TestEmptyEvidence:
     """A probe with nothing to observe raises instead of reading `bounded`;
-    the structures themselves still read an empty collection as 0 or depth
-    1 (`TestLadderValues`).  One pair per rung is the positive control."""
+    the structure itself still reads an empty collection as 0
+    (`TestLadderValues`).  One pair per rung is the positive control."""
 
     STRUCTURES = {
         "word": (lambda: BoundedByMetric(WordMetric(Z)), 1),
-        "minimal": (lambda: LeftBornological(MinimalBasis(Z)), 2),
     }
 
     @pytest.mark.parametrize("name", list(STRUCTURES))
@@ -312,7 +281,7 @@ class TestEmptyEvidence:
         for family in (lambda n: [], lambda n: [] if n == 3 else [((0,), (1,))]):
             with pytest.raises(ValueError, match="^a family rung holds no pairs$"):
                 controlled_probe(family, structure(), 5)
-        # d(0, 1) = 1; the shadow {1} is covered at depth 2 in the stream 0, 1, -1, ...
+        # d(0, 1) = 1.
         verdict = controlled_probe(lambda n: [((0,), (1,))], structure(), 5)
         assert verdict.per_index == [value] * 5 and verdict.trend == "bounded"
 
@@ -562,37 +531,20 @@ class TestMapProbes:
         assert identity.bornologous_ok and identity.witnesses == []
 
     def test_collapse_map_fails_properness(self):
+        # The collapse pulls {0} back to all of [-30, 30], 60 apart, past the
+        # cap of 8.  The identity pulls it back to {0}: the positive control.
         def fam(n):
             return [((0,), (1,))]
 
         capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
-        report = map_probe(
-            lambda g: (0,),
-            domain=capped,
-            codomain=capped,
-            families=[fam],
-            bounded_samples=[frozenset([(0,)])],
-            domain_truncation=Z.ball(30),
-            horizon=4,
-        )
-        assert not report.proper_ok
-        assert any(kind == "proper" for kind, *_ in report.witnesses)
-
-    def test_collapse_map_fails_properness_through_a_bornological_overflow(self):
-        # The collapse pulls {0} back to all of [-30, 30], whose left shadow
-        # [0, 60] the first 16 minimal basis sets, 0, 1, -1, ..., 8, do not
-        # cover: its depth is HORIZON.
-        # The identity pulls it back to {0}, covered at depth 1.
-        def fam(n):
-            return [((0,), (1,))]
 
         def probe(f):
             return map_probe(
                 f,
-                domain=LeftBornological(MinimalBasis(Z)),
-                codomain=BoundedByMetric(WordMetric(Z)),
+                domain=capped,
+                codomain=capped,
                 families=[fam],
-                bounded_samples=[{(0,)}],
+                bounded_samples=[frozenset([(0,)])],
                 domain_truncation=Z.ball(30),
                 horizon=4,
             )

@@ -13,6 +13,7 @@ from coarsegroups.metrics import (
     Entry12Pseudometric,
     MaxEntryMetric,
     MetricEvaluator,
+    QuotientWordMetric,
     WordMetric,
     ladder_prefixes,
 )
@@ -567,6 +568,30 @@ def test_quotient_side_reads_the_word_metric_of_z_mod_k(monkeypatch, k):
     report = run_scenario("z_quotient_metric", k=k)
     failed = [a.description for a in report.assertions if not a.passed]
     assert failed == ["section is bornologous", "section is proper on the truncation"]
+    assert len(report.assertions) == 9
+
+
+@pytest.mark.parametrize("k", [2, 5, 17])
+def test_integer_side_reads_the_quotient_pseudometric(monkeypatch, k):
+    # Under Z's word metric, capped at 4R so that no preimage of the
+    # truncation [-R, R] overflows, coset jumps k*n and the distances of m
+    # to its residue grow: exactly the two checks that read Z's bounded
+    # pairs through the pullback fail.
+    R = scenarios.scenario_params("z_quotient_metric")["truncation_radius"]
+    bounded = scenarios.BoundedByMetric
+
+    def word_side(metric):
+        if isinstance(metric, QuotientWordMetric):
+            metric = WordMetric(metric.spec, radius_cap=4 * R)
+        return bounded(metric)
+
+    monkeypatch.setattr(scenarios, "BoundedByMetric", word_side)
+    report = run_scenario("z_quotient_metric", k=k)
+    failed = [a.description for a in report.assertions if not a.passed]
+    assert failed == [
+        "projection is bornologous",
+        "section-after-projection is close to the identity",
+    ]
     assert len(report.assertions) == 9
 
 

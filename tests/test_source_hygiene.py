@@ -71,17 +71,30 @@ def test_cli_import_loads_no_excluded_module():
     assert [m for m in COLD_IMPORT_EXCLUDED if m in loaded] == []
 
 
-def test_reporting_import_loads_no_scenarios():
-    # `reporting` serializes any report; the scenarios, and the `coarse`
-    # and `random` they import, stay unloaded until a subcommand runs one.
-    code = "import sys, coarsegroups.reporting; print(*sorted(sys.modules))"
+def modules_loaded_by(module: str) -> list[str]:
+    """The modules a fresh interpreter, without `site`, holds after `import module`."""
+    code = f"import sys, {module}; print(*sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    loaded = proc.stdout.split()
+    return proc.stdout.split()
+
+
+def test_reporting_import_loads_no_scenarios():
+    # `reporting` serializes any report; the scenarios, and the `coarse`
+    # and `random` they import, stay unloaded until a subcommand runs one.
+    loaded = modules_loaded_by("coarsegroups.reporting")
     assert "coarsegroups.reporting" in loaded
     assert "coarsegroups.scenarios" not in loaded
+
+
+def test_coarse_import_loads_no_bornology():
+    # The probe layer reads only groups and metrics: every structure a
+    # probe takes is a metric's bounded structure, none a bornology basis.
+    loaded = modules_loaded_by("coarsegroups.coarse")
+    assert "coarsegroups.coarse" in loaded
+    assert "coarsegroups.bornology" not in loaded
 
 
 # Canonical command lines are read without argparse; help and errors need it.
