@@ -16,9 +16,9 @@ Besides `mul`, every kind answers three set-at-a-time hooks:
 `coordinate_rows(gs, hs, i)`, which yields [(g*h)[i] for h in hs] for each g
 in `gs`; `product_set(a, b, cap)`, the set {x*y : x in a, y in b}, which raises
 once it holds more than `cap` elements; and `left_shadow(pairs)`, the set
-{x^-1 y}.  Generated bornologies, chain metrics and the Smith ladder (the
+{x^-1 y}.  Generated bornologies, chain metrics and the Smith windows (the
 difference set P^-1 P of each prefix) build their sets through `product_set`,
-the Heisenberg separation its left structure through `left_shadow`, and the
+the Heisenberg separation its shadow norms through `left_shadow`, and the
 Heisenberg invariance check reads coordinate 0 through `coordinate_rows`.
 `Heisenberg` overrides `coordinate_rows` on its additive coordinates 0 and 1
 with one row of sums per run of equal g[i]; `Integers` overrides `product_set`

@@ -46,10 +46,12 @@ def classify_trend(values: list) -> str:
 
 
 def ladder_prefixes(items: list) -> list[list]:
-    """Up to three nested prefixes of a truncation, small-magnitude-first.
+    """Up to three nested windows of a truncation: prefixes, small-magnitude-first.
 
-    Successive prefixes behave like growing balls around the identity.  An
-    empty truncation has nothing to observe and raises ValueError.
+    Successive windows behave like growing balls around the identity, and
+    `classify_trend` reads a quantity across them, such as a row of
+    `coarse.upper_control`.  An empty truncation has nothing to observe and
+    raises ValueError.
     """
     ordered = sorted(items, key=shell_key)
     n = len(ordered)

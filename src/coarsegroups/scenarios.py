@@ -7,24 +7,19 @@ the underlying statement quantifies over the whole group.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from operator import add, le
 
 from .bornology import GeneratedBasis, GeometricSeed, member
-from .coarse import (
-    BoundedByMetric,
-    closeness_probe,
-    coarse_map_probe,
-    controlled_probe,
-)
+from .coarse import upper_control
 from .groups import GroupSpec, set_size_cap
 from .metrics import (
     MaxEntryMetric,
     Entry12Pseudometric,
     QuotientWordMetric,
     WordMetric,
+    classify_trend,
     ladder_prefixes,
     max_entry_distance,
     rho_plus_truncated,
@@ -69,8 +64,14 @@ def heisenberg_pair(n: int) -> tuple:
     return (n, 0, 1), (n + 1, 1, 1)
 
 
-def _identity(x):
-    return x
+def _bounded(rows) -> bool:
+    """Whether every control row reads `bounded` across its windows."""
+    return all(classify_trend(row) == "bounded" for row in rows)
+
+
+def _swapped(windows) -> list:
+    """The windows with each pair (a, b) read as (b, a): the inverse relation."""
+    return [[(b, a) for a, b in window] for window in windows]
 
 
 # -- scenarios --------------------------------------------------------
@@ -81,20 +82,22 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
 
     The indexed family (b_n, a_n) stays at distance 1 while the norm of
     b_n^-1 a_n is n + 1, so it is controlled in the bounded structure of
-    the max-entry metric but not in the left bornological structure.
+    the max-entry metric but not in the left bornological structure.  A
+    family is left bornological for the metric's bounded sets exactly when
+    its left shadows are bounded, so each trend classifies the loop's own
+    rows, the distances and the shadow norms, at n = 1..min(N, 10).
     """
     # One pair reads as an `inconclusive` trend under both structures.
     if N < 2:
         raise ValueError("N must be at least 2")
     spec = GroupSpec.heisenberg()
-    maxentry = MaxEntryMetric(spec)
 
     ok_dist = True
     ok_norm = True
     for n in range(1, N + 1):
         a, b = heisenberg_pair(n)
         d = max_entry_distance(a, b)
-        shadow = spec.mul(spec.inv(b), a)
+        [shadow] = spec.left_shadow([(b, a)])
         norm = max(abs(c) for c in shadow)
         report.rows.append({"n": n, "distance": d, "shadow_norm": norm})
         ok_dist = ok_dist and d == 1
@@ -110,28 +113,17 @@ def heisenberg_separation(report: ScenarioReport, N: int = 50) -> None:
     )
 
     horizon = min(N, 10)
-
-    def near_diagonal_pairs(n):
-        a, b = heisenberg_pair(n)
-        return [(b, a)]
-
-    bounded = BoundedByMetric(maxentry)
-    metric_verdict = controlled_probe(near_diagonal_pairs, bounded, horizon)
+    rows = report.rows[:horizon]
     report.check(
         "trend under the bounded structure of the max-entry metric",
         "bounded",
-        metric_verdict.trend,
+        classify_trend([row["distance"] for row in rows]),
         PAPER,
-    )
-    # Left bornological for the metric's bounded sets exactly when the left shadows are bounded.
-    e = spec.identity()
-    born_verdict = controlled_probe(
-        lambda n: [(e, s) for s in spec.left_shadow(near_diagonal_pairs(n))], bounded, horizon
     )
     report.check(
         "trend under the left bornological structure",
         "growing",
-        born_verdict.trend,
+        classify_trend([row["shadow_norm"] for row in rows]),
         PAPER,
     )
     report.truncations = {"probe_horizon": horizon}
@@ -201,12 +193,15 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
 
     Truncation diameters stay at floor(k/2) while word diameters grow.  Z
     carries the pullback of Z/k's word metric, whose bounded sets are the
-    bornology generated by kZ and the singletons; under it Z is bounded, of
-    diameter k // 2.  So projection and section are coarse and their
-    composite is close to the identity for any maps: the checks are
-    automatic here.  A reading cut off at a finite window of basis sets
-    could fail them only as an artefact, a collapsing projection reading
-    HORIZON.
+    bornology generated by kZ and the singletons; the finite sets of Z/k
+    are the bounded sets of its word metric.  The map checks are exact
+    control rows (`upper_control`) on the nested windows of the truncation,
+    each t read as the pair (e, t): the projection pairs qm(e, t) with the
+    word distance of its image, the section pairs the residues of each
+    window the other way round, and closeness pairs each t with itself, at
+    distance 0, against qm(pi t, t).  Under the pullback Z is bounded, of
+    diameter k // 2, so the checks still hold for any maps: they are
+    automatic on this bounded domain, not evidence that could fail.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -238,55 +233,39 @@ def z_quotient_metric(report: ScenarioReport, k: int = 5, truncation_radius: int
         "same-coset points at quotient distance 0", 0, qm.eval((3,), (3 + 7 * k,)), TRIVIAL
     )
 
-    horizon = 8
-    cyclic = qm.quotient
-    # The finite sets of Z/k are the bounded sets of its word metric, and a
-    # left-invariant metric bounds exactly the pairs with finite left shadows.
-    finite = BoundedByMetric(qm.word)
-    # The bornology on Z generated by kZ and the singletons: qm's bounded sets.
-    pulled_back = BoundedByMetric(qm)
+    # Each distance is read once on the whole truncation, shells first, and
+    # cut into the windows.  The section sends the residue (r,) to the
+    # integer (r,); section after projection sends t to pi t.
+    e, c = zspec.identity(), qm.quotient.identity()
+    prefixes = ladder_prefixes(truncation)
+    ordered, ends = prefixes[-1], list(map(len, prefixes))
+    images = list(map(qm.project, ordered))
+    projection = [(qm.eval(e, t), qm.word.eval(c, y)) for t, y in zip(ordered, images)]
+    section = {y: (qm.word.eval(c, y), qm.eval(e, y)) for y in set(images)}
+    closeness = [(0, qm.eval(y, t)) for t, y in zip(ordered, images)]
 
-    def coset_jumps(n):
-        return [((0,), (k * n,))]
-
-    probe_pi = coarse_map_probe(
-        qm.project,
-        domain=pulled_back,
-        codomain=finite,
-        families=[coset_jumps],
-        bounded_samples=[frozenset([(r,)]) for r in range(k)],
-        domain_truncation=truncation,
-        horizon=horizon,
-    )
-    report.check("projection is bornologous", True, probe_pi.bornologous_ok, PAPER)
-    report.check("projection is proper on the truncation", True, probe_pi.proper_ok, PAPER)
-
-    def adjacent_residues(n):
-        return [(cyclic.identity(), (1,))]
-
-    # The section sends the residue (r,) to the integer (r,).
-    probe_section = coarse_map_probe(
-        _identity,
-        domain=finite,
-        codomain=pulled_back,
-        families=[adjacent_residues],
-        bounded_samples=[frozenset([(i,) for i in range(-k, k + 1)])],
-        domain_truncation=[(r,) for r in range(k)],
-        horizon=horizon,
-    )
-    report.check("section is bornologous", True, probe_section.bornologous_ok, PAPER)
-    report.check("section is proper on the truncation", True, probe_section.proper_ok, PAPER)
-
-    verdict = closeness_probe(
-        qm.project,  # section after projection
-        _identity,
-        truncation,
-        pulled_back,
-    )
+    windows = [projection[:n] for n in ends]
+    report.check("projection is bornologous", True, _bounded(upper_control(windows, [1])), PAPER)
     report.check(
-        "section-after-projection is close to the identity", "bounded", verdict.trend, PAPER
+        "projection is proper on the truncation",
+        True,
+        _bounded(upper_control(_swapped(windows), [1])),
+        PAPER,
     )
-    report.truncations = {"radius": R, "horizon": horizon}
+    windows = [[section[y] for y in set(images[:n])] for n in ends]
+    report.check("section is bornologous", True, _bounded(upper_control(windows, [1])), PAPER)
+    report.check(
+        "section is proper on the truncation",
+        True,
+        _bounded(upper_control(_swapped(windows), [1])),
+        PAPER,
+    )
+    [row] = upper_control([closeness[:n] for n in ends], [0])
+    report.check(
+        "section-after-projection is close to the identity", "bounded", classify_trend(row), PAPER
+    )
+    # No reading is cut at 8 any more; the key stays, as the report bytes are frozen.
+    report.truncations = {"radius": R, "horizon": 8}
 
 
 def powers_of_ten(report: ScenarioReport, depth: int = 3, N: int = 50) -> None:
@@ -374,7 +353,16 @@ def aj_family(report: ScenarioReport, J: int = 2, depth: int = 3, seed_length: i
 
 
 def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
-    """Two proper word metrics on the integers probe as coarsely equivalent."""
+    """Two proper word metrics on the integers read as coarsely equivalent.
+
+    Both metrics are left-invariant, d(x, y) = d(e, x^-1 y), and the maps
+    are identities, so the pairs of a prefix P read the distances of its
+    difference set P^-1 P: each window holds one pair (d1, d2) of d(e, t)
+    per element t.  The forward rows rho_+(C), C = 1..4, are the largest d2
+    where d1 <= C; the backward row is the largest d1 where d2 <= 1.  The
+    forward map is bornologous, and the backward one proper, when the
+    forward rows are bounded; the other two verdicts read the backward row.
+    """
     if R < 4:
         raise ValueError("R must be at least 4")
     zspec1 = GroupSpec.free_abelian(1)
@@ -384,42 +372,31 @@ def smith_uniqueness_probe(report: ScenarioReport, R: int = 24) -> None:
 
     report.check("norm of 1 in the {2, 3} generating set", 2, d2.eval((0,), (1,)), DERIVED)
 
-    truncation = [(i,) for i in range(-R, R + 1)]
-    families = [lambda n, c=c: [((n,), (n + c,))] for c in (1, 2, 3)]
-    samples = [frozenset((i,) for i in range(-4, 5))]
-    for direction, dom, cod in (("forward", d1, d2), ("backward", d2, d1)):
-        probe = coarse_map_probe(
-            _identity,
-            domain=BoundedByMetric(dom),
-            codomain=BoundedByMetric(cod),
-            families=families,
-            bounded_samples=samples,
-            domain_truncation=truncation,
-            horizon=R,
-        )
-        report.check(f"identity is bornologous ({direction})", True, probe.bornologous_ok, DERIVED)
-        report.check(f"identity is proper ({direction})", True, probe.proper_ok, DERIVED)
+    # The difference sets are nested, so each distance is read once, on the
+    # last.  Neither reads HORIZON here (d1 <= 2R and d2 <= d1 + 1 under
+    # their cap 4R); a window that did would read HORIZON, not be dropped.
+    e = zspec1.identity()
+    sets = [
+        zspec1.product_set([zspec1.inv(x) for x in P], P, set_size_cap())
+        for P in ladder_prefixes([(i,) for i in range(-R, R + 1)])
+    ]
+    pairs = {t: (d1.eval(e, t), d2.eval(e, t)) for t in sets[-1]}
+    windows = [[pairs[t] for t in T] for T in sets]
+    forward = upper_control(windows, range(1, 5))
+    backward = upper_control(_swapped(windows), [1])
+    checks = {"forward": (forward, backward), "backward": (backward, forward)}
+    for direction, (rows, swapped) in checks.items():
+        report.check(f"identity is bornologous ({direction})", True, _bounded(rows), DERIVED)
+        report.check(f"identity is proper ({direction})", True, _bounded(swapped), DERIVED)
 
-    # This needs d1 and d2 left-invariant, as word metrics are: then
-    # d(x, y) = d(e, x^-1 y), so the pairs of a prefix P read the distances
-    # of its difference set P^-1 P.  best_at is the largest d2 at each d1
-    # value 0..C_MAX, and a prefix's per-C row is its running maximum.
-    # Neither reads HORIZON here (d1 <= 2R under its cap 4R, d2 <= 2 where
-    # d1 <= 4); one that did would raise on the comparison, not be dropped.
-    C_MAX = 4
-    e, ladder = zspec1.identity(), []
-    best_at = [0] * (C_MAX + 1)
-    for P in ladder_prefixes(truncation):
-        for t in zspec1.product_set([zspec1.inv(x) for x in P], P, set_size_cap()):
-            if (a := d1.eval(e, t)) <= C_MAX:
-                best_at[a] = max(best_at[a], d2.eval(e, t))
-        ladder.append(list(itertools.accumulate(best_at, max)))
-    stabilized = True
-    for C in range(1, C_MAX + 1):
-        values = [row[C] for row in ladder]
+    for C, values in enumerate(forward, start=1):
         report.rows.append({"C": C, "ladder_max_d2": values})
-        stabilized = stabilized and values[-1] == values[-2]
-    report.check("per-C max of the second metric stabilizes", True, stabilized, DERIVED)
+    report.check(
+        "per-C max of the second metric stabilizes",
+        True,
+        all(values[-1] == values[-2] for values in forward),
+        DERIVED,
+    )
     report.truncations = {"radius": R}
 
 

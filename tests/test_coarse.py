@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsegroups.coarse import (
-    BoundedByMetric,
     BoundedSetReport,
     bounded_set_check,
-    closeness_probe,
-    coarse_map_probe,
-    controlled_probe,
     right_shadow,
     theta_image,
     translate,
+    upper_control,
 )
 from coarsegroups.groups import GroupSpec
 from coarsegroups.metrics import (
@@ -22,6 +19,7 @@ from coarsegroups.metrics import (
     MaxEntryMetric,
     MetricEvaluator,
     WordMetric,
+    classify_trend,
     ladder_prefixes,
 )
 
@@ -82,75 +80,40 @@ class TestShadows:
         assert right_shadow(H, translate(H, g, e)) != right_shadow(H, e)
 
 
-def shadow_pairs(spec, ladder) -> list:
-    """Each collection of `ladder` as the pairs (e, s), s in its left shadow
-    {x^-1 y}: under a metric's bounded structure their value is the largest
-    d(e, x^-1 y), the left bornological reading of the collection."""
-    e = spec.identity()
-    return [[(e, s) for s in spec.left_shadow(pairs)] for pairs in ladder]
-
-
 def near_diagonal(n):
     """Max-entry-close pairs (a_k, b_k), k = 1..n, whose left shadows grow."""
     return [((k, 0, 1), (k + 1, 1, 1)) for k in range(1, n + 1)]
 
 
-class TestControlledProbe:
-    def test_bounded_family_under_word_metric(self):
-        def shift_by_2(n):
-            return [((i,), (i + 2,)) for i in range(-n, n)]
-
-        verdict = controlled_probe(shift_by_2, BoundedByMetric(WordMetric(Z)), horizon=6)
-        assert verdict.trend == "bounded"
-        assert all(v == 2 for v in verdict.per_index)
-
-    def test_growing_family(self):
-        def fam(n):
-            return [((0,), (n,))]
-
-        verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon=5)
-        assert verdict.trend == "growing"
-
-    def test_near_diagonal_heisenberg_left_shadow_grows(self):
-        # a_k^-1 b_k = (1, 1, -k), at max-entry norm k.  The max-entry metric
-        # is not left-invariant, so the shadow pairs read apart from the pairs.
-        structure = BoundedByMetric(MaxEntryMetric(H))
-        metric_verdict = controlled_probe(near_diagonal, structure, horizon=6)
-        shadow_verdict = controlled_probe(
-            lambda n: shadow_pairs(H, [near_diagonal(n)])[0], structure, horizon=6
-        )
-        assert (metric_verdict.per_index, metric_verdict.trend) == ([1] * 6, "bounded")
-        assert (shadow_verdict.per_index, shadow_verdict.trend) == ([1, 2, 3, 4, 5, 6], "growing")
-
-
 class TestShadowPairs:
-    """A metric's values over the pairs (e, s), s in a left shadow."""
+    """A metric's distances from e to the elements s of a left shadow."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(triples, max_size=6))
     def test_max_entry_value_is_the_norm(self, S):
+        # The shadow-norm row of `heisenberg_separation` is this distance.
         e = H.identity()
-        values = BoundedByMetric(MaxEntryMetric(H)).values([[(e, s) for s in S]])
-        assert values == [max(map(heis_max_entry_norm, S), default=0)]
+        assert MaxEntryMetric(H).distances(e, S) == list(map(heis_max_entry_norm, S))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_left_invariant_metric_reads_the_same(self, data):
-        # d(x, y) = d(e, x^-1 y) for a left-invariant metric: the shadow
-        # pairs and the pairs themselves read alike.
-        structure = BoundedByMetric(WordMetric(H))
-        ladder = data.draw(st.lists(st.lists(heis_pairs, max_size=6), max_size=6))
-        assert structure.values(shadow_pairs(H, ladder)) == structure.values(ladder)
+        # d(x, y) = d(e, x^-1 y) for a left-invariant metric: the reading of
+        # pairs off difference sets in `smith_uniqueness_probe` rests on it.
+        metric, e = WordMetric(H), H.identity()
+        for x, y in data.draw(st.lists(heis_pairs, max_size=6)):
+            [s] = H.left_shadow([(x, y)])
+            assert metric.eval(x, y) == metric.eval(e, s)
 
-
-def one_at_a_time(structure, ladder) -> list:
-    """The values of `ladder` observed one entourage at a time, each a
-    frozenset, which drops repeated pairs."""
-    out = []
-    for e in map(frozenset, ladder):
-        row = [structure.metric.eval(x, y) for x, y in e]
-        out.append(HORIZON if HORIZON in row else max(row, default=0))
-    return out
+    def test_near_diagonal_left_shadows_grow(self):
+        # a_k^-1 b_k = (1, 1, -k), at max-entry norm k.  The max-entry metric
+        # is not left-invariant, so the shadows read apart from the pairs.
+        maxentry, e = MaxEntryMetric(H), H.identity()
+        pairs = near_diagonal(6)
+        distances = [maxentry.eval(x, y) for x, y in pairs]
+        norms = [maxentry.eval(e, s) for (s,) in map(H.left_shadow, ([p] for p in pairs))]
+        assert (distances, classify_trend(distances)) == ([1] * 6, "bounded")
+        assert (norms, classify_trend(norms)) == ([1, 2, 3, 4, 5, 6], "growing")
 
 
 def halve(g):
@@ -158,10 +121,42 @@ def halve(g):
     return (g[0] // 2,)
 
 
-# Each collection reads a different value, so a row cut one place off
-# moves some value to its neighbour: an empty one (0 under a metric), a
-# pair past the word metric's cap of 10 (HORIZON), multi-pair ones, and
-# the images of pairs under `halve`, with repeats.
+def pair_windows(points, f, d, d2) -> list:
+    """For each nested prefix of `points`, the pairs (d(x, y), d2(f x, f y))
+    over all ordered pairs of its points."""
+    return [
+        [(d.eval(x, y), d2.eval(f(x), f(y))) for x in prefix for y in prefix]
+        for prefix in ladder_prefixes(points)
+    ]
+
+
+def difference_windows(f, points, cap=10**4) -> list:
+    """The windows of a map of Z read through its difference sets: pairs
+    (|t|, |f(t)|) under the word metric capped at `cap`, for t in P^-1 P, P
+    a nested prefix of `points`.  Right for a homomorphism f only."""
+    d, e = WordMetric(Z, radius_cap=cap), Z.identity()
+    return [
+        [(d.eval(e, t), d.eval(e, f(t))) for t in Z.product_set(list(map(Z.inv, P)), P, 10**4)]
+        for P in ladder_prefixes(points)
+    ]
+
+
+def window_max(window, r):
+    """The largest b among the pairs (a, b) of `window` with a <= r, 0 for
+    none, and HORIZON when any pair holds it; written out pair by pair."""
+    best = 0
+    for a, b in window:
+        if a is HORIZON or b is HORIZON:
+            return HORIZON
+        if a <= r and b > best:
+            best = b
+    return best
+
+
+# Each window reads a different value, so a row cut one place off moves
+# some value to its neighbour: an empty one (0), a pair past the word
+# metric's cap of 10 (HORIZON), multi-pair ones, and the images of pairs
+# under `halve`, with repeats.
 Z_LADDER = [
     [((0,), (5,))],
     [],
@@ -175,23 +170,23 @@ Z_LADDER = [
 
 
 class TestLadderValues:
-    """A structure's `values` over a whole ladder equals its values one
-    entourage at a time."""
+    """`upper_control` over a whole ladder of windows equals its values one
+    window at a time."""
 
     STRUCTURES = {
-        "word": lambda: BoundedByMetric(WordMetric(Z, radius_cap=10)),
+        "word": lambda: WordMetric(Z, radius_cap=10),
     }
 
     @pytest.mark.parametrize("name", list(STRUCTURES))
     def test_fixed_ladder(self, name):
-        structure = self.STRUCTURES[name]()
-        values = structure.values(Z_LADDER)
-        assert values == one_at_a_time(structure, Z_LADDER)
-        assert structure.values([]) == []
+        metric = self.STRUCTURES[name]()
+        windows = [[(metric.eval(x, y),) * 2 for x, y in pairs] for pairs in Z_LADDER]
+        [values] = upper_control(windows, [10])
+        assert values == [window_max(w, 10) for w in windows]
+        assert upper_control([], [10]) == [[]]
         assert values == [5, 0, 7, HORIZON, 1, 0, 2, 8]
 
-    # Rungs of at least one pair leave a metric's row to the C-level rung
-    # maxima unless a pair lies past the word metric's cap of 10.
+    # Windows of at least one pair leave no window at 0 by emptiness alone.
     @pytest.mark.parametrize(
         "name, min_pairs",
         [
@@ -203,114 +198,61 @@ class TestLadderValues:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_ladders(self, name, min_pairs, data):
+        # The image distance is the metric's; the domain distance is an
+        # arbitrary small integer, so every radius cuts some pairs out.
         if name == "H-maxentry":
-            structure, points = BoundedByMetric(MaxEntryMetric(H)), triples
+            metric, points = MaxEntryMetric(H), triples
         else:
-            structure = self.STRUCTURES[name]()
-            points = st.tuples(st.integers(-8, 8))
-        pairs = st.lists(st.tuples(points, points), min_size=min_pairs, max_size=6)
-        ladder = data.draw(st.lists(pairs, max_size=6))
-        assert structure.values(ladder) == one_at_a_time(structure, ladder)
+            metric, points = self.STRUCTURES[name](), st.tuples(st.integers(-8, 8))
+        pairs = st.tuples(st.integers(0, 4), points, points)
+        ladder = data.draw(st.lists(st.lists(pairs, min_size=min_pairs, max_size=6), max_size=6))
+        windows = [[(a, metric.eval(x, y)) for a, x, y in w] for w in ladder]
+        radii = data.draw(st.lists(st.integers(0, 5), max_size=4))
+        rows = upper_control(windows, radii)
+        assert rows == [[window_max(w, r) for w in windows] for r in radii]
+        for i, window in enumerate(windows):
+            assert upper_control([window], radii) == [[row[i]] for row in rows]
 
 
-def map_probe(*args, **kwargs):
-    """`coarse_map_probe`, checking that each flag reads "no witness of its kind"."""
-    report = coarse_map_probe(*args, **kwargs)
-    kinds = [kind for kind, *_ in report.witnesses]
-    assert report.bornologous_ok == ("bornologous" not in kinds)
-    assert report.proper_ok == ("proper" not in kinds)
-    return report
+class TestUpperControl:
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+        st.integers(-3, 3),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_difference_sets_match_an_all_pairs_maximum(self, points, m, cap):
+        # x -> m x is a homomorphism and the word metric of Z is
+        # left-invariant, so the pairs (d(e, t), d(e, m t)), t in P^-1 P, read
+        # what all the pairs of P read.  The maximum is written out here with
+        # `abs`, HORIZON past the cap included.
+        truncation = [(x,) for x in points]
+        windows = difference_windows(lambda t: (m * t[0],), truncation, cap)
+        for r, row in zip(range(4), upper_control(windows, range(4))):
+            expected = []
+            for P in ladder_prefixes(truncation):
+                best = 0
+                for (x,) in P:
+                    for (y,) in P:
+                        a, b = abs(x - y), abs(m * x - m * y)
+                        if a > cap or b > cap:
+                            best = HORIZON
+                            break
+                        if a <= r:
+                            best = max(best, b)
+                    if best is HORIZON:
+                        break
+                expected.append(best)
+            assert row == expected
 
-
-def counting_family(calls: list, generator):
-    """A family that appends each index it is asked for to `calls`."""
-
-    def counted(n):
-        calls.append(n)
-        return generator(n)
-
-    return counted
-
-
-class TestProbeIndices:
-    """A probe draws each family at exactly the indices 1..horizon, in order."""
-
-    @pytest.mark.parametrize("horizon", [1, 2, 6])
-    def test_controlled_probe(self, horizon):
-        calls = []
-        fam = counting_family(calls, lambda n: [((0,), (n,))])
-        verdict = controlled_probe(fam, BoundedByMetric(WordMetric(Z)), horizon)
-        assert calls == list(range(1, horizon + 1))
-        # d(0, n) = n: position n - 1 holds index n's value.
-        assert verdict.per_index == calls
-
-    @pytest.mark.parametrize("horizon", [2, 5])
-    def test_coarse_map_probe(self, horizon):
-        # Each family is drawn once: the bounded one's entourages are probed
-        # in the domain and mapped for the image, the growing one is dropped.
-        bounded_calls, growing_calls = [], []
-        bounded = counting_family(bounded_calls, lambda n: [((n,), (n + 1,))])
-        growing = counting_family(growing_calls, lambda n: [((0,), (n,))])
-        structure = BoundedByMetric(WordMetric(Z))
-        report = map_probe(
-            lambda g: g,
-            domain=structure,
-            codomain=structure,
-            families=[bounded, growing],
-            bounded_samples=[],
-            domain_truncation=[],
-            horizon=horizon,
-        )
-        assert report.bornologous_ok
-        assert bounded_calls == list(range(1, horizon + 1))
-        assert growing_calls == list(range(1, horizon + 1))
-
-
-class TestEmptyEvidence:
-    """A probe with nothing to observe raises instead of reading `bounded`;
-    the structure itself still reads an empty collection as 0
-    (`TestLadderValues`).  One pair per rung is the positive control."""
-
-    STRUCTURES = {
-        "word": (lambda: BoundedByMetric(WordMetric(Z)), 1),
-    }
-
-    @pytest.mark.parametrize("name", list(STRUCTURES))
-    def test_controlled_probe(self, name):
-        structure, value = self.STRUCTURES[name]
-        for family in (lambda n: [], lambda n: [] if n == 3 else [((0,), (1,))]):
-            with pytest.raises(ValueError, match="^a family rung holds no pairs$"):
-                controlled_probe(family, structure(), 5)
-        # d(0, 1) = 1.
-        verdict = controlled_probe(lambda n: [((0,), (1,))], structure(), 5)
-        assert verdict.per_index == [value] * 5 and verdict.trend == "bounded"
-
-    def test_coarse_map_probe(self):
-        structure = BoundedByMetric(WordMetric(Z))
-
-        def probe(family):
-            return map_probe(
-                lambda g: g,
-                domain=structure,
-                codomain=structure,
-                families=[family],
-                bounded_samples=[{(0,)}],
-                domain_truncation=[(0,)],
-                horizon=5,
-            )
-
-        with pytest.raises(ValueError, match="^a family rung holds no pairs$"):
-            probe(lambda n: [])
-        report = probe(lambda n: [((0,), (1,))])
-        assert report.bornologous_ok and report.proper_ok and report.witnesses == []
-
-    def test_closeness_probe(self):
-        structure = BoundedByMetric(WordMetric(Z))
-        for truncation in ([], set()):
-            with pytest.raises(ValueError, match="^truncation must be nonempty$"):
-                closeness_probe(lambda g: g, lambda g: (g[0] + 1,), truncation, structure)
-        verdict = closeness_probe(lambda g: g, lambda g: (g[0] + 1,), [(0,)], structure)
-        assert verdict.per_index == [1]
+    def test_a_window_with_a_horizon_pair_reads_horizon(self):
+        # The HORIZON pair lies past every radius, on either side; the window
+        # still reads HORIZON at each, and the window without it is the
+        # positive control.
+        for pair in ((HORIZON, 1), (9, HORIZON)):
+            rows = upper_control([[(0, 1), (1, 2)], [(0, 1), (1, 2), pair]], [0, 1])
+            assert rows == [[1, HORIZON], [2, HORIZON]]
+            assert classify_trend(rows[1]) != "bounded"
 
 
 def bounded_set_oracle(B, m):
@@ -415,236 +357,79 @@ class TestBoundedSetCheck:
             bounded_set_check([], WordMetric(Z))
 
 
-class TestMapProbes:
-    def test_identity_map_is_coarse(self):
-        def fam(n):
-            return [((i,), (i + 1,)) for i in range(-n, n)]
+def bounded(rows) -> bool:
+    return all(classify_trend(row) == "bounded" for row in rows)
 
-        structure = BoundedByMetric(WordMetric(Z))
-        report = map_probe(
-            lambda g: g,
-            domain=structure,
-            codomain=structure,
-            families=[fam],
-            bounded_samples=[frozenset(Z.ball(2))],
-            domain_truncation=Z.ball(20),
-            horizon=4,
-        )
-        assert report.bornologous_ok and report.proper_ok
+
+def swapped(windows) -> list:
+    return [[(b, a) for a, b in window] for window in windows]
+
+
+class TestMapProbes:
+    """Map verdicts read off exact control rows on the nested windows of a
+    truncation of Z: bornologous when the rows are bounded, proper when
+    the rows of the swapped pairs are."""
+
+    def test_identity_map_is_coarse(self):
+        windows = difference_windows(lambda g: g, Z.ball(20))
+        rows = upper_control(windows, range(1, 5))
+        assert rows == [[r] * 3 for r in range(1, 5)]
+        assert bounded(rows) and bounded(upper_control(swapped(windows), [1]))
 
     def test_doubling_is_bornologous_not_surjective_issue(self):
-        def fam(n):
-            return [((i,), (i + 1,)) for i in range(-n, n)]
-
-        structure = BoundedByMetric(WordMetric(Z))
-        report = map_probe(
-            lambda g: (2 * g[0],),
-            domain=structure,
-            codomain=structure,
-            families=[fam],
-            bounded_samples=[frozenset(Z.ball(3))],
-            domain_truncation=Z.ball(20),
-            horizon=4,
-        )
-        assert report.bornologous_ok and report.proper_ok
-
-    def test_no_family_checked_is_not_bornologous(self):
-        # The one family grows in the domain, so it is skipped and nothing
-        # is checked: that is a verdict of its own, not a pass. The bounded
-        # family next to it is the positive control.
-        def growing(n):
-            return [((0,), (n,))]
-
-        def bounded(n):
-            return [((n,), (n + 1,))]
-
-        structure = BoundedByMetric(WordMetric(Z))
-
-        def probe(families):
-            return map_probe(
-                lambda g: g,
-                domain=structure,
-                codomain=structure,
-                families=families,
-                bounded_samples=[{(0,)}],
-                domain_truncation=[(0,)],
-                horizon=4,
-            )
-
-        report = probe([growing])
-        assert not report.bornologous_ok
-        assert report.witnesses == [("bornologous", "no family checked", 1)]
-        report = probe([growing, bounded])
-        assert report.bornologous_ok and report.witnesses == []
-
-    def test_no_sample_checked_is_not_proper(self):
-        # No sample has a preimage in the truncation, or there is no sample:
-        # nothing is checked, which is a verdict of its own, not a pass. A
-        # sample with a preimage next to them is the positive control.
-        structure = BoundedByMetric(WordMetric(Z))
-
-        def probe(samples):
-            return map_probe(
-                lambda g: g,
-                domain=structure,
-                codomain=structure,
-                families=[lambda n: [((0,), (1,))]],
-                bounded_samples=samples,
-                domain_truncation=[(i,) for i in range(-5, 6)],
-                horizon=6,
-            )
-
-        for samples in ([frozenset([(1000,)])], []):
-            report = probe(samples)
-            assert report.bornologous_ok and not report.proper_ok
-            assert report.witnesses == [("proper", "no sample checked", len(samples))]
-        report = probe([frozenset([(1000,)]), frozenset([(0,)])])
-        assert report.bornologous_ok and report.proper_ok and report.witnesses == []
+        # Only 0 maps within 1 of 0, so the swapped row reads 0.
+        windows = difference_windows(lambda g: (2 * g[0],), Z.ball(20))
+        assert upper_control(windows, [1]) == [[2, 2, 2]]
+        assert upper_control(swapped(windows), [1]) == [[0, 0, 0]]
 
     def test_squaring_is_not_bornologous(self):
         # Adjacent pairs (n, n + 1) map to (n^2, (n + 1)^2), at distance
-        # 2n + 1: bounded in the domain, growing in the image, so the family
-        # is its own witness.  The identity is the positive control.
-        def adjacent(n):
-            return [((n,), (n + 1,))]
-
-        structure = BoundedByMetric(WordMetric(Z, radius_cap=10**4))
-
-        def probe(f):
-            return map_probe(
-                f,
-                domain=structure,
-                codomain=structure,
-                families=[adjacent],
-                bounded_samples=[{(0,)}],
-                domain_truncation=[(0,)],
-                horizon=6,
-            )
-
-        report = probe(lambda g: (g[0] ** 2,))
-        assert not report.bornologous_ok
-        [(kind, family, verdict)] = report.witnesses
-        assert (kind, family) == ("bornologous", adjacent)
-        assert verdict.per_index == [3, 5, 7, 9, 11, 13]
-        assert verdict.trend == "growing"
-        identity = probe(lambda g: g)
-        assert identity.bornologous_ok and identity.witnesses == []
+        # 2n + 1: squaring is no homomorphism, so every pair of each prefix
+        # is read.  The identity is the positive control.
+        d = WordMetric(Z, radius_cap=10**4)
+        squares = upper_control(pair_windows(Z.ball(9), lambda g: (g[0] ** 2,), d, d), [1])
+        assert squares == [[5, 11, 17]] and classify_trend(squares[0]) == "growing"
+        identity = upper_control(pair_windows(Z.ball(9), lambda g: g, d, d), [1])
+        assert identity == [[1, 1, 1]] and bounded(identity)
 
     def test_collapse_map_fails_properness(self):
-        # The collapse pulls {0} back to all of [-30, 30], 60 apart, past the
-        # cap of 8.  The identity pulls it back to {0}: the positive control.
-        def fam(n):
-            return [((0,), (1,))]
-
-        capped = BoundedByMetric(WordMetric(Z, radius_cap=8))
-
-        def probe(f):
-            return map_probe(
-                f,
-                domain=capped,
-                codomain=capped,
-                families=[fam],
-                bounded_samples=[frozenset([(0,)])],
-                domain_truncation=Z.ball(30),
-                horizon=4,
-            )
-
-        collapse = probe(lambda g: (0,))
-        assert not collapse.proper_ok
-        assert [kind for kind, *_ in collapse.witnesses] == ["proper"]
-        identity = probe(lambda g: g)
-        assert identity.proper_ok and identity.bornologous_ok
-        assert identity.witnesses == []
-
-    def test_proper_check_maps_each_truncation_point_once(self):
-        # Three samples, one with no preimage, over a truncation given with
-        # repeats: f runs once per distinct point, not once per sample.
-        calls = []
-        truncation = Z.ball(20)
-
-        def f(g):
-            calls.append(g)
-            return halve(g)
-
-        report = map_probe(
-            f,
-            domain=BoundedByMetric(WordMetric(Z, radius_cap=8)),
-            codomain=BoundedByMetric(WordMetric(Z)),
-            families=[],
-            bounded_samples=[{(0,)}, {(100,)}, set(Z.ball(3))],
-            domain_truncation=truncation + truncation[:5],
-            horizon=4,
-        )
-        assert sorted(calls) == truncation
-        # The preimage of B_3 is [-6, 7], 13 apart, past the cap of 8; that
-        # of {0} is [0, 1].
-        assert not report.proper_ok
-        assert report.witnesses[1:] == [("proper", Z.ball(3), [(i,) for i in range(-6, 8)])]
+        # The collapse pulls {0} back to each whole prefix: its swapped row is
+        # the prefix diameter.  The identity is the positive control.
+        collapse = difference_windows(lambda g: (0,), Z.ball(30))
+        assert bounded(upper_control(collapse, [1]))
+        [row] = upper_control(swapped(collapse), [1])
+        assert row == [19, 39, 60] and classify_trend(row) == "growing"
+        assert bounded(upper_control(swapped(difference_windows(lambda g: g, Z.ball(30))), [1]))
 
     @pytest.mark.parametrize("name", ["identity", "halve", "mod-3"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_proper_witnesses_match_a_truncation_scan(self, name, data):
-        # Samples with several images, or with none, against a scan of the
-        # whole truncation per sample; the cap of 6 makes wide preimages
-        # overflow.
+        # The swapped row at 1 against a scan of every pair of each prefix;
+        # the domain cap of 6 makes a wide prefix read HORIZON.
         f = {"identity": lambda g: g, "halve": halve, "mod-3": lambda g: (g[0] % 3,)}[name]
-        truncation = data.draw(st.lists(st.tuples(st.integers(-12, 12)), max_size=20))
-        samples = data.draw(st.lists(st.frozensets(st.tuples(st.integers(-6, 6)), max_size=4)))
-        report = map_probe(
-            f,
-            domain=BoundedByMetric(WordMetric(Z, radius_cap=6)),
-            codomain=BoundedByMetric(WordMetric(Z)),
-            families=[],
-            bounded_samples=samples,
-            domain_truncation=truncation,
-            horizon=1,
-        )
+        truncation = data.draw(st.lists(st.tuples(st.integers(-12, 12)), min_size=1, max_size=20))
+        windows = pair_windows(truncation, f, WordMetric(Z, radius_cap=6), WordMetric(Z))
+        [row] = upper_control(swapped(windows), [1])
         expected = []
-        found = 0
-        for sample in samples:
-            pre = [x for x in sorted(set(truncation)) if f(x) in sample]
-            found += bool(pre)
-            if pre and pre[-1][0] - pre[0][0] > 6:
-                expected.append(("proper", sorted(sample), pre))
-        if not found:
-            expected.append(("proper", "no sample checked", len(samples)))
-        assert [w for w in report.witnesses if w[0] == "proper"] == expected
-
-    def test_closeness_maps_each_point_once(self):
-        calls, calls2 = [], []
-
-        def f(g):
-            calls.append(g)
-            return halve(g)
-
-        def f2(g):
-            calls2.append(g)
-            return g
-
-        structure = BoundedByMetric(WordMetric(Z))
-        verdict = closeness_probe(f, f2, Z.ball(15), structure)
-        assert sorted(calls) == sorted(calls2) == Z.ball(15)
-        prefixes = ladder_prefixes(set(Z.ball(15)))
-        assert verdict.per_index == one_at_a_time(
-            structure, [[(halve(m), m) for m in prefix] for prefix in prefixes]
-        )
-        assert verdict.per_index == [3, 5, 8]
+        for prefix in ladder_prefixes(truncation):
+            xs = [x for (x,) in prefix]
+            if max(xs) - min(xs) > 6:
+                expected.append(HORIZON)
+                continue
+            near = [abs(x - y) for x in xs for y in xs if abs(f((x,))[0] - f((y,))[0]) <= 1]
+            expected.append(max(near))
+        assert row == expected
 
     def test_closeness_of_close_maps(self):
-        verdict = closeness_probe(
-            lambda g: g,
-            lambda g: (g[0] + 1,),
-            Z.ball(15),
-            BoundedByMetric(WordMetric(Z)),
-        )
-        assert verdict.trend == "bounded"
+        # Each point pairs with itself, at distance 0, against d(f x, g x).
+        d = WordMetric(Z)
+        windows = [[(0, d.eval(x, (x[0] + 1,))) for x in P] for P in ladder_prefixes(Z.ball(15))]
+        [row] = upper_control(windows, [0])
+        assert row == [1, 1, 1] and classify_trend(row) == "bounded"
 
     def test_closeness_of_far_maps(self):
-        verdict = closeness_probe(
-            lambda g: g,
-            lambda g: (2 * g[0],),
-            Z.ball(15),
-            BoundedByMetric(WordMetric(Z)),
-        )
-        assert verdict.trend == "growing"
+        d = WordMetric(Z)
+        windows = [[(0, d.eval(x, (2 * x[0],))) for x in P] for P in ladder_prefixes(Z.ball(15))]
+        [row] = upper_control(windows, [0])
+        assert classify_trend(row) == "growing"

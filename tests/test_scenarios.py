@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from coarsegroups import scenarios
-from coarsegroups.groups import Cyclic, GroupSpec, Heisenberg
+from coarsegroups.groups import GroupSpec, Heisenberg
 from coarsegroups.metrics import (
     HORIZON,
     Entry12Pseudometric,
@@ -92,7 +92,9 @@ def test_separation_lists_no_ball(monkeypatch):
 
 def test_separation_left_structure_reads_left_shadows(monkeypatch):
     # With the right shadow {x y^-1} in place of the left one, (b_n, a_n)
-    # reads (1, 1, 0) at every n: exactly the left-structure trend fails.
+    # reads (1, 1, 0) at every n.  The left trend classifies the loop's
+    # shadow norms, so it fails with the norm check that reads the same
+    # row; the n = 3 element, computed apart, is the positive control.
     assert "left_shadow" not in vars(Heisenberg)
 
     def right_shadow(self, pairs):
@@ -101,7 +103,11 @@ def test_separation_left_structure_reads_left_shadows(monkeypatch):
     monkeypatch.setattr(GroupSpec, "left_shadow", right_shadow)
     report = run_scenario("heisenberg_separation")
     failed = [(a.description, a.observed) for a in report.assertions if not a.passed]
-    assert failed == [("trend under the left bornological structure", "bounded")]
+    assert failed == [
+        ("shadow norm equals n + 1 for every n", False),
+        ("trend under the left bornological structure", "bounded"),
+    ]
+    assert {row["shadow_norm"] for row in report.rows} == {1}
     assert len(report.assertions) == 5
 
 
@@ -551,48 +557,78 @@ def test_z_quotient_metric_passes_past_the_default_radius_cap(k, R):
     assert diameters == [k // 2] * 2
 
 
+def _failed(report) -> list:
+    return [a.description for a in report.assertions if not a.passed]
+
+
 @pytest.mark.parametrize("k", [2, 5, 17])
 def test_quotient_side_reads_the_word_metric_of_z_mod_k(monkeypatch, k):
     # With the word metric of Z/k capped at 0, every nonzero distance there
-    # reads HORIZON: exactly the two checks that read Z/k's bounded pairs
-    # fail.  The projection's images of coset jumps stay at distance 0.
+    # reads HORIZON, and so does the pullback qm that reads it.  A window
+    # holding HORIZON reads HORIZON, so the four map checks fail, and with
+    # them the two quotient diameters; same-coset points and pi t against
+    # t stay at distance 0.
     assert run_scenario("z_quotient_metric", k=k).all_passed
-    bounded = scenarios.BoundedByMetric
 
-    def capped(metric):
-        if isinstance(metric.spec, Cyclic):
-            metric = WordMetric(metric.spec, radius_cap=0)
-        return bounded(metric)
+    def capped(k):
+        qm = QuotientWordMetric(k)
+        qm.word = WordMetric(qm.quotient, radius_cap=0)
+        return qm
 
-    monkeypatch.setattr(scenarios, "BoundedByMetric", capped)
+    monkeypatch.setattr(scenarios, "QuotientWordMetric", capped)
     report = run_scenario("z_quotient_metric", k=k)
-    failed = [a.description for a in report.assertions if not a.passed]
-    assert failed == ["section is bornologous", "section is proper on the truncation"]
+    assert _failed(report) == [
+        "quotient diameter of the truncation",
+        "quotient diameter is already saturated at radius k",
+        "projection is bornologous",
+        "projection is proper on the truncation",
+        "section is bornologous",
+        "section is proper on the truncation",
+    ]
     assert len(report.assertions) == 9
 
 
 @pytest.mark.parametrize("k", [2, 5, 17])
 def test_integer_side_reads_the_quotient_pseudometric(monkeypatch, k):
-    # Under Z's word metric, capped at 4R so that no preimage of the
-    # truncation [-R, R] overflows, coset jumps k*n and the distances of m
-    # to its residue grow: exactly the two checks that read Z's bounded
-    # pairs through the pullback fail.
-    R = scenarios.scenario_params("z_quotient_metric")["truncation_radius"]
-    bounded = scenarios.BoundedByMetric
-
-    def word_side(metric):
-        if isinstance(metric, QuotientWordMetric):
-            metric = WordMetric(metric.spec, radius_cap=4 * R)
-        return bounded(metric)
-
-    monkeypatch.setattr(scenarios, "BoundedByMetric", word_side)
+    # Under Z's word metric, in place of the quotient pseudometric's
+    # distances: the preimage of a residue grows with the window, and so
+    # does the distance of t to its residue pi t.  pi is 1-Lipschitz, so
+    # "projection is bornologous" still passes; the section reads residues
+    # only, a finite set.  Same-coset points read the same distance.
+    # The diameters read `QuotientWordMetric.diameter`, and pass.
+    monkeypatch.setattr(QuotientWordMetric, "eval", lambda self, g, h: abs(g[0] - h[0]))
     report = run_scenario("z_quotient_metric", k=k)
-    failed = [a.description for a in report.assertions if not a.passed]
-    assert failed == [
-        "projection is bornologous",
+    assert _failed(report) == [
+        "same-coset points at quotient distance 0",
+        "projection is proper on the truncation",
         "section-after-projection is close to the identity",
     ]
     assert len(report.assertions) == 9
+
+
+@pytest.mark.parametrize("R", [4, 12, 24, 96])
+def test_smith_fails_for_a_second_metric_that_is_not_proper(monkeypatch, R):
+    """quotient:5 in place of the {2, 3} word metric: it is bornologous for
+    the word metric of Z (its forward rows read at most 2) but not proper,
+    since each coset is at distance 0.  Its backward row, the largest d1
+    where d2 <= 1, grows with the window: exactly the two verdicts that read
+    it fail, with the literal norm of 1."""
+    word = WordMetric
+
+    def swap_d2(spec, radius_cap=64):
+        if spec.generating_set == ((2,), (3,)):
+            return QuotientWordMetric(5)
+        return word(spec, radius_cap)
+
+    assert run_scenario("smith_uniqueness_probe", R=R).all_passed
+    monkeypatch.setattr(scenarios, "WordMetric", swap_d2)
+    report = run_scenario("smith_uniqueness_probe", R=R)
+    assert _failed(report) == [
+        "norm of 1 in the {2, 3} generating set",
+        "identity is proper (forward)",
+        "identity is bornologous (backward)",
+    ]
+    assert len(report.assertions) == 6
 
 
 def test_unknown_scenario_rejected():

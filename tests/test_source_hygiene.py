@@ -90,8 +90,8 @@ def test_reporting_import_loads_no_scenarios():
 
 
 def test_coarse_import_loads_no_bornology():
-    # The probe layer reads only groups and metrics: every structure a
-    # probe takes is a metric's bounded structure, none a bornology basis.
+    # The control rows read only groups and metrics: every map verdict is
+    # read off metric distances, none off a bornology basis.
     loaded = modules_loaded_by("coarsegroups.coarse")
     assert "coarsegroups.coarse" in loaded
     assert "coarsegroups.bornology" not in loaded
